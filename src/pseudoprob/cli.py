@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import PseudoprobError
-from .operators import HermitianOperator, eigenvalues_hermitian, symmetrized_product
+from .operators import HermitianOperator, commutator_norm, eigenvalues_hermitian, symmetrized_product
 from .pseudoprojection import Recipe
 from .qubit import (
     ORTHOGONAL_PAIR,
@@ -288,7 +288,7 @@ def _cmd_spectrum(args) -> int:
         p2 = _haar_projector(rng, args.dim, r2)
         pp = symmetrized_product(p1, p2)
         min_eig = float(eigenvalues_hermitian(pp)[0])
-        comm = float(np.abs(p1.matrix @ p2.matrix - p2.matrix @ p1.matrix).max())
+        comm = commutator_norm(p1, p2)
         if comm > 1e-6:
             noncommuting += 1
             if min_eig >= -1e-14:
@@ -318,7 +318,7 @@ def _cmd_entanglement(args) -> int:
     if args.schmidt_alpha is not None:
         psi = ent.TwoQubitPureState.from_schmidt(_angle(args.schmidt_alpha, args))
     else:
-        psi = ent.state_from_json(_load_json_file(args.state))
+        psi = ent.pure_state_from_json(_load_json_file(args.state))
     p_r = ent.reduced_bloch_norm(psi, 0)
     row = {
         "reduced_bloch_norm": p_r,

@@ -94,7 +94,7 @@ def random_single_qubit_unitary(rng: np.random.Generator) -> np.ndarray:
     return np.column_stack([q1, q2])
 
 
-def state_from_json(obj: dict) -> TwoQubitPureState:
+def pure_state_from_json(obj: dict) -> TwoQubitPureState:
     """Load from {"amps_re": [...], "amps_im": [...]} or {"schmidt_alpha": x}."""
     if "schmidt_alpha" in obj:
         return TwoQubitPureState.from_schmidt(float(obj["schmidt_alpha"]))
@@ -103,3 +103,6 @@ def state_from_json(obj: dict) -> TwoQubitPureState:
         im = np.asarray(obj.get("amps_im", np.zeros(4)), dtype=float)
         return TwoQubitPureState(re + 1j * im)
     raise ValueError('two-qubit state JSON needs "amps_re" or "schmidt_alpha"')
+
+
+state_from_json = pure_state_from_json  # former name, kept for existing callers

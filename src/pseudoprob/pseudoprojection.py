@@ -3,8 +3,8 @@
 The product of noncommuting projectors is not itself a projector. Each
 ordering of the product, hermitized as (prod + prod^dag)/2, gives a "unit"
 pseudo-projection; an ordering and its reversal coincide, so N projectors
-yield at most N!/2 distinct units. Their convex combinations, and in
-particular the equal-weight average over all orderings (the fully
+yield N!/2 units, one per reversal class. Their convex combinations, and
+in particular the equal-weight average over all orderings (the fully
 symmetric, Weyl-ordered form), represent the indicator function of the
 joint outcome. Whenever the generators fail to commute, every such
 operator acquires at least one negative eigenvalue; when they all
@@ -13,6 +13,7 @@ commute, the manifold collapses to the single true projection.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,7 +40,9 @@ from .operators import (
 DEDUP_ATOL = 1e-10
 PROJECTOR_ATOL = 1e-10
 IDEMPOTENCY_ATOL = 1e-10
-# 8! / 2 = 20160 candidate orderings is the largest enumeration we allow.
+# Weyl costs 2^N N products per outcome tuple (a qubit N = 8 build_scheme took
+# ~1 s on a 2-vCPU Xeon VM), unit/weights N - 1 per weighted class; only
+# unit_pseudo_projections enumerates all N!/2 = 20160 classes at N = 8.
 MAX_GENERATORS = 8
 WEIGHT_SUM_ATOL = 1e-12
 
@@ -49,8 +52,9 @@ class Recipe:
     """Ordering recipe for building a pseudo-projection from projectors.
 
     kind is one of "weyl" (equal-weight average over all orderings),
-    "unit" (a single distinct hermitized ordering, by index in canonical
-    order), or "weights" (convex combination of the distinct units).
+    "unit" (the hermitized ordering of class `index` in `ordering_classes`),
+    or "weights" (one weight per class); a recipe thus means the same
+    orderings in every outcome tuple, whatever the projectors.
     """
 
     kind: str
@@ -73,18 +77,17 @@ class Recipe:
         _check_weights(ws, len(ws))
         return cls(kind="weights", weights=ws)
 
-    def validate_for(self, unit_count: int) -> None:
-        if self.kind == "weyl":
-            return
+    def terms(self, classes) -> list:
+        """(weight, ordering) pairs of the recipe over `classes`, zero weights dropped."""
         if self.kind == "unit":
-            if not 0 <= self.index < unit_count:
+            if not 0 <= self.index < len(classes):
                 raise InvalidRecipe(
-                    f"unit index {self.index} out of range for {unit_count} distinct units"
+                    f"unit index {self.index} out of range for {len(classes)} ordering classes"
                 )
-            return
+            return [(1.0, classes[self.index])]
         if self.kind == "weights":
-            _check_weights(self.weights, unit_count)
-            return
+            _check_weights(self.weights, len(classes))
+            return [(w, c) for w, c in zip(self.weights, classes) if w]
         raise InvalidRecipe(f"unknown recipe kind {self.kind!r}")
 
     def to_json(self):
@@ -157,70 +160,71 @@ def _check_generators(projs) -> list:
     return projs
 
 
-def _chain(mats, perm) -> np.ndarray:
-    m = mats[perm[0]]
-    for k in perm[1:]:
-        m = m @ mats[k]
-    return m
+@functools.lru_cache(maxsize=None)
+def ordering_classes(n: int) -> tuple:
+    """Reversal classes of the orderings of n generators (N!/2 for N >= 2),
+    each the lexicographically smaller of an ordering and its reversal, in
+    lexicographic order. Recipe index K names the K-th class."""
+    return tuple(p for p in itertools.permutations(range(n)) if p <= p[::-1])
+
+
+def hermitized_product(mats, order) -> np.ndarray:
+    """(A_sigma + A_sigma^dag)/2 for the ordered product A_sigma of `mats`."""
+    prod = mats[order[0]]
+    for k in order[1:]:
+        prod = prod @ mats[k]
+    return 0.5 * (prod + prod.conj().T)
 
 
 def distinct_unit_matrices(mats, atol: float = DEDUP_ATOL):
-    """Distinct hermitized ordering products of raw matrices.
-
-    Returns (units, multiplicities, representative_permutations) where the
-    canonical order is lexicographic in the generating permutation and each
-    duplicate class keeps its first representative.
-    """
+    """(units, class_indices) of the `ordering_classes`, leaving out each
+    unit equal to an earlier kept one within `atol`."""
     units: list[np.ndarray] = []
-    mults: list[int] = []
-    perms: list[tuple] = []
-    for perm in itertools.permutations(range(len(mats))):
-        prod = _chain(mats, perm)
-        h = 0.5 * (prod + prod.conj().T)
-        for i, u in enumerate(units):
-            if np.abs(u - h).max() <= atol:
-                mults[i] += 1
-                break
-        else:
+    indices: list[int] = []
+    for k, order in enumerate(ordering_classes(len(mats))):
+        h = hermitized_product(mats, order)
+        if all(np.abs(u - h).max() > atol for u in units):
             units.append(h)
-            mults.append(1)
-            perms.append(perm)
-    return units, mults, perms
+            indices.append(k)
+    return units, indices
 
 
 def weyl_matrix(mats) -> np.ndarray:
-    """Equal-weight average of all ordering products, hermitized."""
+    """Equal-weight average of all N! ordering products, hermitized, by the
+    subset recursion W(S) = sum_{i in S} A_i W(S - {i}): 2^N N products."""
     n = len(mats)
-    acc = np.zeros_like(mats[0])
-    for perm in itertools.permutations(range(n)):
-        acc = acc + _chain(mats, perm)
-    acc = acc / math.factorial(n)
+    w = {1 << i: m for i, m in enumerate(mats)}
+    for s in range(1, 1 << n):
+        if s not in w:
+            w[s] = sum(mats[i] @ w[s ^ (1 << i)] for i in range(n) if s >> i & 1)
+    acc = w[(1 << n) - 1] / math.factorial(n)
     return 0.5 * (acc + acc.conj().T)
 
 
 def unit_pseudo_projections(projectors) -> list[PseudoProjection]:
-    """All distinct unit pseudo-projections of the given projectors.
+    """The distinct unit pseudo-projections of the given projectors.
 
-    At most N!/2 for N projectors; commuting generators collapse the list
-    further (down to a single true projection when all commute).
+    One per reversal class, less units equal to an earlier one within
+    DEDUP_ATOL (commuting generators collapse the list, down to the true
+    projection when all commute). Each is tagged Recipe.unit(k) with its
+    class index k, so `build_scheme` with that recipe reproduces it.
     """
     projs = _check_generators(projectors)
-    mats = [p.matrix for p in projs]
-    units, _, _ = distinct_unit_matrices(mats)
+    units, indices = distinct_unit_matrices([p.matrix for p in projs])
     gens = tuple(projs)
     return [
-        PseudoProjection(op=HermitianOperator(u), generators=gens, recipe=Recipe.unit(i))
-        for i, u in enumerate(units)
+        PseudoProjection(op=HermitianOperator(u), generators=gens, recipe=Recipe.unit(k))
+        for k, u in zip(indices, units)
     ]
 
 
 def weyl_pseudo_projection(projectors) -> PseudoProjection:
     """Fully symmetric pseudo-projection: average over all N! orderings.
 
-    Equivalently the multiplicity-weighted mean of the distinct units, and
-    exactly invariant under permutations of the input list. For two
-    projectors this is just their symmetrized product; for a complementary
-    pair (pi, 1 - pi) it vanishes identically.
+    Equivalently the mean of the N!/2 class units, and exactly invariant
+    under permutations of the input list. For two projectors this is just
+    their symmetrized product; for a complementary pair (pi, 1 - pi) it
+    vanishes identically.
     """
     projs = _check_generators(projectors)
     op = HermitianOperator(weyl_matrix([p.matrix for p in projs]))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import HermitianOperator
-from .pseudoprojection import PseudoProjection, Recipe
+from .pseudoprojection import PseudoProjection, Recipe, hermitized_product, ordering_classes
 from .schemes import Scheme
 from .states import (
     bloch_vector,
@@ -41,6 +41,16 @@ TRIPLE_OUTCOMES = tuple(itertools.product((1, -1), repeat=3))
 
 ORTHOGONAL_PAIR = "orthogonal-pair"
 ORTHOGONAL_TRIPLE = "orthogonal-triple"
+
+
+def _check_pnorm(pnorm: float) -> None:
+    if not -1e-12 <= pnorm <= 1.0 + 1e-12:
+        raise ValueError(f"pnorm must lie in [0, 1], got {pnorm}")
+
+
+def _check_theta(theta: float) -> None:
+    if not 0.0 < theta < math.pi:
+        raise ValueError(f"theta must lie in (0, pi), got {theta}")
 
 
 def pair_entries(p, m1, m2) -> np.ndarray:
@@ -109,10 +119,8 @@ class PairGeometry:
     @classmethod
     def aligned(cls, pnorm: float, theta: float) -> "PairGeometry":
         """Directions at angle theta in the x-z plane, P along m1 + m2."""
-        if not 0.0 < theta < math.pi:
-            raise ValueError(f"theta must lie in (0, pi), got {theta}")
-        if not -1e-12 <= pnorm <= 1.0 + 1e-12:
-            raise ValueError(f"pnorm must lie in [0, 1], got {pnorm}")
+        _check_theta(theta)
+        _check_pnorm(pnorm)
         half = 0.5 * theta
         m1 = np.array([math.sin(half), 0.0, math.cos(half)])
         m2 = np.array([-math.sin(half), 0.0, math.cos(half)])
@@ -176,31 +184,21 @@ def triple_scheme_weyl_closed(g: TripleGeometry) -> Scheme:
 
 
 def triple_units(g: TripleGeometry, outcomes) -> tuple:
-    """The three distinct hermitized orderings of a projector triple.
+    """The three hermitized orderings of a projector triple.
 
     For projectors pi_1, pi_2, pi_3 of the given joint outcome these are
-      (pi1 pi2 pi3 + pi3 pi2 pi1)/2,
-      (pi3 pi1 pi2 + pi2 pi1 pi3)/2,
-      (pi2 pi3 pi1 + pi1 pi3 pi2)/2;
-    their equal-weight mean is the Weyl form. Relabelling the projectors
-    permutes the three among themselves.
+      (pi1 pi2 pi3 + pi3 pi2 pi1)/2,   class 0, ordering (0, 1, 2),
+      (pi3 pi1 pi2 + pi2 pi1 pi3)/2,   class 2, ordering (1, 0, 2),
+      (pi2 pi3 pi1 + pi1 pi3 pi2)/2,   class 1, ordering (0, 2, 1),
+    each tagged Recipe.unit(class); their equal-weight mean is the Weyl
+    form. Relabelling the projectors permutes the three among themselves.
     """
-    a1, a2, a3 = outcomes
-    p1 = projector_from_direction(g.m1, a1).matrix
-    p2 = projector_from_direction(g.m2, a2).matrix
-    p3 = projector_from_direction(g.m3, a3).matrix
-    gens = tuple(
-        projector_from_direction(m, a)
-        for m, a in zip(g.directions, (a1, a2, a3))
-    )
-    mats = (
-        0.5 * (p1 @ p2 @ p3 + p3 @ p2 @ p1),
-        0.5 * (p3 @ p1 @ p2 + p2 @ p1 @ p3),
-        0.5 * (p2 @ p3 @ p1 + p1 @ p3 @ p2),
-    )
+    pairs = zip(g.directions, outcomes, strict=True)
+    gens = tuple(projector_from_direction(m, a) for m, a in pairs)
+    mats = [p.matrix for p in gens]
+    units = [hermitized_product(mats, order) for order in ordering_classes(3)]
     return tuple(
-        PseudoProjection(op=HermitianOperator(m), generators=gens, recipe=Recipe.unit(i))
-        for i, m in enumerate(mats)
+        PseudoProjection(HermitianOperator(units[k]), gens, Recipe.unit(k)) for k in (0, 2, 1)
     )
 
 
@@ -209,10 +207,8 @@ def negativity_special(pnorm: float, theta: float) -> float:
     c = cos(theta/2). Positive exactly when |P| > cos(theta/2)."""
     pnorm = float(pnorm)
     theta = float(theta)
-    if not -1e-12 <= pnorm <= 1.0 + 1e-12:
-        raise ValueError(f"pnorm must lie in [0, 1], got {pnorm}")
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie in (0, pi), got {theta}")
+    _check_pnorm(pnorm)
+    _check_theta(theta)
     c = math.cos(0.5 * theta)
     return max(0.0, 0.5 * (pnorm * c - c * c))
 
@@ -227,8 +223,7 @@ def negativity_max(pnorm: float) -> NegativityMax:
     """Maximum aligned-pair negativity over theta: |P|^2/8 at
     theta* = 2 arccos(|P|/2)."""
     pnorm = float(pnorm)
-    if not -1e-12 <= pnorm <= 1.0 + 1e-12:
-        raise ValueError(f"pnorm must lie in [0, 1], got {pnorm}")
+    _check_pnorm(pnorm)
     return NegativityMax(value=pnorm * pnorm / 8.0, theta_star=2.0 * math.acos(0.5 * pnorm))
 
 

@@ -22,10 +22,7 @@ from .errors import (
 )
 from .operators import ATOL_LOOSE
 from .pseudoprojection import (
-    MAX_GENERATORS,
-    Recipe,
-    distinct_unit_matrices,
-    weyl_matrix,
+    MAX_GENERATORS, Recipe, hermitized_product, ordering_classes, weyl_matrix,
 )
 from .states import DensityMatrix
 
@@ -87,11 +84,11 @@ class Scheme:
 def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) -> Scheme:
     """Evaluate Tr(rho P) for the pseudo-projection P of every outcome tuple.
 
-    For a single observable every recipe reduces to the Born rule. The
-    unit/weights recipes index the distinct hermitized orderings of each
-    tuple's projector product (their count can collapse when projectors
-    commute, in which case the recipe must still be valid for the
-    collapsed count).
+    For a single observable every recipe reduces to the Born rule and is
+    not checked. Otherwise a unit/weights recipe is checked once against
+    the N!/2 reversal classes of `ordering_classes`, and every tuple's P is
+    built from the same classes, whether or not that tuple's projectors
+    commute; only classes with a nonzero weight are evaluated.
     """
     observables = tuple(observables)
     if not observables:
@@ -104,6 +101,8 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
     for obs in observables:
         if obs.dim != rho.dim:
             raise DimensionMismatch(f"observable dim {obs.dim} vs state dim {rho.dim}")
+    if len(observables) > 1 and recipe.kind != "weyl":
+        terms = recipe.terms(ordering_classes(len(observables)))
     rmat = rho.matrix
     values = []
     for outcomes in canonical_outcome_tuples(observables):
@@ -113,12 +112,7 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
         elif recipe.kind == "weyl":
             op = weyl_matrix(mats)
         else:
-            units, _, _ = distinct_unit_matrices(mats)
-            recipe.validate_for(len(units))
-            if recipe.kind == "unit":
-                op = units[recipe.index]
-            else:
-                op = sum(w * u for w, u in zip(recipe.weights, units))
+            op = sum(w * hermitized_product(mats, c) for w, c in terms)
         t = complex(np.trace(rmat @ op))
         if abs(t.imag) > ATOL_LOOSE:
             raise NonHermitianTrace(f"imaginary entry residue {t.imag:.3e}")

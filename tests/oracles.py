@@ -37,6 +37,19 @@ def weyl_oracle(mats):
     return 0.5 * (acc + acc.conj().T)
 
 
+def weyl_polarisation_oracle(mats):
+    """Weyl average by inclusion-exclusion over subsets, the noncommutative
+    analogue of Ryser's permanent formula:
+    sum_S (-1)^(N-|S|) (sum_{i in S} A_i)^N / N!."""
+    n = len(mats)
+    acc = np.zeros_like(mats[0])
+    for r in range(1, n + 1):
+        for subset in itertools.combinations(range(n), r):
+            total = sum(mats[i] for i in subset)
+            acc = acc + (-1) ** (n - r) * np.linalg.matrix_power(total, n)
+    return acc / math.factorial(n)
+
+
 def scheme_oracle(p, ms):
     """Trace-route scheme entries for qubit directions, canonical order."""
     rho = rho_matrix(p)
