@@ -13,6 +13,7 @@ commute, the manifold collapses to the single true projection.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -178,12 +179,26 @@ def hermitized_product(mats, order) -> np.ndarray:
 
 def distinct_unit_matrices(mats, atol: float = DEDUP_ATOL):
     """(units, class_indices) of the `ordering_classes`, leaving out each
-    unit equal to an earlier kept one within `atol`."""
+    unit equal to an earlier kept one within `atol`.
+
+    A new unit is compared only with the kept units whose key, a fixed
+    weighted sum of the real entries with absolute weights summing to 1,
+    lies within 2 atol of its own: a unit within atol in max-norm moves the
+    key by at most atol (plus rounding), so no duplicate is missed.
+    """
+    d = mats[0].shape[0]
+    weights = np.cos(np.arange(d * d)).reshape(d, d)
+    weights /= np.abs(weights).sum()
     units: list[np.ndarray] = []
     indices: list[int] = []
+    window: list[tuple] = []  # (key, position in units), sorted
     for k, order in enumerate(ordering_classes(len(mats))):
         h = hermitized_product(mats, order)
-        if all(np.abs(u - h).max() > atol for u in units):
+        key = float((weights * h.real).sum())
+        lo = bisect.bisect_left(window, (key - 2 * atol,))
+        hi = bisect.bisect_right(window, (key + 2 * atol, math.inf))
+        if all(np.abs(units[j] - h).max() > atol for _, j in window[lo:hi]):
+            bisect.insort(window, (key, len(units)))
             units.append(h)
             indices.append(k)
     return units, indices

@@ -91,6 +91,38 @@ def best_partitions(values, eps=1e-10):
     return best, sorted(winners)
 
 
+def best_partition_count(values, eps=1e-10):
+    """Subset DP: (max feasible block count, number of partitions reaching it).
+
+    The block holding the lowest event of a subset ranges over every subset
+    of the rest, 3^n steps in all; block sums are folded in ascending event
+    order, as `best_partitions` sums them.
+    """
+    n = len(values)
+    sums = [0.0] * (1 << n)
+    for mask in range(1, 1 << n):
+        high = mask.bit_length() - 1
+        sums[mask] = sums[mask ^ (1 << high)] + values[high]
+    table = [(0, 1)]
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        rest = mask ^ low
+        top, count = -1, 0
+        sub = rest
+        while True:
+            if sums[sub | low] >= -eps:
+                blocks, ways = table[rest ^ sub]
+                if ways and blocks + 1 > top:
+                    top, count = blocks + 1, ways
+                elif ways and blocks + 1 == top:
+                    count += ways
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        table.append((top, count))
+    return table[-1]
+
+
 def gss_max(f, lo, hi, tol=1e-10):
     """Golden-section maximum of a unimodal function on [lo, hi]."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0

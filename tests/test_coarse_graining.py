@@ -1,0 +1,152 @@
+"""Exact coarse-graining against independent partition searches: the
+Bell-number enumeration for up to 9 events, the 3^n subset DP for 10-12,
+and a pinned 16-event Weyl scheme."""
+
+import numpy as np
+import pytest
+
+from pseudoprob import (
+    DensityMatrix,
+    HermitianOperator,
+    Observable,
+    Recipe,
+    Scheme,
+    build_scheme,
+    density_from_bloch,
+    minimal_coarse_graining,
+    observable_from_direction,
+)
+
+import oracles
+
+# Values on a dyadic grid with eps = 2 grid steps: every block sum is exact,
+# so ties, exact zeros, entries in [-eps, 0) and sums landing on -eps are
+# decided the same way by every summation order.
+GRID = 2.0**-8
+DYADIC_EPS = 2 * GRID
+
+
+def table_scheme(values):
+    """A scheme whose events are the outcomes 0..n-1 of one diagonal observable."""
+    n = len(values)
+    resolution = []
+    for i in range(n):
+        p = np.zeros((n, n))
+        p[i, i] = 1.0
+        resolution.append((i, HermitianOperator(p)))
+    obs = Observable(op=HermitianOperator(np.diag(np.arange(n, dtype=float))), resolution=tuple(resolution))
+    return Scheme([obs], Recipe.weyl(), DensityMatrix.maximally_mixed(n), values)
+
+
+def dyadic_values(rng, n):
+    """n grid values summing to 1, about a third drawn from {0, -1, -2, -3}
+    grid steps (zero, the [-eps, 0) band, just negative) or repeating an
+    earlier value."""
+    while True:
+        steps = []
+        for _ in range(n - 1):
+            pick = rng.random()
+            if pick < 0.2:
+                steps.append(int(rng.choice([0, -1, -2, -3])))
+            elif pick < 0.35 and steps:
+                steps.append(int(rng.choice(steps)))
+            else:
+                steps.append(int(rng.integers(-48, 81)))
+        last = 256 - sum(steps)
+        if -256 <= last <= 512:
+            return [k * GRID for k in steps + [last]]
+
+
+def float_values(rng, n):
+    v = rng.normal(scale=0.3, size=n)
+    return list(v - v.mean() + 1.0 / n)
+
+
+def event_blocks(out):
+    return tuple(tuple(t[0] for t in block) for block in out.partition)
+
+
+CASES = [
+    # a block sum landing exactly on -eps is feasible
+    [-0.25 - DYADIC_EPS, 0.25, 1.0 + DYADIC_EPS],
+    # an entry at exactly -eps stays a singleton; exact zeros never merge
+    [-DYADIC_EPS, 0.0, -0.5, 0.5, 0.0, 1.0 + DYADIC_EPS],
+    # tied negatives and tied compensators
+    [-0.125, -0.125, 0.125, 0.125, 0.0, 1.0],
+]
+
+
+@pytest.mark.parametrize("values", CASES)
+def test_edge_cases_match_exhaustive_search(values):
+    out = minimal_coarse_graining(table_scheme(values), eps=DYADIC_EPS)
+    best, winners = oracles.best_partitions(values, eps=DYADIC_EPS)
+    assert (out.block_count, out.num_maximizers) == (best, len(winners))
+    assert event_blocks(out) == winners[0]
+
+
+def test_sum_on_minus_eps_merges():
+    out = minimal_coarse_graining(table_scheme(CASES[0]), eps=DYADIC_EPS)
+    assert event_blocks(out) == ((0, 1), (2,))
+    assert out.num_maximizers == 2
+
+
+@pytest.mark.parametrize("kind", ["dyadic", "float"])
+def test_random_tables_match_exhaustive_search(kind):
+    rng = np.random.default_rng(3301 if kind == "dyadic" else 3302)
+    eps = DYADIC_EPS if kind == "dyadic" else 1e-10
+    draw = dyadic_values if kind == "dyadic" else float_values
+    merged = 0
+    for n in range(2, 10):
+        for _ in range(12 if n < 8 else 4):
+            values = draw(rng, n)
+            out = minimal_coarse_graining(table_scheme(values), eps=eps)
+            best, winners = oracles.best_partitions(values, eps=eps)
+            assert (out.block_count, out.num_maximizers) == (best, len(winners)), values
+            assert event_blocks(out) == winners[0], values
+            merged += best < n
+    assert merged >= 20  # the draws do exercise merging
+
+
+@pytest.mark.parametrize("n, kind", [(10, "dyadic"), (11, "dyadic"), (12, "dyadic"), (12, "float")])
+def test_larger_tables_match_subset_dp(n, kind):
+    rng = np.random.default_rng(3400 + n)
+    values = dyadic_values(rng, n) if kind == "dyadic" else float_values(rng, n)
+    eps = DYADIC_EPS if kind == "dyadic" else 1e-10
+    out = minimal_coarse_graining(table_scheme(values), eps=eps)
+    assert (out.block_count, out.num_maximizers) == oracles.best_partition_count(values, eps=eps)
+    assert sorted(i for block in event_blocks(out) for i in block) == list(range(n))
+    assert all(sum(values[i] for i in block) >= -eps for block in event_blocks(out))
+
+
+def test_search_states_of_a_classical_scheme():
+    # nothing merges: the search walks one chain of singletons
+    out = minimal_coarse_graining(table_scheme([0.25, 0.0, 0.5, 0.25]))
+    assert out.block_count == 4
+    assert out.search_states == 4
+
+
+def test_golden_sixteen_event_weyl_scheme():
+    rng = np.random.default_rng(113)
+    p = oracles.rand_bloch(rng)
+    dirs = [oracles.rand_direction(rng) for _ in range(4)]
+    scheme = build_scheme(density_from_bloch(p), [observable_from_direction(m) for m in dirs])
+    assert int((scheme.values < -1e-10).sum()) == 3
+    out = minimal_coarse_graining(scheme)
+    # pinned from the two-pass backtracking search this DP replaced
+    assert out.block_count == 13
+    assert out.num_maximizers == 922
+    assert out.partition == (
+        ((1, 1, 1, 1), (1, 1, 1, -1)),
+        ((1, 1, -1, 1),),
+        ((1, 1, -1, -1),),
+        ((1, -1, 1, 1),),
+        ((1, -1, 1, -1),),
+        ((1, -1, -1, 1),),
+        ((1, -1, -1, -1), (-1, 1, 1, -1)),
+        ((-1, 1, 1, 1),),
+        ((-1, 1, -1, 1),),
+        ((-1, 1, -1, -1),),
+        ((-1, -1, 1, 1),),
+        ((-1, -1, 1, -1),),
+        ((-1, -1, -1, 1), (-1, -1, -1, -1)),
+    )

@@ -21,7 +21,7 @@ from pseudoprob import (
     unit_pseudo_projections,
     weyl_pseudo_projection,
 )
-from pseudoprob.pseudoprojection import ordering_classes
+from pseudoprob.pseudoprojection import distinct_unit_matrices, ordering_classes
 
 import oracles
 
@@ -247,3 +247,35 @@ def test_triple_units_tagged_by_class():
     assert [u.recipe for u in units] == [Recipe.unit(0), Recipe.unit(2), Recipe.unit(1)]
     for u in units:
         assert np.array_equal(u.op.matrix, generic[u.recipe.index].op.matrix)
+
+
+def pairwise_distinct_units(mats, atol=1e-10):
+    """The dedup rule one pair at a time: a class unit is kept unless an
+    earlier kept unit is within atol in max-norm."""
+    kept, indices = [], []
+    for k, order in enumerate(ordering_classes(len(mats))):
+        prod = np.eye(mats[0].shape[0], dtype=complex)
+        for i in order:
+            prod = prod @ mats[i]
+        h = (prod + prod.conj().T) / 2
+        if all(np.abs(u - h).max() > atol for u in kept):
+            kept.append(h)
+            indices.append(k)
+    return kept, indices
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_distinct_units_match_pairwise_rule(case):
+    if case < 4:
+        obs = _reproduction_cases()[case][1]
+    else:
+        # five generators, one repeated and one 1e-12 off another: 60
+        # classes, units equal in fp and units within DEDUP_ATOL but not equal
+        obs = qubit_observables(Z, X, (1e-12, 0.0, 1.0), (0.6, 0.0, 0.8), X)
+    for t in itertools.product(*(o.outcomes for o in obs)):
+        mats = projector_mats(obs, t)
+        units, indices = distinct_unit_matrices(mats)
+        ref_units, ref_indices = pairwise_distinct_units(mats)
+        assert indices == ref_indices
+        for u, r in zip(units, ref_units):
+            assert np.abs(u - r).max() <= 1e-15
