@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .errors import PseudoprobError
-from .operators import HermitianOperator, commutator_norm, eigenvalues_hermitian, symmetrized_product
-from .pseudoprojection import Recipe
+from .operators import HermitianOperator, symmetrized_product
+from .pseudoprojection import PseudoProjection, Recipe, spectral_audit
 from .qubit import (
     ORTHOGONAL_PAIR,
     ORTHOGONAL_TRIPLE,
@@ -28,14 +28,9 @@ from .qubit import (
     negativity_special,
     pair_entries,
 )
-from .schemes import (
-    CLASSICALITY_EPS,
-    build_scheme,
-    classify,
-    negativity,
-    scheme_to_json,
-)
+from .schemes import build_scheme, classify, negativity, scheme_to_json
 from .states import direction, direction_from_json, observable_from_direction, state_from_json
+from .tolerances import CLASSICALITY_EPS, COMMUTATOR_CUTOFF, NEGATIVE_EIG_CUTOFF, THETA_MARGIN
 from . import entanglement as ent
 
 PRNG_NAME = "numpy default_rng (PCG64)"
@@ -44,8 +39,6 @@ _AXES = {
     "y": (0.0, 1.0, 0.0),
     "z": (0.0, 0.0, 1.0),
 }
-# Keep theta strictly inside (0, pi); out-of-range scan bounds clip here.
-_THETA_MARGIN = 1e-9
 
 
 class CliInputError(Exception):
@@ -199,8 +192,8 @@ def _cmd_scan_negativity(args) -> int:
         raise CliInputError(f"--steps must be at least 2, got {args.steps}")
     lo = _angle(args.theta_min, args)
     hi = _angle(args.theta_max, args)
-    clipped_lo = min(max(lo, _THETA_MARGIN), math.pi - _THETA_MARGIN)
-    clipped_hi = min(max(hi, _THETA_MARGIN), math.pi - _THETA_MARGIN)
+    clipped_lo = min(max(lo, THETA_MARGIN), math.pi - THETA_MARGIN)
+    clipped_hi = min(max(hi, THETA_MARGIN), math.pi - THETA_MARGIN)
     if (clipped_lo, clipped_hi) != (lo, hi):
         print(
             f"warning: theta range [{lo}, {hi}] clipped to "
@@ -286,14 +279,13 @@ def _cmd_spectrum(args) -> int:
     for i in range(args.pairs):
         p1 = _haar_projector(rng, args.dim, r1)
         p2 = _haar_projector(rng, args.dim, r2)
-        pp = symmetrized_product(p1, p2)
-        min_eig = float(eigenvalues_hermitian(pp)[0])
-        comm = commutator_norm(p1, p2)
-        if comm > 1e-6:
+        pp = PseudoProjection(symmetrized_product(p1, p2), (p1, p2), Recipe.weyl())
+        audit = spectral_audit(pp)
+        if audit.commutator_norm > COMMUTATOR_CUTOFF:
             noncommuting += 1
-            if min_eig >= -1e-14:
+            if audit.min_eig >= -NEGATIVE_EIG_CUTOFF:
                 violations += 1
-        rows.append({"pair": i, "min_eig": min_eig, "commutator_norm": comm})
+        rows.append({"pair": i, "min_eig": audit.min_eig, "commutator_norm": audit.commutator_norm})
     params = {
         "dim": args.dim,
         "ranks": [r1, r2],
@@ -382,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
         "scan-negativity", parents=[common], help="aligned-geometry negativity vs theta"
     )
     p.add_argument("--pnorm", type=float, required=True, help="polarisation magnitude |P|")
-    p.add_argument("--theta-min", type=float, default=_THETA_MARGIN)
-    p.add_argument("--theta-max", type=float, default=math.pi - _THETA_MARGIN)
+    p.add_argument("--theta-min", type=float, default=THETA_MARGIN)
+    p.add_argument("--theta-max", type=float, default=math.pi - THETA_MARGIN)
     p.add_argument("--steps", type=int, default=181)
     p.set_defaults(func=_cmd_scan_negativity)
 

@@ -10,27 +10,27 @@ from .errors import InvalidState
 from .operators import HermitianOperator, eigenvalues_hermitian
 from .qubit import negativity_max
 from .states import DensityMatrix
+from .tolerances import NORM_ATOL, ROUNDING_ATOL
 
 BASIS_LABELS = ("00", "01", "10", "11")
-NORM_ATOL = 1e-8
 
 
 class TwoQubitPureState:
     """Normalised amplitude vector over |00>, |01>, |10>, |11>.
 
-    Input whose norm deviates from 1 by more than `atol` is rejected;
+    Input whose norm deviates from 1 by more than NORM_ATOL is rejected;
     accepted input is renormalised to machine precision.
     """
 
     __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes, atol: float = NORM_ATOL):
+    def __init__(self, amplitudes):
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (4,):
             raise InvalidState(f"need 4 amplitudes, got {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > atol:
-            raise InvalidState(f"state norm {norm!r} deviates from 1 beyond {atol}")
+        if abs(norm - 1.0) > NORM_ATOL:
+            raise InvalidState(f"state norm {norm!r} deviates from 1 beyond {NORM_ATOL}")
         amps = amps / norm
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -74,7 +74,7 @@ def monotone(psi: TwoQubitPureState) -> float:
     """
     p_r = reduced_bloch_norm(psi, 0)
     m = 1.0 - negativity_max(p_r).value / negativity_max(1.0).value
-    if not -1e-12 <= m <= 1.0 + 1e-12:
+    if not -ROUNDING_ATOL <= m <= 1.0 + ROUNDING_ATOL:
         raise InvalidState(f"monotone {m!r} escaped [0, 1]")
     return min(max(m, 0.0), 1.0)
 
@@ -103,6 +103,3 @@ def pure_state_from_json(obj: dict) -> TwoQubitPureState:
         im = np.asarray(obj.get("amps_im", np.zeros(4)), dtype=float)
         return TwoQubitPureState(re + 1j * im)
     raise ValueError('two-qubit state JSON needs "amps_re" or "schmidt_alpha"')
-
-
-state_from_json = pure_state_from_json  # former name, kept for existing callers

@@ -15,10 +15,7 @@ from .errors import (
     NonHermitianInput,
     NonHermitianTrace,
 )
-
-# Default absolute tolerances; matrices handled here are O(1) in norm.
-ATOL = 1e-12
-ATOL_LOOSE = 1e-9
+from .tolerances import ATOL_LOOSE
 
 
 class HermitianOperator:
@@ -26,12 +23,12 @@ class HermitianOperator:
 
     The stored matrix is the Hermitian part (M + M^dag)/2 of the input.
     The discarded anti-Hermitian residual is recorded; a residual above
-    `atol` signals a real bug in the caller and raises instead.
+    ATOL_LOOSE signals a real bug in the caller and raises instead.
     """
 
     __slots__ = ("matrix", "hermiticity_residual")
 
-    def __init__(self, matrix, atol: float = ATOL_LOOSE):
+    def __init__(self, matrix):
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -39,9 +36,9 @@ class HermitianOperator:
             raise ValueError("matrix entries must be finite")
         herm = 0.5 * (m + m.conj().T)
         residual = float(np.abs(m - herm).max())
-        if residual > atol:
+        if residual > ATOL_LOOSE:
             raise NonHermitianInput(
-                f"anti-Hermitian residual {residual:.3e} exceeds {atol:.1e}"
+                f"anti-Hermitian residual {residual:.3e} exceeds {ATOL_LOOSE:.1e}"
             )
         herm.setflags(write=False)
         object.__setattr__(self, "matrix", herm)
@@ -131,7 +128,7 @@ def eigenvalues_hermitian(a: HermitianOperator, vectors: bool = False):
 
 
 def trace_with(a: HermitianOperator, rho: HermitianOperator) -> float:
-    """Re Tr(rho a). The imaginary part must be numerical noise (<= 1e-9)."""
+    """Re Tr(rho a). The imaginary part must be numerical noise (<= ATOL_LOOSE)."""
     _check_same_dim(a, rho)
     t = complex(np.trace(rho.matrix @ a.matrix))
     if abs(t.imag) > ATOL_LOOSE:

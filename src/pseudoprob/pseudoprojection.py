@@ -35,17 +35,12 @@ from .operators import (
     idempotency_residual,
     identity,
 )
+from .tolerances import RESIDUAL_ATOL, ROUNDING_ATOL
 
-# Entrywise max-norm below which two hermitized orderings count as the same
-# unit pseudo-projection (separates inequivalent orderings from fp twins).
-DEDUP_ATOL = 1e-10
-PROJECTOR_ATOL = 1e-10
-IDEMPOTENCY_ATOL = 1e-10
 # Weyl costs 2^N N products per outcome tuple (a qubit N = 8 build_scheme took
 # ~1 s on a 2-vCPU Xeon VM), unit/weights N - 1 per weighted class; only
 # unit_pseudo_projections enumerates all N!/2 = 20160 classes at N = 8.
 MAX_GENERATORS = 8
-WEIGHT_SUM_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,7 +109,7 @@ def _check_weights(ws, expected_len: int) -> None:
         raise InvalidConvexWeights(f"expected {expected_len} weights, got {len(ws)}")
     if any(w < 0 for w in ws):
         raise InvalidConvexWeights("weights must be non-negative")
-    if abs(sum(ws) - 1.0) > WEIGHT_SUM_ATOL:
+    if abs(sum(ws) - 1.0) > ROUNDING_ATOL:
         raise InvalidConvexWeights(f"weights sum to {sum(ws)!r}, not 1")
 
 
@@ -156,7 +151,7 @@ def _check_generators(projs) -> list:
     for p in projs:
         if p.dim != dim:
             raise DimensionMismatch("projectors of mixed dimension")
-        if idempotency_residual(p) > PROJECTOR_ATOL:
+        if idempotency_residual(p) > RESIDUAL_ATOL:
             raise NotAProjector(f"idempotency residual {idempotency_residual(p):.3e}")
     return projs
 
@@ -177,14 +172,15 @@ def hermitized_product(mats, order) -> np.ndarray:
     return 0.5 * (prod + prod.conj().T)
 
 
-def distinct_unit_matrices(mats, atol: float = DEDUP_ATOL):
+def distinct_unit_matrices(mats):
     """(units, class_indices) of the `ordering_classes`, leaving out each
-    unit equal to an earlier kept one within `atol`.
+    unit equal to an earlier kept one within RESIDUAL_ATOL in max-norm.
 
     A new unit is compared only with the kept units whose key, a fixed
     weighted sum of the real entries with absolute weights summing to 1,
-    lies within 2 atol of its own: a unit within atol in max-norm moves the
-    key by at most atol (plus rounding), so no duplicate is missed.
+    lies within 2 RESIDUAL_ATOL of its own: a unit within RESIDUAL_ATOL in
+    max-norm moves the key by at most that (plus rounding), so no duplicate
+    is missed.
     """
     d = mats[0].shape[0]
     weights = np.cos(np.arange(d * d)).reshape(d, d)
@@ -195,9 +191,9 @@ def distinct_unit_matrices(mats, atol: float = DEDUP_ATOL):
     for k, order in enumerate(ordering_classes(len(mats))):
         h = hermitized_product(mats, order)
         key = float((weights * h.real).sum())
-        lo = bisect.bisect_left(window, (key - 2 * atol,))
-        hi = bisect.bisect_right(window, (key + 2 * atol, math.inf))
-        if all(np.abs(units[j] - h).max() > atol for _, j in window[lo:hi]):
+        lo = bisect.bisect_left(window, (key - 2 * RESIDUAL_ATOL,))
+        hi = bisect.bisect_right(window, (key + 2 * RESIDUAL_ATOL, math.inf))
+        if all(np.abs(units[j] - h).max() > RESIDUAL_ATOL for _, j in window[lo:hi]):
             bisect.insort(window, (key, len(units)))
             units.append(h)
             indices.append(k)
@@ -220,7 +216,7 @@ def unit_pseudo_projections(projectors) -> list[PseudoProjection]:
     """The distinct unit pseudo-projections of the given projectors.
 
     One per reversal class, less units equal to an earlier one within
-    DEDUP_ATOL (commuting generators collapse the list, down to the true
+    RESIDUAL_ATOL (commuting generators collapse the list, down to the true
     projection when all commute). Each is tagged Recipe.unit(k) with its
     class index k, so `build_scheme` with that recipe reproduces it.
     """
@@ -247,19 +243,28 @@ def weyl_pseudo_projection(projectors) -> PseudoProjection:
 
 
 def combine(units, weights) -> PseudoProjection:
-    """Convex combination of unit pseudo-projections."""
+    """Convex combination of unit pseudo-projections.
+
+    Tagged with one weight per ordering class, each unit's weight at its
+    Recipe.unit class index, so `build_scheme` replays the tag also when
+    units collapsed or only some of them were passed.
+    """
     units = list(units)
     ws = tuple(float(w) for w in weights)
     _check_weights(ws, len(units))
     if not units:
         raise ValueError("need at least one unit pseudo-projection")
+    class_weights = [0.0] * len(ordering_classes(len(units[0].generators)))
     acc = np.zeros_like(units[0].op.matrix)
     for w, u in zip(ws, units):
+        if u.recipe.kind != "unit" or u.recipe.index >= len(class_weights):
+            raise InvalidRecipe(f"combine needs unit pseudo-projections, got recipe {u.recipe!r}")
+        class_weights[u.recipe.index] += w
         acc = acc + w * u.op.matrix
     return PseudoProjection(
         op=HermitianOperator(acc),
         generators=units[0].generators,
-        recipe=Recipe.convex(ws),
+        recipe=Recipe.convex(class_weights),
     )
 
 
@@ -270,7 +275,7 @@ def disjunction_operator(pa: HermitianOperator, pb: HermitianOperator) -> Hermit
     is not constrained to the classical probability range.
     """
     for p in (pa, pb):
-        if idempotency_residual(p) > PROJECTOR_ATOL:
+        if idempotency_residual(p) > RESIDUAL_ATOL:
             raise NotAProjector("disjunction needs true projectors")
     if pa.dim != pb.dim:
         raise DimensionMismatch(f"{pa.dim} vs {pb.dim}")
@@ -307,5 +312,5 @@ def spectral_audit(pp: PseudoProjection) -> SpectralAudit:
     return SpectralAudit(
         min_eig=float(vals[0]),
         commutator_norm=comm,
-        is_true_projection=idempotency_residual(pp.op) <= IDEMPOTENCY_ATOL,
+        is_true_projection=idempotency_residual(pp.op) <= RESIDUAL_ATOL,
     )

@@ -35,6 +35,7 @@ from .states import (
     observable_from_direction,
     projector_from_direction,
 )
+from .tolerances import ROUNDING_ATOL
 
 PAIR_OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 TRIPLE_OUTCOMES = tuple(itertools.product((1, -1), repeat=3))
@@ -44,7 +45,7 @@ ORTHOGONAL_TRIPLE = "orthogonal-triple"
 
 
 def _check_pnorm(pnorm: float) -> None:
-    if not -1e-12 <= pnorm <= 1.0 + 1e-12:
+    if not -ROUNDING_ATOL <= pnorm <= 1.0 + ROUNDING_ATOL:
         raise ValueError(f"pnorm must lie in [0, 1], got {pnorm}")
 
 
@@ -253,14 +254,14 @@ def worst_case_min_entry(family: str, pnorm: float) -> float:
     raise ValueError(f"unknown family {family!r}")
 
 
-def critical_radius_bisection(family: str, tol: float = 1e-12) -> float:
+def critical_radius_bisection(family: str) -> float:
     """Deterministic bisection for the classical radius of a family.
 
     Splits on the sign of the worst-case minimum entry, independent of the
     analytic thresholds above.
     """
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > ROUNDING_ATOL:
         mid = 0.5 * (lo + hi)
         if worst_case_min_entry(family, mid) >= 0.0:
             lo = mid

@@ -20,14 +20,12 @@ from .errors import (
     OrderingExplosion,
     PartitionSearchTooLarge,
 )
-from .operators import ATOL_LOOSE
 from .pseudoprojection import (
     MAX_GENERATORS, Recipe, hermitized_product, ordering_classes, weyl_matrix,
 )
 from .states import DensityMatrix
+from .tolerances import ATOL_LOOSE, CLASSICALITY_EPS, RESIDUAL_ATOL
 
-CLASSICALITY_EPS = 1e-10
-SUM_ATOL = 1e-10
 # Entries live in a narrow band around [0, 1]; anything outside this sanity
 # bound means the inputs were not a state and projectors.
 ENTRY_MIN, ENTRY_MAX = -1.0, 2.0
@@ -58,7 +56,7 @@ class Scheme:
         if len(values) != len(tuples):
             raise ValueError(f"expected {len(tuples)} entries, got {len(values)}")
         total = float(values.sum())
-        if abs(total - 1.0) > SUM_ATOL:
+        if abs(total - 1.0) > RESIDUAL_ATOL:
             raise InvalidState(f"scheme entries sum to {total!r}, not 1")
         if values.min() < ENTRY_MIN or values.max() > ENTRY_MAX:
             raise InvalidState("scheme entry outside sanity bounds [-1, 2]")
@@ -151,7 +149,7 @@ def marginal(scheme: Scheme, keep) -> Scheme:
 def negativity(scheme: Scheme) -> float:
     """(sum_i |p_i| - 1)/2; zero exactly when the scheme is a probability."""
     n = 0.5 * (float(np.abs(scheme.values).sum()) - 1.0)
-    if n < -1e-10:
+    if n < -RESIDUAL_ATOL:
         raise InvalidState(f"negativity {n!r} below zero beyond tolerance")
     return max(n, 0.0)
 

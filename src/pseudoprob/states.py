@@ -7,17 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidState, NotAProjector, UnphysicalBloch
-from .operators import (
-    ATOL_LOOSE,
-    HermitianOperator,
-    eigenvalues_hermitian,
-    idempotency_residual,
-)
-
-BLOCH_ATOL = 1e-12
-TRACE_ATOL = 1e-10
-PSD_ATOL = 1e-10
-RESOLUTION_ATOL = 1e-10
+from .operators import HermitianOperator, eigenvalues_hermitian, idempotency_residual
+from .tolerances import ATOL_LOOSE, RESIDUAL_ATOL, ROUNDING_ATOL
 
 # Directions must be normalisable without drama; anything outside this norm
 # window is a caller bug, not a unit vector with rounding noise.
@@ -44,7 +35,7 @@ def bloch_vector(p) -> np.ndarray:
     if p.shape != (3,):
         raise ValueError(f"Bloch vector needs a 3-vector, got shape {p.shape}")
     n = float(np.linalg.norm(p))
-    if n > 1.0 + BLOCH_ATOL:
+    if n > 1.0 + ROUNDING_ATOL:
         raise UnphysicalBloch(f"|P| = {n} exceeds 1")
     p = p.copy()
     p.setflags(write=False)
@@ -70,8 +61,8 @@ class DensityDiagnostics:
     @property
     def ok(self) -> bool:
         return (
-            self.trace_residual <= TRACE_ATOL
-            and self.min_eigenvalue >= -PSD_ATOL
+            self.trace_residual <= RESIDUAL_ATOL
+            and self.min_eigenvalue >= -RESIDUAL_ATOL
             and self.hermiticity_residual <= ATOL_LOOSE
         )
 
@@ -179,17 +170,17 @@ class Observable:
         for (a, p) in res:
             if p.dim != dim:
                 raise InvalidState("projector dimension differs from observable")
-            if idempotency_residual(p) > RESOLUTION_ATOL:
+            if idempotency_residual(p) > RESIDUAL_ATOL:
                 raise NotAProjector(f"resolution entry for outcome {a} is not idempotent")
             acc += p.matrix
             recomposed += float(a) * p.matrix
         for i in range(len(projs)):
             for j in range(i + 1, len(projs)):
-                if np.abs(projs[i].matrix @ projs[j].matrix).max() > RESOLUTION_ATOL:
+                if np.abs(projs[i].matrix @ projs[j].matrix).max() > RESIDUAL_ATOL:
                     raise InvalidState("resolution projectors are not orthogonal")
-        if np.abs(acc - np.eye(dim)).max() > RESOLUTION_ATOL:
+        if np.abs(acc - np.eye(dim)).max() > RESIDUAL_ATOL:
             raise InvalidState("resolution projectors do not sum to identity")
-        if np.abs(recomposed - self.op.matrix).max() > RESOLUTION_ATOL:
+        if np.abs(recomposed - self.op.matrix).max() > RESIDUAL_ATOL:
             raise InvalidState("resolution does not recompose the observable")
 
     @property

@@ -12,7 +12,7 @@ from pseudoprob import (
     reduced_bloch_norm,
     reduced_density,
 )
-from pseudoprob.entanglement import state_from_json
+from pseudoprob.entanglement import pure_state_from_json
 
 
 def random_state(rng):
@@ -126,13 +126,13 @@ class TestHelpers:
             assert np.abs(u @ u.conj().T - np.eye(2)).max() <= 1e-12
 
     def test_state_from_json_amplitudes(self):
-        psi = state_from_json({"amps_re": [1, 0, 0, 0], "amps_im": [0, 0, 0, 0]})
+        psi = pure_state_from_json({"amps_re": [1, 0, 0, 0], "amps_im": [0, 0, 0, 0]})
         assert np.allclose(psi.amplitudes, [1, 0, 0, 0])
 
     def test_state_from_json_schmidt(self):
-        psi = state_from_json({"schmidt_alpha": math.pi / 4})
+        psi = pure_state_from_json({"schmidt_alpha": math.pi / 4})
         assert monotone(psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_state_from_json_missing(self):
         with pytest.raises(ValueError):
-            state_from_json({})
+            pure_state_from_json({})

@@ -6,18 +6,23 @@ import pytest
 from pseudoprob import (
     HermitianOperator,
     InvalidConvexWeights,
+    InvalidRecipe,
     NotAProjector,
     OrderingExplosion,
     Recipe,
+    build_scheme,
     combine,
     coplanar_triple_directions,
+    density_from_bloch,
     disjunction_operator,
     eigenvalues_hermitian,
     negation_operator,
     negation_product_residual,
+    observable_from_direction,
     projector_from_direction,
     spectral_audit,
     symmetrized_product,
+    trace_with,
     unit_pseudo_projections,
     weyl_pseudo_projection,
 )
@@ -157,6 +162,33 @@ class TestCombine:
         units = unit_pseudo_projections(coplanar_projectors())
         with pytest.raises(InvalidConvexWeights):
             combine(units, weights)
+
+
+class TestCombineReplay:
+    """combine's recipe, replayed through build_scheme, gives its operator."""
+
+    @pytest.mark.parametrize(
+        "dirs, n_units, pick, weights",
+        [
+            # z x z: the 3 classes collapse to 2 units
+            (((0, 0, 1), (1, 0, 0), (0, 0, 1)), 2, (0, 1), (0.5, 0.5)),
+            # 2 of the 12 units of a generic set of 4
+            (((0, 0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 1)), 12, (2, 9), (0.25, 0.75)),
+        ],
+    )
+    def test_recipe_replays_through_build_scheme(self, dirs, n_units, pick, weights):
+        obs = [observable_from_direction(m) for m in dirs]
+        units = unit_pseudo_projections([o.projector(1) for o in obs])
+        assert len(units) == n_units
+        combined = combine([units[k] for k in pick], weights)
+        rho = density_from_bloch((0.3, -0.2, 0.5))
+        scheme = build_scheme(rho, obs, combined.recipe)
+        expected = trace_with(combined.op, rho.op)
+        assert abs(scheme.entry((1,) * len(dirs)) - expected) <= 1e-12
+
+    def test_rejects_units_without_class_tag(self):
+        with pytest.raises(InvalidRecipe):
+            combine([weyl_pseudo_projection(coplanar_projectors())], (1.0,))
 
 
 class TestDisjunction:
