@@ -32,7 +32,7 @@ class HermitianOperator:
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
         herm = 0.5 * (m + m.conj().T)
         residual = float(np.abs(m - herm).max())

@@ -182,6 +182,11 @@ class Observable:
             raise InvalidState("resolution projectors do not sum to identity")
         if np.abs(recomposed - self.op.matrix).max() > RESIDUAL_ATOL:
             raise InvalidState("resolution does not recompose the observable")
+        # outcome tuples name projectors by label, so labels must differ
+        outcomes = self.outcomes
+        for i, a in enumerate(outcomes):
+            if a in outcomes[i + 1:]:
+                raise InvalidState(f"outcome {a!r} repeated in resolution")
 
     @property
     def dim(self) -> int:

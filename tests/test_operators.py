@@ -52,6 +52,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             HermitianOperator([[1, np.inf], [0, 1]])
 
+    def test_rejects_nan_in_imaginary_part(self):
+        with pytest.raises(ValueError):
+            HermitianOperator([[1, complex(0, np.nan)], [0, 1]])
+
+    def test_rejects_inf_in_imaginary_part(self):
+        with pytest.raises(ValueError):
+            HermitianOperator([[1, complex(0, np.inf)], [complex(0, -np.inf), 1]])
+
     def test_keeps_hermitian_part_and_records_residual(self):
         drift = 1e-13
         op = HermitianOperator([[1.0, drift * 1j], [drift * 1j, 0.0]])

@@ -174,6 +174,14 @@ class TestObservable:
         with pytest.raises(InvalidState):
             Observable(op=pi1 + pi2, resolution=((1, pi1), (1, pi2)))
 
+    def test_rejects_repeated_outcome_labels(self):
+        # a valid resolution of the identity, but outcome 1 names both
+        # projectors: build_scheme used to fail later on the entry sum
+        up = projector_from_direction((0, 0, 1), 1)
+        down = projector_from_direction((0, 0, 1), -1)
+        with pytest.raises(InvalidState, match="repeated"):
+            Observable(op=up + down, resolution=((1, up), (1, down)))
+
     def test_rejects_wrong_recomposition(self):
         pi1 = projector_from_direction((0, 0, 1), 1)
         pi2 = projector_from_direction((0, 0, 1), -1)
