@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .errors import PseudoprobError
-from .operators import HermitianOperator, symmetrized_product
-from .pseudoprojection import PseudoProjection, Recipe, spectral_audit
+from .operators import HermitianOperator, commutator_norm, eigenvalues_hermitian, symmetrized_product
+from .pseudoprojection import Recipe
 from .qubit import (
     ORTHOGONAL_PAIR,
     ORTHOGONAL_TRIPLE,
@@ -28,7 +28,7 @@ from .qubit import (
     negativity_special,
     pair_entries,
 )
-from .schemes import build_scheme, classify, negativity, scheme_to_json
+from .schemes import build_scheme, scheme_to_json
 from .states import direction, direction_from_json, observable_from_direction, state_from_json
 from .tolerances import CLASSICALITY_EPS, COMMUTATOR_CUTOFF, NEGATIVE_EIG_CUTOFF, THETA_MARGIN
 from . import entanglement as ent
@@ -57,34 +57,31 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _metadata(args, extra: dict | None = None) -> dict:
+def _metadata(args) -> dict:
     md = {
         "tool": "pseudoprob",
         "version": __version__,
         "prng": PRNG_NAME,
         "eps": args.eps,
     }
-    if extra:
-        md.update(extra)
     if not args.deterministic:
         md["timestamp"] = datetime.now(timezone.utc).isoformat()
     return md
 
 
-def _scan_json(kind: str, params: dict, rows: list, args, summary: dict | None = None) -> str:
+def _scan_json(kind: str, params: dict, rows: list, args, summary: dict | None = None) -> dict:
     obj = {"kind": kind, "params": params, "rows": rows}
     if summary is not None:
         obj["summary"] = summary
     obj["metadata"] = _metadata(args)
-    return json.dumps(obj) + "\n"
+    return obj
 
 
-def _scan_csv(columns: list[str], rows: list, comments: list[str] | None = None) -> str:
+def _scan_csv(columns: list[str], rows: list, comments: list[str]) -> str:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns))
-    if comments:
-        lines.extend(comments)
+    lines.extend(comments)
     return "\n".join(lines) + "\n"
 
 
@@ -160,9 +157,11 @@ def _haar_projector(rng: np.random.Generator, dim: int, rank: int) -> HermitianO
 
 
 # ---------------------------------------------------------------- subcommands
+# Each returns its JSON object, then its CSV columns, rows and comment lines;
+# `main` writes the one --format asks for.
 
 
-def _cmd_scheme(args) -> int:
+def _cmd_scheme(args) -> tuple:
     if (args.bloch is None) == (args.state is None):
         raise CliInputError("provide the state via --bloch or --state (exactly one)")
     if args.bloch is not None:
@@ -173,21 +172,17 @@ def _cmd_scheme(args) -> int:
     recipe = _parse_recipe(args.recipe)
     observables = [observable_from_direction(m) for m in dirs]
     scheme = build_scheme(rho, observables, recipe)
-    if args.format == "json":
-        _emit(json.dumps(scheme_to_json(scheme, eps=args.eps)) + "\n", args.out)
-    else:
-        n = scheme.n_observables
-        cols = [f"a{i+1}" for i in range(n)] + ["p"]
-        lines = [",".join(cols)]
-        for t, v in zip(scheme.outcome_tuples, scheme.values):
-            lines.append(",".join([str(int(a)) for a in t] + [_fmt(v)]))
-        lines.append(f"# negativity={_fmt(negativity(scheme))}")
-        lines.append(f"# classical={'true' if classify(scheme, args.eps).classical else 'false'}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    obj = scheme_to_json(scheme, eps=args.eps)
+    cols = [f"a{i+1}" for i in range(scheme.n_observables)] + ["p"]
+    rows = [dict(zip(cols, e["a"] + [e["p"]])) for e in obj["entries"]]
+    comments = [
+        f"# negativity={_fmt(obj['negativity'])}",
+        f"# classical={'true' if obj['classical'] else 'false'}",
+    ]
+    return obj, cols, rows, comments
 
 
-def _cmd_scan_negativity(args) -> int:
+def _cmd_scan_negativity(args) -> tuple:
     if args.steps < 2:
         raise CliInputError(f"--steps must be at least 2, got {args.steps}")
     lo = _angle(args.theta_min, args)
@@ -214,14 +209,10 @@ def _cmd_scan_negativity(args) -> int:
         "steps": args.steps,
         "seed": args.seed,
     }
-    if args.format == "json":
-        _emit(_scan_json("scan-negativity", params, rows, args), args.out)
-    else:
-        _emit(_scan_csv(["theta", "negativity"], rows), args.out)
-    return 0
+    return _scan_json("scan-negativity", params, rows, args), ["theta", "negativity"], rows, []
 
 
-def _cmd_classical_region(args) -> int:
+def _cmd_classical_region(args) -> tuple:
     rng = np.random.default_rng(args.seed)
     states = _sample_ball(rng, args.samples)
     pnorms = np.linalg.norm(states, axis=1)
@@ -239,7 +230,6 @@ def _cmd_classical_region(args) -> int:
             "euclidean_volume_fraction": frac,
             "euclidean_volume_fraction_se": se,
         }
-        cols = list(row.keys())
     else:  # free-pair: sweep the aligned geometry over a theta grid per state
         grid = np.pi * np.arange(1, args.theta_grid + 1) / (args.theta_grid + 1)
         params["theta_grid_points"] = args.theta_grid
@@ -260,15 +250,10 @@ def _cmd_classical_region(args) -> int:
             "nonclassical_fraction": frac,
             "nonclassical_fraction_se": se,
         }
-        cols = list(row.keys())
-    if args.format == "json":
-        _emit(_scan_json("classical-region", params, [row], args), args.out)
-    else:
-        _emit(_scan_csv(cols, [row]), args.out)
-    return 0
+    return _scan_json("classical-region", params, [row], args), list(row), [row], []
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> tuple:
     ranks = _parse_floats(args.ranks, 2, "--ranks")
     r1, r2 = int(ranks[0]), int(ranks[1])
     if not (1 <= r1 <= args.dim and 1 <= r2 <= args.dim):
@@ -279,13 +264,13 @@ def _cmd_spectrum(args) -> int:
     for i in range(args.pairs):
         p1 = _haar_projector(rng, args.dim, r1)
         p2 = _haar_projector(rng, args.dim, r2)
-        pp = PseudoProjection(symmetrized_product(p1, p2), (p1, p2), Recipe.weyl())
-        audit = spectral_audit(pp)
-        if audit.commutator_norm > COMMUTATOR_CUTOFF:
+        min_eig = float(eigenvalues_hermitian(symmetrized_product(p1, p2))[0])
+        comm = commutator_norm(p1, p2)
+        if comm > COMMUTATOR_CUTOFF:
             noncommuting += 1
-            if audit.min_eig >= -NEGATIVE_EIG_CUTOFF:
+            if min_eig >= -NEGATIVE_EIG_CUTOFF:
                 violations += 1
-        rows.append({"pair": i, "min_eig": audit.min_eig, "commutator_norm": audit.commutator_norm})
+        rows.append({"pair": i, "min_eig": min_eig, "commutator_norm": comm})
     params = {
         "dim": args.dim,
         "ranks": [r1, r2],
@@ -293,18 +278,14 @@ def _cmd_spectrum(args) -> int:
         "seed": args.seed,
     }
     summary = {"pairs": args.pairs, "noncommuting": noncommuting, "violations": violations}
-    if args.format == "json":
-        _emit(_scan_json("spectrum", params, rows, args, summary=summary), args.out)
-    else:
-        comments = [
-            f"# noncommuting={noncommuting}",
-            f"# violations={violations}",
-        ]
-        _emit(_scan_csv(["pair", "min_eig", "commutator_norm"], rows, comments), args.out)
-    return 0
+    comments = [f"# noncommuting={noncommuting}", f"# violations={violations}"]
+    return (
+        _scan_json("spectrum", params, rows, args, summary=summary),
+        ["pair", "min_eig", "commutator_norm"], rows, comments,
+    )
 
 
-def _cmd_entanglement(args) -> int:
+def _cmd_entanglement(args) -> tuple:
     if (args.schmidt_alpha is None) == (args.state is None):
         raise CliInputError("provide the state via --schmidt-alpha or --state (exactly one)")
     if args.schmidt_alpha is not None:
@@ -317,11 +298,7 @@ def _cmd_entanglement(args) -> int:
         "n_max_reduced": negativity_max(p_r).value,
         "monotone": ent.monotone(psi),
     }
-    if args.format == "json":
-        _emit(json.dumps(row) + "\n", args.out)
-    else:
-        _emit(_scan_csv(list(row.keys()), [row]), args.out)
-    return 0
+    return row, list(row), [row], []
 
 
 # -------------------------------------------------------------------- parser
@@ -417,7 +394,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        obj, columns, rows, comments = args.func(args)
+        if args.format == "json":
+            _emit(json.dumps(obj) + "\n", args.out)
+        else:
+            _emit(_scan_csv(columns, rows, comments), args.out)
+        return 0
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

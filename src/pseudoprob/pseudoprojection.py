@@ -37,11 +37,12 @@ from .operators import (
 )
 from .tolerances import RESIDUAL_ATOL, ROUNDING_ATOL
 
-# Weyl costs 2^N N products per outcome tuple, unit/weights N - 1 per weighted
-# class, and build_scheme makes them for all tuples at once in N batched
-# calls: an N = 8 Weyl scheme takes ~0.1 s over qubits (256 tuples) and
-# ~3 s over qutrits (6561 tuples) on a 2-vCPU Xeon VM, min of 3. Only
-# unit_pseudo_projections enumerates all N!/2 = 20160 classes at N = 8.
+# A Weyl average takes 2^N N products; build_scheme makes each partial
+# product once per outcome of the observables it involves, within
+# schemes.MAX_LATTICE_ENTRIES: an N = 8 Weyl scheme takes ~20 ms over qubits
+# (256 tuples) and ~0.1-0.2 s over qutrits (6561 tuples) on a 2-vCPU Xeon
+# VM, min of 3 (the VM's speed varies by run). Only unit_pseudo_projections
+# enumerates all N!/2 = 20160 classes at N = 8.
 MAX_GENERATORS = 8
 
 
@@ -147,7 +148,7 @@ def _check_generators(projs) -> list:
         raise ValueError("need at least two projectors")
     if len(projs) > MAX_GENERATORS:
         raise OrderingExplosion(
-            f"{len(projs)} projectors would need {math.factorial(len(projs))} orderings"
+            f"{len(projs)} projectors exceed the generator cap {MAX_GENERATORS}"
         )
     dim = projs[0].dim
     for p in projs:
@@ -168,7 +169,9 @@ def ordering_classes(n: int) -> tuple:
 
 def hermitized_product(mats, order) -> np.ndarray:
     """(A_sigma + A_sigma^dag)/2 for the ordered product A_sigma of `mats`,
-    each a (d, d) matrix or a (..., d, d) stack multiplied slice by slice."""
+    each a (d, d) matrix or a (..., d, d) stack; stacks broadcast, so
+    generators on separate grid axes give the product over their outcome
+    grid, grown one axis at a time."""
     prod = mats[order[0]]
     for k in order[1:]:
         prod = prod @ mats[k]
@@ -204,38 +207,42 @@ def distinct_unit_matrices(mats):
 
 
 @functools.lru_cache(maxsize=None)
-def _subset_levels(n: int) -> tuple:
-    """(generator, parent) index tables of the subset recursion, one pair per
-    subset size k = 2..n, each of shape (C(n, k), k): row r lists, for the
-    r-th k-subset S in `itertools.combinations` order, every i in S
-    ascending and the row of S - {i} among the (k - 1)-subsets."""
-    levels = []
-    rows = {(i,): i for i in range(n)}
-    for k in range(2, n + 1):
-        subsets = list(itertools.combinations(range(n), k))
-        gen = np.array(subsets)
-        parent = np.array([[rows[s[:j] + s[j + 1:]] for j in range(k)] for s in subsets])
-        gen.setflags(write=False)
-        parent.setflags(write=False)
-        levels.append((gen, parent))
-        rows = {s: r for r, s in enumerate(subsets)}
-    return tuple(levels)
+def _subset_plan(n: int) -> tuple:
+    """Steps of the subset recursion, one tuple per subset size k = 2..n:
+    each k-subset S in `itertools.combinations` order, with the pairs
+    (i, S - {i}) for every i in S ascending."""
+    return tuple(
+        tuple(
+            (s, tuple((i, s[:j] + s[j + 1:]) for j, i in enumerate(s)))
+            for s in itertools.combinations(range(n), k)
+        )
+        for k in range(2, n + 1)
+    )
 
 
 def weyl_matrix(mats) -> np.ndarray:
     """Equal-weight average of all N! ordering products, hermitized.
 
-    `mats` holds N generators, each a (d, d) matrix or a (..., d, d) stack
-    (one slice per outcome tuple, say), and the result has the generators'
-    shape. The subset recursion W(S) = sum_{i in S} A_i W(S - {i}) runs one
-    subset size at a time: each level is one batched product and one sum
-    over all subsets of that size, 2^N N products per slice in all.
+    `mats` holds N generators, each a (d, d) matrix or a (..., d, d) stack,
+    and the stacks broadcast: a stack of outcome tuples gives one result
+    per tuple, and generator i's (k_i, d, d) projectors on their own grid
+    axis give the whole (k_1, ..., k_N, d, d) outcome grid. The subset
+    recursion W(S) = sum_{i in S} A_i W(S - {i}) runs one subset size at a
+    time, each sum taken over i ascending; on a grid, W(S) spans only the
+    axes in S, so it is made once for all the tuples that share the
+    outcomes of S.
     """
-    a = np.asarray(mats)
-    w = a
-    for gen, parent in _subset_levels(len(a)):
-        w = (a[gen] @ w[parent]).sum(axis=1)
-    acc = w[0] / math.factorial(len(a))
+    n = len(mats)
+    w = {(i,): mats[i] for i in range(n)}
+    for level in _subset_plan(n):
+        below, w = w, {}
+        for s, steps in level:
+            (i, rest), *more = steps
+            acc = mats[i] @ below[rest]
+            for i, rest in more:
+                acc = acc + mats[i] @ below[rest]
+            w[s] = acc
+    acc = w[tuple(range(n))] / math.factorial(n)
     return 0.5 * (acc + acc.conj().swapaxes(-1, -2))
 
 

@@ -8,7 +8,6 @@ be negative; that negativity is the non-classicality witness.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,11 +38,18 @@ ENTRY_MIN, ENTRY_MAX = -1.0, 2.0
 # 1.3-2.4 s, and one of 14 negative and 2 positive entries, the slowest
 # table found, 4.4-5.6 s (the VM's speed varies by run).
 MAX_PARTITION_EVENTS = 16
-# build_scheme evaluates outcome tuples in blocks whose kernel temporaries
-# take at most this many bytes: 78 qubit or 34 qutrit tuples at N =
-# MAX_GENERATORS. A block holds at least one tuple, so the bound holds up to
-# d = 17 at N = 8. Timings hardly change from 0.25 to 64 MiB.
-_BLOCK_BYTES = 1 << 23
+# build_scheme's outcome lattice holds W(S) for every subset S of the
+# observables and every outcome of those in S: prod_i (1 + k_i) complex d x d
+# matrices for k_i outcomes each. A unit/weights recipe instead forms each
+# nonzero class's product over the prod_i k_i outcome tuples. Inputs above
+# this many entries are rejected before anything is built. On a 2-vCPU Xeon
+# VM, min of 3: the slowest accepted inputs found take ~0.8 s (Weyl, d = 4,
+# outcome counts 4,4,4,4,4,4,3,3; 4.0M entries) and ~0.75 s (qubit N = 8
+# with 4096 weighted classes; 4.2M), and the largest tracemalloc peak found
+# is ~230 MiB (d = 44, N = 2; 3.9M). Large d with few outcomes stays cheap:
+# single-outcome observables at d = 1024, N = 2 or d = 128, N = 8 take
+# ~0.4 s (single runs), and a qutrit N = 8 Weyl scheme (0.59M) 0.1-0.2 s.
+MAX_LATTICE_ENTRIES = 1 << 22
 
 
 def canonical_outcome_tuples(observables) -> tuple:
@@ -102,11 +108,11 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
     built from the same classes, whether or not that tuple's projectors
     commute; only classes with a nonzero weight are evaluated.
 
-    All tuples go through the recipe as one stack: each generator's
-    projectors are gathered into a (T, d, d) array, P is evaluated over the
-    stack and contracted with rho in one product. Tuples are taken in
-    blocks of `_block_tuples` so that the kernel's memory stays within
-    _BLOCK_BYTES.
+    Observable i's projectors sit on axis i of the outcome grid, as one
+    (1, ..., k_i, ..., 1, d, d) stack, so the recipe's products broadcast
+    over all tuples at once and each sub-product is made once for the
+    tuples sharing its outcomes. Inputs whose lattice exceeds
+    MAX_LATTICE_ENTRIES raise OrderingExplosion before any of it is built.
     """
     observables = tuple(observables)
     if not observables:
@@ -120,52 +126,35 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
     for obs in observables:
         if obs.dim != rho.dim:
             raise DimensionMismatch(f"observable dim {obs.dim} vs state dim {rho.dim}")
+    d = rho.dim
+    counts = [len(obs.resolution) for obs in observables]
     if n > 1 and recipe.kind != "weyl":
         terms = recipe.terms(ordering_classes(n))
-    d = rho.dim
-    projs = np.array([p.matrix for obs in observables for _, p in obs.resolution])
-    index = _tuple_index(tuple(len(obs.resolution) for obs in observables))
+        entries = len(terms) * math.prod(counts) * d * d
+    else:
+        entries = math.prod(1 + k for k in counts) * d * d
+    if entries > MAX_LATTICE_ENTRIES:
+        raise OrderingExplosion(
+            f"outcome lattice of {entries} entries exceeds the cap {MAX_LATTICE_ENTRIES}"
+        )
+    # observable i's projectors on axis i of the outcome grid
+    mats = [
+        np.array([p.matrix for _, p in obs.resolution])
+        .reshape((1,) * i + (k,) + (1,) * (n - 1 - i) + (d, d))
+        for i, (obs, k) in enumerate(zip(observables, counts))
+    ]
+    if n == 1:
+        op = mats[0]
+    elif recipe.kind == "weyl":
+        op = weyl_matrix(mats)
+    else:
+        op = sum(w * hermitized_product(mats, c) for w, c in terms)
     # Tr(rho P) = sum_ij rho_ij P_ji = vec(P) . vec(rho^T)
-    rvec = rho.matrix.T.reshape(-1)
-    step = _block_tuples(n, d)
-    values = np.empty(index.shape[1], dtype=complex)
-    for lo in range(0, len(values), step):
-        mats = projs[index[:, lo:lo + step]]  # (n, tuples in block, d, d)
-        if n == 1:
-            op = mats[0]
-        elif recipe.kind == "weyl":
-            op = weyl_matrix(mats)
-        else:
-            op = sum(w * hermitized_product(mats, c) for w, c in terms)
-        values[lo:lo + step] = op.reshape(-1, d * d) @ rvec
+    values = op.reshape(-1, d * d) @ rho.matrix.T.reshape(-1)
     residue = float(np.abs(values.imag).max())
     if residue > ATOL_LOOSE:
         raise NonHermitianTrace(f"imaginary entry residue {residue:.3e}")
     return Scheme(observables, recipe, rho, values.real)
-
-
-@functools.lru_cache(maxsize=256)
-def _tuple_index(counts: tuple) -> np.ndarray:
-    """(N, T) rows into the observables' projectors listed one after another,
-    tuples in `canonical_outcome_tuples` order (the C order of np.indices)."""
-    offsets = np.cumsum((0,) + counts[:-1])
-    index = np.indices(counts).reshape(len(counts), -1) + offsets[:, None]
-    index.setflags(write=False)
-    return index
-
-
-def _block_tuples(n: int, d: int) -> int:
-    """Tuples per block, so that a block's temporaries fit in _BLOCK_BYTES.
-
-    The widest level of the Weyl recursion, k C(n, k) = n C(n - 1, k - 1)
-    at k - 1 = (n - 1) // 2, holds that many matrices per tuple in each of
-    its two gathered operands and in their product; with the level's sums,
-    the level below and the generators, a tuple needs at most six times as
-    many complex d x d matrices (5.5 times at n = 2, fewer above, and fewer
-    still for a unit/weights recipe).
-    """
-    widest = n * math.comb(n - 1, (n - 1) // 2)
-    return max(1, _BLOCK_BYTES // (6 * widest * d * d * 16))
 
 
 def marginal(scheme: Scheme, keep) -> Scheme:

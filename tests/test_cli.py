@@ -374,6 +374,21 @@ class TestEntanglement:
         code, _, err = run(capsys, "entanglement", "--state", str(path))
         assert code == 3 and "invalid-state" in err
 
+    def test_csv_matches_json(self, capsys):
+        code, out, _ = run(capsys, "entanglement", "--schmidt-alpha", str(math.pi / 8))
+        assert code == 0
+        obj = json.loads(out)
+        code, out, _ = run(
+            capsys, "entanglement", "--schmidt-alpha", str(math.pi / 8), "--format", "csv"
+        )
+        assert code == 0
+        header, values = out.split("\n")[:2]
+        assert out.endswith("\n") and out.count("\n") == 2
+        assert header == "reduced_bloch_norm,n_max_reduced,monotone"
+        # 17 significant digits give back the JSON floats exactly
+        assert [float(v) for v in values.split(",")] == [obj[c] for c in header.split(",")]
+        assert values.split(",")[2] == format(obj["monotone"], ".17g")
+
 
 class TestReproducibility:
     @pytest.mark.parametrize(

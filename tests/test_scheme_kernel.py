@@ -1,9 +1,11 @@
-"""The batched scheme kernel: `weyl_matrix` and `hermitized_product` over
-stacks of outcome tuples, `build_scheme` against per-tuple oracles and
-explicit products, the block boundary, and the kernel's memory bound."""
+"""The scheme kernel: `weyl_matrix` and `hermitized_product` over stacks of
+outcome tuples, `build_scheme` on the outcome grid against per-tuple
+oracles and explicit products, its memory against the lattice size, and
+the lattice cap."""
 
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from pseudoprob import (
     DensityMatrix,
     HermitianOperator,
     Observable,
+    OrderingExplosion,
     Recipe,
     build_scheme,
     density_from_bloch,
@@ -124,50 +127,41 @@ class TestBuildSchemeEntries:
             assert abs(scheme.entry(t) - trace_entry(rho, op)) <= 1e-15
 
 
-class TestBlocks:
-    # The blocked scheme is built first, from a case no other test builds,
-    # so a skipped entry cannot pick up a right value left in freed memory.
-
-    @pytest.mark.parametrize("recipe", [Recipe.weyl(), Recipe.unit(7)])
-    @pytest.mark.parametrize("tuples_per_block", [1, 5])
-    def test_blocks_match_per_tuple_evaluation(self, monkeypatch, recipe, tuples_per_block):
-        rho, obs = random_case(70 + tuples_per_block + 10 * (recipe.kind == "unit"), 2, 5)
-        # the widest level of N = 5 holds 5 C(4, 2) = 30 qubit matrices per tuple
-        monkeypatch.setattr(schemes, "_BLOCK_BYTES", tuples_per_block * 6 * 30 * 4 * 16)
-        assert schemes._block_tuples(5, 2) == tuples_per_block
-        blocked = build_scheme(rho, obs, recipe)  # 32 tuples
+    @pytest.mark.parametrize("recipe", [Recipe.weyl(), Recipe.unit(7)], ids=["weyl", "unit7"])
+    def test_qubit_n5_entries_match_per_tuple_evaluation(self, recipe):
+        rho, obs = random_case(71 + 10 * (recipe.kind == "unit"), 2, 5)
+        scheme = build_scheme(rho, obs, recipe)  # 32 tuples
         order = ordering_classes(5)[7]
-        for t in blocked.outcome_tuples:
+        for t in scheme.outcome_tuples:
             mats = tuple_mats(obs, t)
             op = weyl_matrix(mats) if recipe.kind == "weyl" else hermitized_product(mats, order)
-            assert abs(blocked.entry(t) - trace_entry(rho, op)) <= 1e-15
-        monkeypatch.undo()
-        whole = build_scheme(rho, obs, recipe)
-        assert np.abs(blocked.values - whole.values).max() <= 1e-15
+            assert abs(scheme.entry(t) - trace_entry(rho, op)) <= 1e-15
 
-    def test_qutrit_weights_across_blocks(self, monkeypatch):
+    def test_qutrit_weights_entries_match_per_tuple_evaluation(self):
         rho, obs = random_case(90, 3, 4)  # 81 tuples
         weights = np.random.default_rng(90).dirichlet(np.ones(12))
-        monkeypatch.setattr(schemes, "_BLOCK_BYTES", 7 * 6 * 12 * 9 * 16)
-        assert schemes._block_tuples(4, 3) == 7
-        blocked = build_scheme(rho, obs, Recipe.convex(weights))
-        for t in blocked.outcome_tuples:
+        scheme = build_scheme(rho, obs, Recipe.convex(weights))
+        for t in scheme.outcome_tuples:
             mats = tuple_mats(obs, t)
             expected = sum(w * trace_entry(rho, hermitized_product(mats, c))
                            for w, c in zip(weights, ordering_classes(4)))
-            assert abs(blocked.entry(t) - expected) <= 1e-14
+            assert abs(scheme.entry(t) - expected) <= 1e-14
+
+
+def lattice_entries(d, n, k):
+    """prod_i (1 + k_i) d^2 for n observables of k outcomes each."""
+    return (1 + k) ** n * d * d
 
 
 class TestMemoryBound:
-    @pytest.mark.parametrize("d, n", [(2, 8), (3, 6)])
-    def test_peak_stays_under_block_bytes(self, d, n):
+    @pytest.mark.parametrize("d, n", [(2, 8), (3, 6), (3, 8)])
+    def test_peak_stays_under_lattice_size(self, d, n):
         rho, obs = random_case(80 + n, d, n)
         tuples = d ** n
-        widest = n * math.comb(n - 1, (n - 1) // 2)
-        # in one block the widest level's operands and product alone would
-        # take more than the bound
-        assert 3 * tuples * widest * d * d * 16 > 1.5 * schemes._BLOCK_BYTES
-        build_scheme(rho, obs)  # index tables cached beforehand
+        bound = 16 * lattice_entries(d, n, d)
+        # products kept per tuple and subset would take more than the bound
+        assert 16 * tuples * 2 ** n * d * d > 2 * bound
+        build_scheme(rho, obs)  # subset plan cached beforehand
         tracemalloc.start()
         try:
             build_scheme(rho, obs)
@@ -176,4 +170,67 @@ class TestMemoryBound:
             tracemalloc.stop()
         # the scheme itself (entries, outcome tuples, their index) is not
         # part of the kernel: allow 1 KiB per tuple for it
-        assert peak <= schemes._BLOCK_BYTES + 1024 * tuples
+        assert peak <= bound + 1024 * tuples
+
+
+def grouped_observable(rng, d, k):
+    """Observable with outcomes 0..k-1 whose projectors span near-equal
+    groups of a Haar-random basis."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    projs = [q[:, g] @ q[:, g].conj().T for g in np.array_split(np.arange(d), k)]
+    return Observable(
+        op=HermitianOperator(sum(a * p for a, p in enumerate(projs))),
+        resolution=tuple((a, HermitianOperator(p)) for a, p in enumerate(projs)),
+    )
+
+
+class TestLatticeCap:
+    def test_weyl_just_inside_cap_finishes_under_deadline(self):
+        # d = 4 is the slowest dimension per entry that N <= 8 lets near the cap
+        counts = (4, 4, 4, 4, 4, 4, 3, 3)
+        rng = np.random.default_rng(5)
+        rho, _ = random_case(5, 4, 1)
+        obs = [grouped_observable(rng, 4, k) for k in counts]
+        entries = math.prod(1 + k for k in counts) * 16
+        assert 0.9 * schemes.MAX_LATTICE_ENTRIES < entries <= schemes.MAX_LATTICE_ENTRIES
+        t0 = time.perf_counter()
+        scheme = build_scheme(rho, obs)
+        assert time.perf_counter() - t0 < 3.0
+        t = scheme.outcome_tuples[12345]
+        polar = trace_entry(rho, oracles.weyl_polarisation_oracle(tuple_mats(obs, t)))
+        assert abs(scheme.entry(t) - polar) <= 1e-12
+
+    def test_weights_counted_per_class(self):
+        # qubit N = 8: each weighted class forms its product over 256 tuples
+        rho, obs = random_case(6, 2, 8)
+        per_class = 2 ** 8 * 4
+        inside = schemes.MAX_LATTICE_ENTRIES // per_class
+        weights = np.zeros(len(ordering_classes(8)))
+        weights[:inside] = 1.0 / inside
+        t0 = time.perf_counter()
+        scheme = build_scheme(rho, obs, Recipe.convex(weights))
+        assert time.perf_counter() - t0 < 3.0
+        t = scheme.outcome_tuples[-1]
+        mats = tuple_mats(obs, t)
+        expected = sum(trace_entry(rho, hermitized_product(mats, c))
+                       for c in ordering_classes(8)[:inside]) / inside
+        assert abs(scheme.entry(t) - expected) <= 1e-13
+        weights[:inside + 1] = 1.0 / (inside + 1)
+        with pytest.raises(OrderingExplosion):
+            build_scheme(rho, obs, Recipe.convex(weights))
+
+    def test_just_outside_cap_fails_before_allocating(self):
+        rho, obs = random_case(8, 8, 8)
+        assert lattice_entries(8, 8, 8) > schemes.MAX_LATTICE_ENTRIES
+        t0 = time.perf_counter()
+        with pytest.raises(OrderingExplosion):
+            build_scheme(rho, obs)
+        assert time.perf_counter() - t0 < 0.01
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderingExplosion):
+                build_scheme(rho, obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
