@@ -126,17 +126,6 @@ class TestBuildSchemeEntries:
                   + 0.3 * hermitized(b @ a @ c))
             assert abs(scheme.entry(t) - trace_entry(rho, op)) <= 1e-15
 
-
-    @pytest.mark.parametrize("recipe", [Recipe.weyl(), Recipe.unit(7)], ids=["weyl", "unit7"])
-    def test_qubit_n5_entries_match_per_tuple_evaluation(self, recipe):
-        rho, obs = random_case(71 + 10 * (recipe.kind == "unit"), 2, 5)
-        scheme = build_scheme(rho, obs, recipe)  # 32 tuples
-        order = ordering_classes(5)[7]
-        for t in scheme.outcome_tuples:
-            mats = tuple_mats(obs, t)
-            op = weyl_matrix(mats) if recipe.kind == "weyl" else hermitized_product(mats, order)
-            assert abs(scheme.entry(t) - trace_entry(rho, op)) <= 1e-15
-
     def test_qutrit_weights_entries_match_per_tuple_evaluation(self):
         rho, obs = random_case(90, 3, 4)  # 81 tuples
         weights = np.random.default_rng(90).dirichlet(np.ones(12))
@@ -146,6 +135,32 @@ class TestBuildSchemeEntries:
             expected = sum(w * trace_entry(rho, hermitized_product(mats, c))
                            for w, c in zip(weights, ordering_classes(4)))
             assert abs(scheme.entry(t) - expected) <= 1e-14
+
+
+class TestBlocks:
+    # Outcome tuples evaluated as tuple stacks, tuples_per_block at a time,
+    # through the stacked kernel must agree with the grid-built scheme and
+    # with each tuple evaluated on its own.
+
+    @pytest.mark.parametrize("recipe", [Recipe.weyl(), Recipe.unit(7)])
+    @pytest.mark.parametrize("tuples_per_block", [1, 5])
+    def test_blocks_match_per_tuple_evaluation(self, recipe, tuples_per_block):
+        rho, obs = random_case(70 + tuples_per_block + 10 * (recipe.kind == "unit"), 2, 5)
+        scheme = build_scheme(rho, obs, recipe)  # 32 tuples
+        order = ordering_classes(5)[7]
+        for t in scheme.outcome_tuples:
+            mats = tuple_mats(obs, t)
+            op = weyl_matrix(mats) if recipe.kind == "weyl" else hermitized_product(mats, order)
+            assert abs(scheme.entry(t) - trace_entry(rho, op)) <= 1e-15
+        tuples, stack = stacked_mats(obs)
+        assert tuples == list(scheme.outcome_tuples)
+        blocked = []
+        for start in range(0, len(tuples), tuples_per_block):
+            block = stack[:, start:start + tuples_per_block]
+            ops = weyl_matrix(block) if recipe.kind == "weyl" else hermitized_product(block, order)
+            assert ops.shape == (min(tuples_per_block, len(tuples) - start), 2, 2)
+            blocked.extend(trace_entry(rho, op) for op in ops)
+        assert np.abs(np.array(blocked) - scheme.values).max() <= 1e-15
 
 
 def lattice_entries(d, n, k):
