@@ -72,7 +72,6 @@ from .qubit import (
     triple_classical_radius,
     triple_entries,
     triple_scheme_weyl_closed,
-    triple_units,
     worst_case_min_entry,
 )
 from .schemes import (

@@ -12,8 +12,6 @@ from .qubit import negativity_max
 from .states import DensityMatrix
 from .tolerances import NORM_ATOL, ROUNDING_ATOL
 
-BASIS_LABELS = ("00", "01", "10", "11")
-
 
 class TwoQubitPureState:
     """Normalised amplitude vector over |00>, |01>, |10>, |11>.

@@ -63,11 +63,6 @@ class HermitianOperator:
         _check_same_dim(self, other)
         return HermitianOperator(self.matrix - other.matrix)
 
-    def __mul__(self, scalar: float) -> "HermitianOperator":
-        return HermitianOperator(float(scalar) * self.matrix)
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.dim})"
 

@@ -231,6 +231,9 @@ def weyl_matrix(mats) -> np.ndarray:
     time, each sum taken over i ascending; on a grid, W(S) spans only the
     axes in S, so it is made once for all the tuples that share the
     outcomes of S.
+
+    Sums and the hermitization run in place on arrays made here, so the
+    peak holds about two copies of the result beside the level below it.
     """
     n = len(mats)
     w = {(i,): mats[i] for i in range(n)}
@@ -240,10 +243,13 @@ def weyl_matrix(mats) -> np.ndarray:
             (i, rest), *more = steps
             acc = mats[i] @ below[rest]
             for i, rest in more:
-                acc = acc + mats[i] @ below[rest]
+                acc += mats[i] @ below[rest]
             w[s] = acc
-    acc = w[tuple(range(n))] / math.factorial(n)
-    return 0.5 * (acc + acc.conj().swapaxes(-1, -2))
+    # a new array, also for N = 1, where w holds the caller's matrix
+    acc = w.pop(tuple(range(n))) / math.factorial(n)
+    acc += acc.conj().swapaxes(-1, -2)
+    acc *= 0.5
+    return acc
 
 
 def unit_pseudo_projections(projectors) -> list[PseudoProjection]:

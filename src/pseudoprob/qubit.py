@@ -25,15 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HermitianOperator
-from .pseudoprojection import PseudoProjection, Recipe, hermitized_product, ordering_classes
+from .pseudoprojection import Recipe
 from .schemes import Scheme
 from .states import (
     bloch_vector,
     density_from_bloch,
     direction,
     observable_from_direction,
-    projector_from_direction,
 )
 from .tolerances import ROUNDING_ATOL
 
@@ -182,25 +180,6 @@ def triple_scheme_weyl_closed(g: TripleGeometry) -> Scheme:
     values = triple_entries(g.p, g.m1, g.m2, g.m3)
     observables = tuple(observable_from_direction(m) for m in g.directions)
     return Scheme(observables, Recipe.weyl(), density_from_bloch(g.p), values)
-
-
-def triple_units(g: TripleGeometry, outcomes) -> tuple:
-    """The three hermitized orderings of a projector triple.
-
-    For projectors pi_1, pi_2, pi_3 of the given joint outcome these are
-      (pi1 pi2 pi3 + pi3 pi2 pi1)/2,   class 0, ordering (0, 1, 2),
-      (pi3 pi1 pi2 + pi2 pi1 pi3)/2,   class 2, ordering (1, 0, 2),
-      (pi2 pi3 pi1 + pi1 pi3 pi2)/2,   class 1, ordering (0, 2, 1),
-    each tagged Recipe.unit(class); their equal-weight mean is the Weyl
-    form. Relabelling the projectors permutes the three among themselves.
-    """
-    pairs = zip(g.directions, outcomes, strict=True)
-    gens = tuple(projector_from_direction(m, a) for m, a in pairs)
-    mats = [p.matrix for p in gens]
-    units = [hermitized_product(mats, order) for order in ordering_classes(3)]
-    return tuple(
-        PseudoProjection(HermitianOperator(units[k]), gens, Recipe.unit(k)) for k in (0, 2, 1)
-    )
 
 
 def negativity_special(pnorm: float, theta: float) -> float:

@@ -31,13 +31,17 @@ from .tolerances import ATOL_LOOSE, CLASSICALITY_EPS, RESIDUAL_ATOL
 # bound means the inputs were not a state and projectors.
 ENTRY_MIN, ENTRY_MAX = -1.0, 2.0
 # Coarse-graining cost grows with the candidate blocks (sets of negative
-# entries with the positives that cover them), not with the Bell number of
-# the events. On a 2-vCPU Xeon VM, 40 seeded random 16-event Weyl schemes
-# (4 qubit observables, 4-8 negative entries) took a median of ~60 ms and
-# at most ~0.4 s; a table of 12 equal negative and 4 positive entries takes
-# 1.3-2.4 s, and one of 14 negative and 2 positive entries, the slowest
-# table found, 4.4-5.6 s (the VM's speed varies by run).
+# entries with the positives that cover them, and the non-negative
+# singletons), not with the Bell number of the events. A table with more than
+# MAX_CANDIDATE_BLOCKS = 2^14 of them raises PartitionSearchTooLarge once they
+# are listed, before the search; listing takes at most ~0.4 s. On a 2-vCPU
+# Xeon VM: 11,000 seeded random 16-event Weyl schemes (4 qubit observables,
+# up to 9 negative entries) had at most 12,344 candidate blocks (~1.2 s),
+# median ~1,850; the slowest tables found within the budget, 12 equal
+# negative and 4 positive entries (16,384), take 1.3-2.1 s; 14 negative and
+# 2 positive entries (32,768) took 4.7-5.4 s and are rejected.
 MAX_PARTITION_EVENTS = 16
+MAX_CANDIDATE_BLOCKS = 1 << 14
 # build_scheme's outcome lattice holds W(S) for every subset S of the
 # observables and every outcome of those in S: prod_i (1 + k_i) complex d x d
 # matrices for k_i outcomes each. A unit/weights recipe instead forms each
@@ -46,7 +50,7 @@ MAX_PARTITION_EVENTS = 16
 # VM, min of 3: the slowest accepted inputs found take ~0.8 s (Weyl, d = 4,
 # outcome counts 4,4,4,4,4,4,3,3; 4.0M entries) and ~0.75 s (qubit N = 8
 # with 4096 weighted classes; 4.2M), and the largest tracemalloc peak found
-# is ~230 MiB (d = 44, N = 2; 3.9M). Large d with few outcomes stays cheap:
+# is ~115 MiB (d = 44, N = 2; 3.9M). Large d with few outcomes stays cheap:
 # single-outcome observables at d = 1024, N = 2 or d = 128, N = 8 take
 # ~0.4 s (single runs), and a qutrit N = 8 Weyl scheme (0.59M) 0.1-0.2 s.
 MAX_LATTICE_ENTRIES = 1 << 22
@@ -108,8 +112,8 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
     built from the same classes, whether or not that tuple's projectors
     commute; only classes with a nonzero weight are evaluated.
 
-    Observable i's projectors sit on axis i of the outcome grid, as one
-    (1, ..., k_i, ..., 1, d, d) stack, so the recipe's products broadcast
+    Observable i's `projectors` stack sits on axis i of the outcome grid,
+    viewed as (1, ..., k_i, ..., 1, d, d), so the recipe's products broadcast
     over all tuples at once and each sub-product is made once for the
     tuples sharing its outcomes. Inputs whose lattice exceeds
     MAX_LATTICE_ENTRIES raise OrderingExplosion before any of it is built.
@@ -127,7 +131,7 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
         if obs.dim != rho.dim:
             raise DimensionMismatch(f"observable dim {obs.dim} vs state dim {rho.dim}")
     d = rho.dim
-    counts = [len(obs.resolution) for obs in observables]
+    counts = [len(obs.projectors) for obs in observables]
     if n > 1 and recipe.kind != "weyl":
         terms = recipe.terms(ordering_classes(n))
         entries = len(terms) * math.prod(counts) * d * d
@@ -139,8 +143,7 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
         )
     # observable i's projectors on axis i of the outcome grid
     mats = [
-        np.array([p.matrix for _, p in obs.resolution])
-        .reshape((1,) * i + (k,) + (1,) * (n - 1 - i) + (d, d))
+        obs.projectors.reshape((1,) * i + (k,) + (1,) * (n - 1 - i) + (d, d))
         for i, (obs, k) in enumerate(zip(observables, counts))
     ]
     if n == 1:
@@ -235,7 +238,9 @@ def minimal_coarse_graining(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> Co
     the sum first reaches -eps. One memoised pass over the sets of unplaced
     events puts the lowest one in each block it can open, singleton first,
     in increasing block order, and adds up the co-optimal counts instead of
-    listing the partitions.
+    listing the partitions. More than MAX_PARTITION_EVENTS events, or more
+    than MAX_CANDIDATE_BLOCKS candidate blocks and singletons, raise
+    PartitionSearchTooLarge before the search.
     """
     values = [float(v) for v in scheme.values]
     n = len(values)
@@ -266,6 +271,11 @@ def minimal_coarse_graining(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> Co
         for block in itertools.combinations(negatives, r):
             if feasible(block + positives):
                 cover(block, 0)
+    blocks = sum(map(len, candidates))
+    if blocks > MAX_CANDIDATE_BLOCKS:
+        raise PartitionSearchTooLarge(
+            f"{blocks} candidate blocks exceed the budget {MAX_CANDIDATE_BLOCKS}"
+        )
     options = [[sum(1 << i for i in block) for block in sorted(c)] for c in candidates]
 
     memo = {0: (0, 1, 0)}

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidState, NotAProjector, UnphysicalBloch
-from .operators import HermitianOperator, eigenvalues_hermitian, idempotency_residual
+from .operators import HermitianOperator, eigenvalues_hermitian
 from .tolerances import ATOL_LOOSE, RESIDUAL_ATOL, ROUNDING_ATOL
 
 # Directions must be normalisable without drama; anything outside this norm
@@ -152,41 +152,46 @@ class Observable:
 
     The resolution is a sequence of (outcome, projector) pairs whose
     projectors are idempotent, mutually orthogonal and sum to the identity.
-    `axis` carries the generating unit vector for qubit observables built
-    from a direction (used for JSON output); it is None otherwise.
+    `projectors` holds those projectors' matrices as one read-only (k, d, d)
+    stack in resolution order: the form every check here and `build_scheme`
+    read. `axis` carries the generating unit vector for qubit observables
+    built from a direction (used for JSON output); it is None otherwise.
     """
 
     op: HermitianOperator
     resolution: tuple
     axis: np.ndarray | None = field(default=None)
+    projectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         res = tuple((a, p) for a, p in self.resolution)
         object.__setattr__(self, "resolution", res)
         dim = self.op.dim
-        acc = np.zeros((dim, dim), dtype=complex)
-        recomposed = np.zeros((dim, dim), dtype=complex)
-        projs = [p for _, p in res]
-        for (a, p) in res:
-            if p.dim != dim:
-                raise InvalidState("projector dimension differs from observable")
-            if idempotency_residual(p) > RESIDUAL_ATOL:
-                raise NotAProjector(f"resolution entry for outcome {a} is not idempotent")
-            acc += p.matrix
-            recomposed += float(a) * p.matrix
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if np.abs(projs[i].matrix @ projs[j].matrix).max() > RESIDUAL_ATOL:
-                    raise InvalidState("resolution projectors are not orthogonal")
-        if np.abs(acc - np.eye(dim)).max() > RESIDUAL_ATOL:
+        # projectors before the first of another dimension are checked for
+        # idempotency first, as a walk through the resolution would
+        k = next((i for i, (_, p) in enumerate(res) if p.dim != dim), len(res))
+        stack = np.array([p.matrix for _, p in res[:k]]).reshape(k, dim, dim)
+        loose = np.abs(stack @ stack - stack).max(axis=(1, 2)) > RESIDUAL_ATOL
+        if loose.any():
+            a = res[int(loose.argmax())][0]
+            raise NotAProjector(f"resolution entry for outcome {a} is not idempotent")
+        if k < len(res):
+            raise InvalidState("projector dimension differs from observable")
+        for i in range(k - 1):
+            if np.abs(stack[i] @ stack[i + 1:]).max() > RESIDUAL_ATOL:
+                raise InvalidState("resolution projectors are not orthogonal")
+        if np.abs(stack.sum(axis=0) - np.eye(dim)).max() > RESIDUAL_ATOL:
             raise InvalidState("resolution projectors do not sum to identity")
-        if np.abs(recomposed - self.op.matrix).max() > RESIDUAL_ATOL:
+        labels = np.array([float(a) for a, _ in res]).reshape(k, 1, 1)
+        if np.abs((labels * stack).sum(axis=0) - self.op.matrix).max() > RESIDUAL_ATOL:
             raise InvalidState("resolution does not recompose the observable")
         # outcome tuples name projectors by label, so labels must differ
         outcomes = self.outcomes
-        for i, a in enumerate(outcomes):
-            if a in outcomes[i + 1:]:
-                raise InvalidState(f"outcome {a!r} repeated in resolution")
+        repeated = [a for a in outcomes if outcomes.count(a) > 1]
+        if repeated:
+            raise InvalidState(f"outcome {repeated[0]!r} repeated in resolution")
+        stack.setflags(write=False)
+        object.__setattr__(self, "projectors", stack)
 
     @property
     def dim(self) -> int:
@@ -204,13 +209,19 @@ class Observable:
 
 
 def observable_from_direction(m) -> Observable:
-    """Dichotomic qubit observable sigma . m with outcomes +1, -1."""
+    """Dichotomic qubit observable sigma . m with outcomes +1, -1.
+
+    Both projectors (1 +- sigma . m)/2 come from the same unit vector as
+    the operator and `axis`.
+    """
     mhat = direction(m)
-    plus = projector_from_direction(mhat, +1)
-    minus = projector_from_direction(mhat, -1)
+    sigma = pauli_matrix(mhat)
     return Observable(
-        op=HermitianOperator(pauli_matrix(mhat)),
-        resolution=((1, plus), (-1, minus)),
+        op=HermitianOperator(sigma),
+        resolution=(
+            (1, HermitianOperator(0.5 * np.eye(2) + 0.5 * sigma)),
+            (-1, HermitianOperator(0.5 * np.eye(2) - 0.5 * sigma)),
+        ),
         axis=mhat,
     )
 

@@ -1,6 +1,8 @@
 """Exact coarse-graining against independent partition searches: the
 Bell-number enumeration for up to 9 events, the 3^n subset DP for 10-12,
-and a pinned 16-event Weyl scheme."""
+a pinned 16-event Weyl scheme, and the candidate-block budget."""
+
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from pseudoprob import (
     DensityMatrix,
     HermitianOperator,
     Observable,
+    PartitionSearchTooLarge,
     Recipe,
     Scheme,
     build_scheme,
@@ -150,3 +153,26 @@ def test_golden_sixteen_event_weyl_scheme():
         ((-1, -1, 1, -1),),
         ((-1, -1, -1, 1), (-1, -1, -1, -1)),
     )
+
+
+def test_table_just_inside_candidate_budget_finishes_under_deadline():
+    # any one of the 4 positives covers any set of the 12 negatives:
+    # 4 (2^12 - 1) candidate blocks and 4 singletons, exactly the budget,
+    # and the slowest kind of table found within it
+    values = [-0.01] * 12 + [0.28] * 4
+    t0 = time.perf_counter()
+    out = minimal_coarse_graining(table_scheme(values))
+    assert time.perf_counter() - t0 < 3.0
+    # one block per positive, the negatives shared out in 4^12 ways
+    assert out.block_count == 4
+    assert out.num_maximizers == 4 ** 12
+
+
+def test_table_just_outside_candidate_budget_fails_fast():
+    # as above, but all 12 negatives need two positives: 6 covers instead
+    # of 4 for that one set, 2 over the budget
+    values = [-0.03] * 12 + [0.34] * 4
+    t0 = time.perf_counter()
+    with pytest.raises(PartitionSearchTooLarge, match="16386 candidate blocks"):
+        minimal_coarse_graining(table_scheme(values))
+    assert time.perf_counter() - t0 < 0.5

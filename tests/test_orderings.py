@@ -12,16 +12,15 @@ from pseudoprob import (
     HermitianOperator,
     Observable,
     Recipe,
-    TripleGeometry,
     build_scheme,
+    coplanar_triple_directions,
     density_from_bloch,
     observable_from_direction,
     projector_from_direction,
-    triple_units,
     unit_pseudo_projections,
     weyl_pseudo_projection,
 )
-from pseudoprob.pseudoprojection import distinct_unit_matrices, ordering_classes
+from pseudoprob.pseudoprojection import distinct_unit_matrices, hermitized_product, ordering_classes
 
 import oracles
 
@@ -238,15 +237,19 @@ def test_build_scheme_reproduces_each_unit(case):
             assert abs(schemes[k].entry(t) - expected) <= 1e-15
 
 
-def test_triple_units_tagged_by_class():
-    g = TripleGeometry.coplanar120(p=(0.3, 0.2, 0.4))
-    generic = unit_pseudo_projections(
-        [projector_from_direction(m, 1) for m in g.directions]
-    )
-    units = triple_units(g, (1, 1, 1))
-    assert [u.recipe for u in units] == [Recipe.unit(0), Recipe.unit(2), Recipe.unit(1)]
+def test_coplanar_units_tagged_by_class():
+    # each unit carries its class index, and that recipe replays it
+    rho = density_from_bloch(STATE)
+    obs = qubit_observables(*coplanar_triple_directions())
+    units = unit_pseudo_projections([o.projector(1) for o in obs])
+    assert [u.recipe for u in units] == [Recipe.unit(0), Recipe.unit(1), Recipe.unit(2)]
+    mats = projector_mats(obs, (1, 1, 1))
     for u in units:
-        assert np.array_equal(u.op.matrix, generic[u.recipe.index].op.matrix)
+        order = ordering_classes(3)[u.recipe.index]
+        assert np.array_equal(u.op.matrix, hermitized_product(mats, order))
+        scheme = build_scheme(rho, obs, u.recipe)
+        expected = float(np.trace(rho.matrix @ u.op.matrix).real)
+        assert abs(scheme.entry((1, 1, 1)) - expected) <= 1e-15
 
 
 def pairwise_distinct_units(mats, atol=1e-10):

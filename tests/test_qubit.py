@@ -20,8 +20,7 @@ from pseudoprob import (
     triple_classical_radius,
     triple_entries,
     triple_scheme_weyl_closed,
-    triple_units,
-    weyl_pseudo_projection,
+    unit_pseudo_projections,
     projector_from_direction,
     worst_case_min_entry,
 )
@@ -114,51 +113,36 @@ class TestTripleEntries:
 
 
 class TestTripleUnits:
-    def test_commuting_directions_collapse(self):
-        g = TripleGeometry(p=(0, 0, 0), m1=(0, 0, 1), m2=(0, 0, 1), m3=(0, 0, 1))
-        units = triple_units(g, (1, 1, 1))
-        target = projector_from_direction((0, 0, 1), 1).matrix
-        for u in units:
-            assert np.abs(u.op.matrix - target).max() <= 1e-12
+    """The unit pseudo-projections of a coplanar qubit triple's (1, 1, 1)
+    projectors, through the generic enumeration."""
 
-    def test_coplanar_units_distinct(self):
-        g = TripleGeometry.coplanar120()
-        units = triple_units(g, (1, 1, 1))
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert np.abs(units[i].op.matrix - units[j].op.matrix).max() > 1e-3
-
-    def test_mean_equals_weyl(self):
-        g = TripleGeometry.coplanar120()
-        units = triple_units(g, (1, 1, 1))
-        mean = sum(u.op.matrix for u in units) / 3.0
-        weyl = weyl_pseudo_projection(
-            [projector_from_direction(m, 1) for m in g.directions]
-        )
-        assert np.abs(mean - weyl.op.matrix).max() <= 1e-12
+    @staticmethod
+    def units(g):
+        return unit_pseudo_projections([projector_from_direction(m, 1) for m in g.directions])
 
     def test_cyclic_relabelling_permutes_units(self):
         g = TripleGeometry.coplanar120()
-        base = {i: u.op.matrix for i, u in enumerate(triple_units(g, (1, 1, 1)))}
+        base = [u.op.matrix for u in self.units(g)]
         rolled = TripleGeometry(p=g.p, m1=g.m2, m2=g.m3, m3=g.m1)
-        permuted = triple_units(rolled, (1, 1, 1))
+        permuted = self.units(rolled)
+        assert len(permuted) == 3
         for u in permuted:
-            assert any(np.abs(u.op.matrix - b).max() <= 1e-12 for b in base.values())
+            assert any(np.abs(u.op.matrix - b).max() <= 1e-12 for b in base)
 
-    def test_same_manifold_as_generic_enumeration(self):
-        from pseudoprob import unit_pseudo_projections
-
+    def test_units_are_the_explicit_forms(self):
         g = TripleGeometry.coplanar120()
-        explicit = triple_units(g, (1, 1, 1))
-        generic = unit_pseudo_projections(
-            [projector_from_direction(m, 1) for m in g.directions]
-        )
-        assert len(generic) == 3
-        # canonical order is lexicographic in the generating permutation:
-        # (0,1,2), (0,2,1), (1,0,2) = explicit forms 1, 3, 2
-        order = (0, 2, 1)
-        for unit, k in zip(generic, order):
-            assert np.abs(unit.op.matrix - explicit[k].op.matrix).max() <= 1e-14
+        p1, p2, p3 = (projector_from_direction(m, 1).matrix for m in g.directions)
+        # classes in lexicographic order: (0,1,2), (0,2,1), (1,0,2)
+        explicit = [
+            (p1 @ p2 @ p3 + p3 @ p2 @ p1) / 2,
+            (p1 @ p3 @ p2 + p2 @ p3 @ p1) / 2,
+            (p2 @ p1 @ p3 + p3 @ p1 @ p2) / 2,
+        ]
+        units = self.units(g)
+        assert len(units) == 3
+        for k, (unit, form) in enumerate(zip(units, explicit)):
+            assert unit.recipe.index == k
+            assert np.abs(unit.op.matrix - form).max() <= 1e-14
 
 
 class TestNegativitySpecial:

@@ -78,6 +78,12 @@ class TestStackedKernel:
         for t, w in zip(tuples, got):
             assert np.abs(w - weyl_matrix(tuple_mats(obs, t))).max() <= 1e-15
 
+    def test_weyl_matrix_leaves_a_single_generator_alone(self):
+        _, (obs,) = random_case(9, 3, 1)
+        got = weyl_matrix([obs.projectors])
+        assert not np.shares_memory(got, obs.projectors)
+        assert np.array_equal(got, obs.projectors)
+
     @pytest.mark.parametrize("d, n", STACK_CASES)
     def test_hermitized_product_stack_equals_per_tuple(self, d, n):
         _, obs = random_case(20 * d + n, d, n)
@@ -186,6 +192,23 @@ class TestMemoryBound:
         # the scheme itself (entries, outcome tuples, their index) is not
         # part of the kernel: allow 1 KiB per tuple for it
         assert peak <= bound + 1024 * tuples
+
+    def test_weyl_sums_in_place(self):
+        # d = 12, N = 4 over 12 outcomes each: the last level is 12^4 of the
+        # lattice's 13^4 d x d matrices, so the peak cannot stay under the
+        # lattice size; summing and hermitizing in place keeps it near two
+        # copies of the last level (~1.7x), against ~3.2x with a new array
+        # for each sum
+        rho, obs = random_case(84, 12, 4)
+        bound = 2.5 * 16 * lattice_entries(12, 4, 12)
+        build_scheme(rho, obs)
+        tracemalloc.start()
+        try:
+            build_scheme(rho, obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 def grouped_observable(rng, d, k):

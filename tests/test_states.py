@@ -163,16 +163,39 @@ class TestObservable:
         with pytest.raises(KeyError):
             obs.projector(0)
 
+    def test_projectors_stack_the_resolution(self):
+        obs = observable_from_direction((0.3, -0.4, 1.2))
+        assert obs.projectors.shape == (2, 2, 2)
+        for stacked, (_, p) in zip(obs.projectors, obs.resolution):
+            assert np.array_equal(stacked, p.matrix)
+        # both projectors come from the unit vector kept as the axis
+        half = 0.5 * pauli_matrix(obs.axis)
+        assert np.array_equal(obs.projectors[0], 0.5 * np.eye(2) + half)
+        assert np.array_equal(obs.projectors[1], 0.5 * np.eye(2) - half)
+        assert np.array_equal(obs.op.matrix, pauli_matrix(obs.axis))
+        with pytest.raises(ValueError):
+            obs.projectors[0, 0, 0] = 0.0
+
     def test_rejects_non_projector_resolution(self):
         bad = HermitianOperator(0.5 * np.eye(2))
-        with pytest.raises(NotAProjector):
+        with pytest.raises(NotAProjector, match="outcome 1 is not idempotent"):
             Observable(op=HermitianOperator(np.eye(2)), resolution=((1, bad), (-1, bad)))
+
+    def test_rejects_projector_of_other_dimension(self):
+        up = projector_from_direction((0, 0, 1), 1)
+        with pytest.raises(InvalidState, match="projector dimension differs"):
+            Observable(op=up, resolution=((1, up), (0, HermitianOperator(np.eye(3)))))
 
     def test_rejects_non_orthogonal_resolution(self):
         pi1 = projector_from_direction((0, 0, 1), 1)
         pi2 = projector_from_direction((1, 0, 0), 1)
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidState, match="not orthogonal"):
             Observable(op=pi1 + pi2, resolution=((1, pi1), (1, pi2)))
+
+    def test_rejects_resolution_not_summing_to_identity(self):
+        up = projector_from_direction((0, 0, 1), 1)
+        with pytest.raises(InvalidState, match="do not sum to identity"):
+            Observable(op=up, resolution=((1, up),))
 
     def test_rejects_repeated_outcome_labels(self):
         # a valid resolution of the identity, but outcome 1 names both
@@ -185,8 +208,28 @@ class TestObservable:
     def test_rejects_wrong_recomposition(self):
         pi1 = projector_from_direction((0, 0, 1), 1)
         pi2 = projector_from_direction((0, 0, 1), -1)
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidState, match="does not recompose"):
             Observable(op=HermitianOperator(np.eye(2)), resolution=((1, pi1), (-1, pi2)))
+
+    @pytest.mark.parametrize("labels, projectors, error, message", [
+        # an earlier projector's idempotency comes before a later one's dimension
+        ((1, -1), ("half", "qutrit"), NotAProjector, "outcome 1 is not idempotent"),
+        ((1, -1), ("qutrit", "half"), InvalidState, "projector dimension differs"),
+        # also fails to sum to identity
+        ((1, -1), ("up", "plus_x"), InvalidState, "not orthogonal"),
+        # also fails to recompose sigma_z
+        ((1,), ("up",), InvalidState, "do not sum to identity"),
+        # also repeats a label
+        ((1, 1), ("up", "down"), InvalidState, "does not recompose"),
+    ])
+    def test_first_failing_check_is_reported(self, labels, projectors, error, message):
+        mats = {
+            "up": np.diag([1.0, 0.0]), "down": np.diag([0.0, 1.0]),
+            "plus_x": 0.5 * np.ones((2, 2)), "half": 0.5 * np.eye(2), "qutrit": np.eye(3),
+        }
+        res = tuple((a, HermitianOperator(mats[p])) for a, p in zip(labels, projectors))
+        with pytest.raises(error, match=message):
+            Observable(op=HermitianOperator(np.diag([1.0, -1.0])), resolution=res)
 
     def test_higher_dim_observable(self):
         # generic observables supply their own resolution in any dimension
