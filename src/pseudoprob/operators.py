@@ -7,6 +7,8 @@ everything is safe to use concurrently without coordination.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -18,31 +20,67 @@ from .errors import (
 from .tolerances import ATOL_LOOSE
 
 
+def _hermitian_parts(m: np.ndarray):
+    """Hermitian parts of a (k, d, d) stack and each matrix's residual.
+
+    Returns the new read-only stack (M + M^dag)/2 and the list of the k
+    max-norms |M - (M + M^dag)/2|. Matrices are checked in stack order, each
+    for finiteness and then its residual, so the first failing matrix
+    raises just as it would on its own.
+    """
+    shape = m.shape
+    if len(shape) != 3 or shape[1] != shape[2] or shape[1] < 1:
+        raise ValueError(f"expected a square matrix, got shape {shape[1:]}")
+    # sum |m_ij|^2 is finite unless an entry is not (or is huge), so one
+    # product screens the stack and entries are tested only when it fails;
+    # the matrices before the first non-finite one are checked first
+    if not math.isfinite(np.vdot(m, m).real) and not np.isfinite(m).all():
+        _hermitian_parts(m[:int(np.isfinite(m).all(axis=(1, 2)).argmin())])
+        raise ValueError("matrix entries must be finite")
+    herm = m + m.conj().swapaxes(1, 2)
+    herm *= 0.5
+    residuals = np.abs(m - herm).max(axis=(1, 2)).tolist()
+    for residual in residuals:
+        if residual > ATOL_LOOSE:
+            raise NonHermitianInput(
+                f"anti-Hermitian residual {residual:.3e} exceeds {ATOL_LOOSE:.1e}"
+            )
+    herm.setflags(write=False)
+    return herm, residuals
+
+
 class HermitianOperator:
     """Immutable Hermitian matrix value.
 
     The stored matrix is the Hermitian part (M + M^dag)/2 of the input.
     The discarded anti-Hermitian residual is recorded; a residual above
     ATOL_LOOSE signals a real bug in the caller and raises instead.
+
+    Validation is one pass of `_hermitian_parts` over a (k, d, d) stack,
+    whatever k: a finiteness screen, the hermitization, and every matrix's
+    residual in one reduction. The constructor is that pass with k = 1;
+    `from_stack` validates k matrices in it at once and raises what the
+    first failing one would raise on its own.
     """
 
     __slots__ = ("matrix", "hermiticity_residual")
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must be finite")
-        herm = 0.5 * (m + m.conj().T)
-        residual = float(np.abs(m - herm).max())
-        if residual > ATOL_LOOSE:
-            raise NonHermitianInput(
-                f"anti-Hermitian residual {residual:.3e} exceeds {ATOL_LOOSE:.1e}"
-            )
-        herm.setflags(write=False)
-        object.__setattr__(self, "matrix", herm)
-        object.__setattr__(self, "hermiticity_residual", residual)
+        herm, residuals = _hermitian_parts(np.asarray(matrix, dtype=complex)[None])
+        _set_matrix(self, herm[0])
+        _set_residual(self, residuals[0])
+
+    @classmethod
+    def from_stack(cls, matrices) -> tuple:
+        """One validated operator per matrix of a (k, d, d) stack."""
+        herm, residuals = _hermitian_parts(np.asarray(matrices, dtype=complex))
+        ops = []
+        for h, residual in zip(herm, residuals):
+            op = object.__new__(cls)
+            _set_matrix(op, h)
+            _set_residual(op, residual)
+            ops.append(op)
+        return tuple(ops)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianOperator is immutable")
@@ -53,7 +91,7 @@ class HermitianOperator:
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        return float(self.matrix.trace().real)
 
     def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
         _check_same_dim(self, other)
@@ -81,6 +119,11 @@ class HermitianOperator:
         if re.shape != (dim, dim) or im.shape != (dim, dim):
             raise ValueError("matrix JSON shape does not match dim")
         return cls(re + 1j * im)
+
+
+# the slots' own setters, bypassing the __setattr__ that keeps values immutable
+_set_matrix = HermitianOperator.matrix.__set__
+_set_residual = HermitianOperator.hermiticity_residual.__set__
 
 
 def identity(dim: int) -> HermitianOperator:

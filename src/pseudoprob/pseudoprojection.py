@@ -171,11 +171,16 @@ def hermitized_product(mats, order) -> np.ndarray:
     """(A_sigma + A_sigma^dag)/2 for the ordered product A_sigma of `mats`,
     each a (d, d) matrix or a (..., d, d) stack; stacks broadcast, so
     generators on separate grid axes give the product over their outcome
-    grid, grown one axis at a time."""
+    grid, grown one axis at a time. The product is hermitized in place, so
+    the peak holds it and its conjugate beside the level below it."""
     prod = mats[order[0]]
     for k in order[1:]:
         prod = prod @ mats[k]
-    return 0.5 * (prod + prod.conj().swapaxes(-1, -2))
+    if len(order) == 1:  # never write the caller's matrix
+        prod = prod.copy()
+    prod += prod.conj().swapaxes(-1, -2)
+    prod *= 0.5
+    return prod
 
 
 def distinct_unit_matrices(mats):

@@ -8,6 +8,7 @@ be negative; that negativity is the non-classicality witness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,9 +57,16 @@ MAX_CANDIDATE_BLOCKS = 1 << 14
 MAX_LATTICE_ENTRIES = 1 << 22
 
 
-def canonical_outcome_tuples(observables) -> tuple:
-    """Product of per-observable outcomes, first-listed outcome first."""
-    return tuple(itertools.product(*(obs.outcomes for obs in observables)))
+@functools.lru_cache(maxsize=16)
+def _outcome_table(key: tuple) -> tuple:
+    """(outcome tuples, tuple -> index) for per-observable labels given as
+    (type, label) pairs: the product of the outcomes, first-listed first.
+
+    The types are part of the key because labels that compare equal, such
+    as 1, 1.0 and np.int64(1), hash alike and would otherwise share a table.
+    """
+    tuples = tuple(itertools.product(*([a for _, a in labels] for labels in key)))
+    return tuples, {t: i for i, t in enumerate(tuples)}
 
 
 class Scheme:
@@ -68,7 +76,9 @@ class Scheme:
 
     def __init__(self, observables, recipe: Recipe, state: DensityMatrix, values):
         observables = tuple(observables)
-        tuples = canonical_outcome_tuples(observables)
+        tuples, index = _outcome_table(
+            tuple([tuple([(type(a), a) for a, _ in obs.resolution]) for obs in observables])
+        )
         values = np.asarray(values, dtype=float).reshape(-1)
         if len(values) != len(tuples):
             raise ValueError(f"expected {len(tuples)} entries, got {len(values)}")
@@ -84,7 +94,7 @@ class Scheme:
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "outcome_tuples", tuples)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_index", {t: i for i, t in enumerate(tuples)})
+        object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scheme is immutable")
@@ -151,7 +161,13 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
     elif recipe.kind == "weyl":
         op = weyl_matrix(mats)
     else:
-        op = sum(w * hermitized_product(mats, c) for w, c in terms)
+        (w, c), *more = terms
+        op = hermitized_product(mats, c)
+        op *= w
+        for w, c in more:
+            h = hermitized_product(mats, c)
+            h *= w
+            op += h
     # Tr(rho P) = sum_ij rho_ij P_ji = vec(P) . vec(rho^T)
     values = op.reshape(-1, d * d) @ rho.matrix.T.reshape(-1)
     residue = float(np.abs(values.imag).max())

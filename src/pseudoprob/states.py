@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,13 +17,31 @@ from .tolerances import ATOL_LOOSE, RESIDUAL_ATOL, ROUNDING_ATOL
 _NORM_MIN = 1e-6
 _NORM_MAX = 1e6
 
+# 1/2 times the qubit identity, the constant term of (1 + sigma . v)/2
+_HALF_I2 = 0.5 * np.eye(2)
+_HALF_I2.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=64)
+def _identity(dim: int) -> np.ndarray:
+    """Read-only complex dim x dim identity, made once per dimension."""
+    eye = np.eye(dim, dtype=complex)
+    eye.setflags(write=False)
+    return eye
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real vector: np.linalg.norm's sqrt(v . v) as a
+    Python float, without its dispatch."""
+    return math.sqrt(v.dot(v))
+
 
 def direction(v) -> np.ndarray:
     """Unit 3-vector from any nonzero 3-vector (normalised here)."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"direction needs a 3-vector, got shape {v.shape}")
-    n = float(np.linalg.norm(v))
+    n = _norm(v)
     if not (_NORM_MIN <= n <= _NORM_MAX):
         raise ValueError(f"direction norm {n:.3e} outside [{_NORM_MIN}, {_NORM_MAX}]")
     u = v / n
@@ -34,7 +54,7 @@ def bloch_vector(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (3,):
         raise ValueError(f"Bloch vector needs a 3-vector, got shape {p.shape}")
-    n = float(np.linalg.norm(p))
+    n = _norm(p)
     if n > 1.0 + ROUNDING_ATOL:
         raise UnphysicalBloch(f"|P| = {n} exceeds 1")
     p = p.copy()
@@ -44,10 +64,8 @@ def bloch_vector(p) -> np.ndarray:
 
 def pauli_matrix(v) -> np.ndarray:
     """sigma . v as a 2x2 complex array (v need not be normalised)."""
-    v = np.asarray(v, dtype=float)
-    return np.array(
-        [[v[2], v[0] - 1j * v[1]], [v[0] + 1j * v[1], -v[2]]], dtype=complex
-    )
+    x, y, z = np.asarray(v, dtype=float).tolist()
+    return np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -121,7 +139,7 @@ class DensityMatrix:
 def density_from_bloch(p) -> DensityMatrix:
     """Qubit state (1 + sigma . P)/2 for polarisation P, |P| <= 1."""
     p = bloch_vector(p)
-    return DensityMatrix(HermitianOperator(0.5 * np.eye(2) + 0.5 * pauli_matrix(p)))
+    return DensityMatrix(HermitianOperator(_HALF_I2 + 0.5 * pauli_matrix(p)))
 
 
 def bloch_from_density(rho) -> np.ndarray:
@@ -143,7 +161,71 @@ def projector_from_direction(m, outcome: int) -> HermitianOperator:
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
     mhat = direction(m)
-    return HermitianOperator(0.5 * np.eye(2) + 0.5 * pauli_matrix(outcome * mhat))
+    return HermitianOperator(_HALF_I2 + 0.5 * pauli_matrix(outcome * mhat))
+
+
+def _label_value(a) -> float:
+    """Outcome label `a` as the real number it weighs its projector with."""
+    try:
+        value = float(a)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise InvalidState(f"outcome label {a!r} is not a finite real number")
+    return value
+
+
+def _checked_in_order(res, op: HermitianOperator) -> np.ndarray:
+    """The resolution's (k, d, d) projector stack, after each check in turn;
+    the first that fails raises. This order is the one reported."""
+    dim = op.dim
+    # projectors before the first of another dimension are checked for
+    # idempotency first, as a walk through the resolution would
+    k = next((i for i, (_, p) in enumerate(res) if p.dim != dim), len(res))
+    stack = np.array([p.matrix for _, p in res[:k]]).reshape(k, dim, dim)
+    loose = np.abs(stack @ stack - stack).max(axis=(1, 2)) > RESIDUAL_ATOL
+    if loose.any():
+        a = res[int(loose.argmax())][0]
+        raise NotAProjector(f"resolution entry for outcome {a} is not idempotent")
+    if k < len(res):
+        raise InvalidState("projector dimension differs from observable")
+    for i in range(k - 1):
+        if np.abs(stack[i] @ stack[i + 1:]).max() > RESIDUAL_ATOL:
+            raise InvalidState("resolution projectors are not orthogonal")
+    if np.abs(stack.sum(axis=0) - _identity(dim)).max() > RESIDUAL_ATOL:
+        raise InvalidState("resolution projectors do not sum to identity")
+    labels = np.array([_label_value(a) for a, _ in res]).reshape(k, 1, 1)
+    if np.abs((labels * stack).sum(axis=0) - op.matrix).max() > RESIDUAL_ATOL:
+        raise InvalidState("resolution does not recompose the observable")
+    return stack
+
+
+def _stack_if_valid(res, op: HermitianOperator) -> np.ndarray | None:
+    """The resolution's (k, d, d) projector stack if it passes every check
+    of `_checked_in_order`, else None, in one pass: each residual computed
+    as that function computes it, and all reduced together. P_i^2 - P_i,
+    P_0 P_j (j > 0), the sum less the identity and the recomposition less
+    the operator share one reduction, and each later row P_i P_j (j > i > 0)
+    takes one more, so nothing k^2 d^2 in size is held."""
+    dim = op.dim
+    if any(p.dim != dim for _, p in res):
+        return None
+    try:
+        labels = [_label_value(a) for a, _ in res]
+    except InvalidState:
+        return None
+    k = len(res)
+    stack = np.array([p.matrix for _, p in res]).reshape(k, dim, dim)
+    labels = np.array(labels).reshape(k, 1, 1)
+    worst = np.abs(np.concatenate([
+        stack @ stack - stack,
+        stack[:1] @ stack[1:],
+        (stack.sum(axis=0) - _identity(dim))[None],
+        ((labels * stack).sum(axis=0) - op.matrix)[None],
+    ])).max()
+    for i in range(1, k - 1):
+        worst = max(worst, np.abs(stack[i] @ stack[i + 1:]).max())
+    return stack if worst <= RESIDUAL_ATOL else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,11 +233,19 @@ class Observable:
     """Hermitian operator with its eigen-resolution sum_i a_i pi_i.
 
     The resolution is a sequence of (outcome, projector) pairs whose
-    projectors are idempotent, mutually orthogonal and sum to the identity.
-    `projectors` holds those projectors' matrices as one read-only (k, d, d)
-    stack in resolution order: the form every check here and `build_scheme`
-    read. `axis` carries the generating unit vector for qubit observables
-    built from a direction (used for JSON output); it is None otherwise.
+    projectors are idempotent, mutually orthogonal and sum to the identity,
+    and whose outcome labels are distinct finite real numbers that recompose
+    the operator. `projectors` holds those projectors' matrices as one
+    read-only (k, d, d) stack in resolution order: the form every check here
+    and `build_scheme` read. `axis` carries the generating unit vector for
+    qubit observables built from a direction (used for JSON output); it is
+    None otherwise.
+
+    Validation is one pass: every check's residual is computed once over
+    that stack and all are reduced together against RESIDUAL_ATOL. Only when
+    one exceeds it do the checks run one at a time, in a fixed order
+    (idempotency, dimension, orthogonality, sum to the identity, labels,
+    recomposition, then repeated labels), to report the first that fails.
     """
 
     op: HermitianOperator
@@ -166,25 +256,9 @@ class Observable:
     def __post_init__(self):
         res = tuple((a, p) for a, p in self.resolution)
         object.__setattr__(self, "resolution", res)
-        dim = self.op.dim
-        # projectors before the first of another dimension are checked for
-        # idempotency first, as a walk through the resolution would
-        k = next((i for i, (_, p) in enumerate(res) if p.dim != dim), len(res))
-        stack = np.array([p.matrix for _, p in res[:k]]).reshape(k, dim, dim)
-        loose = np.abs(stack @ stack - stack).max(axis=(1, 2)) > RESIDUAL_ATOL
-        if loose.any():
-            a = res[int(loose.argmax())][0]
-            raise NotAProjector(f"resolution entry for outcome {a} is not idempotent")
-        if k < len(res):
-            raise InvalidState("projector dimension differs from observable")
-        for i in range(k - 1):
-            if np.abs(stack[i] @ stack[i + 1:]).max() > RESIDUAL_ATOL:
-                raise InvalidState("resolution projectors are not orthogonal")
-        if np.abs(stack.sum(axis=0) - np.eye(dim)).max() > RESIDUAL_ATOL:
-            raise InvalidState("resolution projectors do not sum to identity")
-        labels = np.array([float(a) for a, _ in res]).reshape(k, 1, 1)
-        if np.abs((labels * stack).sum(axis=0) - self.op.matrix).max() > RESIDUAL_ATOL:
-            raise InvalidState("resolution does not recompose the observable")
+        stack = _stack_if_valid(res, self.op)
+        if stack is None:
+            stack = _checked_in_order(res, self.op)
         # outcome tuples name projectors by label, so labels must differ
         outcomes = self.outcomes
         repeated = [a for a in outcomes if outcomes.count(a) > 1]
@@ -216,14 +290,9 @@ def observable_from_direction(m) -> Observable:
     """
     mhat = direction(m)
     sigma = pauli_matrix(mhat)
-    return Observable(
-        op=HermitianOperator(sigma),
-        resolution=(
-            (1, HermitianOperator(0.5 * np.eye(2) + 0.5 * sigma)),
-            (-1, HermitianOperator(0.5 * np.eye(2) - 0.5 * sigma)),
-        ),
-        axis=mhat,
-    )
+    half = 0.5 * sigma
+    op, up, down = HermitianOperator.from_stack([sigma, _HALF_I2 + half, _HALF_I2 - half])
+    return Observable(op=op, resolution=((1, up), (-1, down)), axis=mhat)
 
 
 def state_from_json(obj: dict) -> DensityMatrix:

@@ -85,6 +85,66 @@ class TestConstruction:
             HermitianOperator.from_json({"dim": 3, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})
 
 
+BAD_MATRICES = {
+    "nan": [[np.nan, 0], [0, 1]],
+    "inf": [[1, np.inf], [np.inf, 1]],
+    "nan_imaginary": [[1, complex(0, np.nan)], [0, 1]],
+    "inf_imaginary": [[1, complex(0, np.inf)], [complex(0, -np.inf), 1]],
+    "non_hermitian": [[0, 1], [0, 0]],
+}
+
+
+def raised(call):
+    try:
+        call()
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestFromStack:
+    # one pass over a (k, d, d) stack validates like k single constructors
+
+    def test_values_and_residuals_equal_single_constructor(self):
+        rng = np.random.default_rng(31)
+        for dim in (1, 2, 3, 5):
+            z = rng.normal(size=(4, dim, dim)) + 1j * rng.normal(size=(4, dim, dim))
+            mats = 0.5 * (z + z.conj().swapaxes(1, 2))
+            mats[1] += 1e-12 * rng.normal(size=(dim, dim))  # a small residual
+            mats[2] += 1j * 3e-11 * rng.normal(size=(dim, dim))
+            ops = HermitianOperator.from_stack(mats)
+            assert len(ops) == 4
+            for op, m in zip(ops, mats):
+                single = HermitianOperator(m)
+                assert np.array_equal(op.matrix, single.matrix)
+                assert op.hermiticity_residual == single.hermiticity_residual
+                assert not op.matrix.flags.writeable
+                assert op.dim == dim
+
+    @pytest.mark.parametrize("name", sorted(BAD_MATRICES))
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_fault_raises_as_single_constructor(self, name, position):
+        bad = np.array(BAD_MATRICES[name], dtype=complex)
+        expected = raised(lambda: HermitianOperator(bad))
+        assert expected is not None
+        stack = [np.eye(2), 0.5 * np.eye(2), SIGMA_X.matrix]
+        stack.insert(position, bad)
+        assert raised(lambda: HermitianOperator.from_stack(stack)) == expected
+
+    def test_non_square_raises_as_single_constructor(self):
+        expected = raised(lambda: HermitianOperator(np.zeros((2, 3))))
+        assert expected == (ValueError, "expected a square matrix, got shape (2, 3)")
+        assert raised(lambda: HermitianOperator.from_stack(np.zeros((4, 2, 3)))) == expected
+
+    @pytest.mark.parametrize("first, second", [
+        ("non_hermitian", "nan"), ("inf", "non_hermitian"), ("nan_imaginary", "inf"),
+    ])
+    def test_first_faulty_matrix_is_reported(self, first, second):
+        stack = [np.eye(2), BAD_MATRICES[first], BAD_MATRICES[second]]
+        expected = raised(lambda: HermitianOperator(np.array(BAD_MATRICES[first], dtype=complex)))
+        assert raised(lambda: HermitianOperator.from_stack(stack)) == expected
+
+
 class TestSymmetrizedProduct:
     def test_sigma_x_squared_is_identity(self):
         out = symmetrized_product(SIGMA_X, SIGMA_X)

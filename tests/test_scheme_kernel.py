@@ -210,6 +210,29 @@ class TestMemoryBound:
             tracemalloc.stop()
         assert peak <= bound
 
+    def test_unit_hermitizes_in_place(self):
+        # the same input under unit:3, whose lattice (as MAX_LATTICE_ENTRIES
+        # counts it) is the one class's product over the 12^4 outcome
+        # tuples: hermitizing it in place keeps the peak near two copies of
+        # it (~2.0x), against ~3.0x with new arrays for the conjugate sum
+        rho, obs = random_case(84, 12, 4)
+        recipe = Recipe.unit(3)
+        bound = 2.5 * 16 * 12 ** 4 * 12 * 12
+        build_scheme(rho, obs, recipe)
+        tracemalloc.start()
+        try:
+            build_scheme(rho, obs, recipe)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    def test_unit_leaves_a_single_generator_alone(self):
+        _, (obs,) = random_case(9, 3, 1)
+        got = hermitized_product([obs.projectors], (0,))
+        assert not np.shares_memory(got, obs.projectors)
+        assert np.array_equal(got, obs.projectors)
+
 
 def grouped_observable(rng, d, k):
     """Observable with outcomes 0..k-1 whose projectors span near-equal

@@ -7,6 +7,7 @@ from pseudoprob import (
     DensityMatrix,
     InvalidRecipe,
     InvalidState,
+    Observable,
     PairGeometry,
     PartitionSearchTooLarge,
     Recipe,
@@ -143,6 +144,49 @@ class TestBuildScheme:
         for a in obs_b.outcomes:
             born = trace_with(obs_b.projector(a), rho.op)
             assert marg.entry((a,)) == pytest.approx(born, abs=1e-12)
+
+
+def relabelled(obs, labels):
+    """`obs` with its outcomes renamed `labels`, which compare equal to them."""
+    projs = [p for _, p in obs.resolution]
+    return Observable(op=obs.op, resolution=tuple(zip(labels, projs)), axis=obs.axis)
+
+
+class TestOutcomeTuples:
+    # outcome tables are cached per outcome labels; labels that compare
+    # equal but differ in type must not share one
+
+    @pytest.mark.parametrize("labels", [(1.0, -1.0), (np.int64(1), np.int64(-1))])
+    def test_labels_keep_their_type_after_int_labels(self, labels):
+        obs = [observable_from_direction((0, 0, 1)), observable_from_direction((1, 0, 1))]
+        rho = density_from_bloch((0.3, -0.2, 0.5))
+        ints = build_scheme(rho, obs)
+        assert [type(a) for t in ints.outcome_tuples for a in t] == [int] * 8
+        other = build_scheme(rho, [relabelled(o, labels) for o in obs])
+        assert other.outcome_tuples == ints.outcome_tuples
+        assert [type(a) for t in other.outcome_tuples for a in t] == [type(labels[0])] * 8
+        assert list(other.as_dict()) == list(other.outcome_tuples)
+        again = build_scheme(rho, obs)
+        assert [type(a) for t in again.outcome_tuples for a in t] == [int] * 8
+
+    def test_entry_and_as_dict_on_cached_tables(self):
+        obs = coplanar_observables()
+        rho = density_from_bloch((0.1, 0.2, -0.3))
+        first = build_scheme(rho, obs)
+        for recipe in (Recipe.weyl(), Recipe.unit(1)):
+            scheme = build_scheme(rho, obs, recipe)
+            assert scheme.outcome_tuples is first.outcome_tuples
+            table = scheme.as_dict()
+            assert list(table) == list(scheme.outcome_tuples)
+            for i, t in enumerate(scheme.outcome_tuples):
+                assert scheme.entry(t) == table[t] == scheme.values[i]
+                assert scheme.entry(list(t)) == scheme.values[i]
+            with pytest.raises(KeyError):
+                scheme.entry((1, 1, 0))
+        # a marginal's table is the one of its own observables
+        marg = marginal(first, [0, 2])
+        assert marg.outcome_tuples == ((1, 1), (1, -1), (-1, 1), (-1, -1))
+        assert marg.entry((-1, 1)) == marg.as_dict()[(-1, 1)]
 
 
 class TestMarginal:

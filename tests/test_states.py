@@ -61,6 +61,15 @@ class TestDensityFromBloch:
         with pytest.raises(UnphysicalBloch):
             density_from_bloch((1.0, 1.0, 0.0))
 
+    def test_entries_written_out(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            x, y, z = p = oracles.rand_bloch(rng)
+            rho = density_from_bloch(p)
+            expected = 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
+            assert np.array_equal(rho.matrix, expected)
+            assert rho.op.hermiticity_residual == 0.0
+
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -157,6 +166,23 @@ class TestObservable:
             assert np.abs(obs.op.matrix - pauli_matrix(m)).max() <= 1e-12
             assert obs.outcomes == (1, -1)
 
+    def test_from_direction_written_out(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            m = rng.normal(size=3)
+            x, y, z = m / np.linalg.norm(m)
+            obs = observable_from_direction(m)
+            sigma = np.array([[z, x - 1j * y], [x + 1j * y, -z]])
+            up = 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
+            down = 0.5 * np.array([[1 - z, -x + 1j * y], [-x - 1j * y, 1 + z]])
+            assert np.array_equal(obs.op.matrix, sigma)
+            assert np.array_equal(obs.projector(1).matrix, up)
+            assert np.array_equal(obs.projector(-1).matrix, down)
+            assert np.array_equal(obs.axis, [x, y, z])
+            for _, p in obs.resolution:
+                assert p.hermiticity_residual == 0.0
+                assert not p.matrix.flags.writeable
+
     def test_projector_lookup(self):
         obs = observable_from_direction((0, 0, 1))
         assert np.allclose(obs.projector(1).matrix, np.diag([1.0, 0.0]))
@@ -221,6 +247,10 @@ class TestObservable:
         ((1,), ("up",), InvalidState, "do not sum to identity"),
         # also repeats a label
         ((1, 1), ("up", "down"), InvalidState, "does not recompose"),
+        # a non-numeric label is named after orthogonality ...
+        (("a", -1), ("up", "plus_x"), InvalidState, "not orthogonal"),
+        # ... and before a repeated label
+        (("a", "a"), ("up", "down"), InvalidState, "'a' is not a finite real number"),
     ])
     def test_first_failing_check_is_reported(self, labels, projectors, error, message):
         mats = {
@@ -230,6 +260,20 @@ class TestObservable:
         res = tuple((a, HermitianOperator(mats[p])) for a, p in zip(labels, projectors))
         with pytest.raises(error, match=message):
             Observable(op=HermitianOperator(np.diag([1.0, -1.0])), resolution=res)
+
+    @pytest.mark.parametrize("label", ["a", None, 1 + 2j, math.nan, math.inf])
+    def test_rejects_label_that_is_not_a_finite_real(self, label):
+        up = projector_from_direction((0, 0, 1), 1)
+        down = projector_from_direction((0, 0, 1), -1)
+        with pytest.raises(InvalidState, match="is not a finite real number"):
+            Observable(op=up - down, resolution=((label, up), (-1, down)))
+
+    def test_numeric_labels_of_other_types_are_accepted(self):
+        up = projector_from_direction((0, 0, 1), 1)
+        down = projector_from_direction((0, 0, 1), -1)
+        for labels in ((1.0, -1.0), (np.int64(1), np.int64(-1)), (np.float32(1), -1)):
+            obs = Observable(op=up - down, resolution=tuple(zip(labels, (up, down))))
+            assert obs.outcomes == labels
 
     def test_higher_dim_observable(self):
         # generic observables supply their own resolution in any dimension
