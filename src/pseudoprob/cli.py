@@ -28,7 +28,7 @@ from .qubit import (
     negativity_special,
     pair_entries,
 )
-from .schemes import build_scheme, scheme_to_json
+from .schemes import build_scheme, check_eps, scheme_to_json
 from .states import direction, direction_from_json, observable_from_direction, state_from_json
 from .tolerances import CLASSICALITY_EPS, COMMUTATOR_CUTOFF, NEGATIVE_EIG_CUTOFF, THETA_MARGIN
 from . import entanglement as ent
@@ -93,11 +93,12 @@ def _load_json_file(path: str) -> dict:
         raise CliInputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _parse_floats(text: str, n: int, what: str) -> list[float]:
+def _parse_numbers(text: str, n: int, what: str, kind=float) -> list:
     try:
-        vals = [float(tok) for tok in text.split(",")]
+        vals = [kind(tok) for tok in text.split(",")]
     except ValueError as exc:
-        raise CliInputError(f"{what}: expected comma-separated numbers, got {text!r}") from exc
+        noun = "integers" if kind is int else "numbers"
+        raise CliInputError(f"{what}: expected comma-separated {noun}, got {text!r}") from exc
     if len(vals) != n:
         raise CliInputError(f"{what}: expected {n} components, got {len(vals)}")
     return vals
@@ -118,7 +119,7 @@ def _parse_dirs(tokens: list[str] | None, dirs_file: str | None) -> list[np.ndar
         elif tok == "coplanar120":
             out.extend(coplanar_triple_directions())
         else:
-            out.append(direction(_parse_floats(tok, 3, f"direction {tok!r}")))
+            out.append(direction(_parse_numbers(tok, 3, f"direction {tok!r}")))
     return out
 
 
@@ -165,7 +166,7 @@ def _cmd_scheme(args) -> tuple:
     if (args.bloch is None) == (args.state is None):
         raise CliInputError("provide the state via --bloch or --state (exactly one)")
     if args.bloch is not None:
-        rho = state_from_json({"bloch": _parse_floats(args.bloch, 3, "--bloch")})
+        rho = state_from_json({"bloch": _parse_numbers(args.bloch, 3, "--bloch")})
     else:
         rho = state_from_json(_load_json_file(args.state))
     dirs = _parse_dirs(args.dirs, args.dirs_file)
@@ -254,8 +255,7 @@ def _cmd_classical_region(args) -> tuple:
 
 
 def _cmd_spectrum(args) -> tuple:
-    ranks = _parse_floats(args.ranks, 2, "--ranks")
-    r1, r2 = int(ranks[0]), int(ranks[1])
+    r1, r2 = _parse_numbers(args.ranks, 2, "--ranks", kind=int)
     if not (1 <= r1 <= args.dim and 1 <= r2 <= args.dim):
         raise CliInputError(f"ranks {r1},{r2} out of range for dim {args.dim}")
     rng = np.random.default_rng(args.seed)
@@ -311,6 +311,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _eps(text: str) -> float:
+    try:
+        return check_eps(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -322,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress the metadata timestamp for byte-identical reruns",
     )
     common.add_argument(
-        "--eps", type=float, default=CLASSICALITY_EPS, help="classicality tolerance"
+        "--eps", type=_eps, default=CLASSICALITY_EPS, help="classicality tolerance"
     )
     common.add_argument(
         "--degrees", action="store_true", help="interpret angle inputs as degrees"

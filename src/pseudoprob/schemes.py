@@ -8,7 +8,6 @@ be negative; that negativity is the non-classicality witness.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -57,36 +56,37 @@ MAX_CANDIDATE_BLOCKS = 1 << 14
 MAX_LATTICE_ENTRIES = 1 << 22
 
 
-@functools.lru_cache(maxsize=16)
-def _outcome_table(key: tuple) -> tuple:
-    """(outcome tuples, tuple -> index) for per-observable labels given as
-    (type, label) pairs: the product of the outcomes, first-listed first.
-
-    The types are part of the key because labels that compare equal, such
-    as 1, 1.0 and np.int64(1), hash alike and would otherwise share a table.
-    """
-    tuples = tuple(itertools.product(*([a for _, a in labels] for labels in key)))
-    return tuples, {t: i for i, t in enumerate(tuples)}
+def check_eps(eps: float) -> float:
+    """`eps` if it is a finite number >= 0, else ValueError: a NaN classicality
+    tolerance would call every scheme classical."""
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
+    return eps
 
 
 class Scheme:
-    """Complete pseudo-probability table for a state and observable set."""
+    """Complete pseudo-probability table for a state and observable set.
 
-    __slots__ = ("observables", "recipe", "state", "outcome_tuples", "values", "_index")
+    `outcome_tuples` is the product of the observables' `outcomes`, the first
+    observable's varying slowest; `values[i]` is the entry of
+    `outcome_tuples[i]`.
+    """
+
+    __slots__ = ("observables", "recipe", "state", "outcome_tuples", "values")
 
     def __init__(self, observables, recipe: Recipe, state: DensityMatrix, values):
         observables = tuple(observables)
-        tuples, index = _outcome_table(
-            tuple([tuple([(type(a), a) for a, _ in obs.resolution]) for obs in observables])
-        )
+        tuples = tuple(itertools.product(*[obs.outcomes for obs in observables]))
         values = np.asarray(values, dtype=float).reshape(-1)
         if len(values) != len(tuples):
             raise ValueError(f"expected {len(tuples)} entries, got {len(values)}")
-        total = float(values.sum())
-        if abs(total - 1.0) > RESIDUAL_ATOL:
-            raise InvalidState(f"scheme entries sum to {total!r}, not 1")
-        if values.min() < ENTRY_MIN or values.max() > ENTRY_MAX:
+        # written so that NaN fails them; the bounds come first, so that inf
+        # and -inf are never summed (numpy warns on that)
+        if not (values.min() >= ENTRY_MIN and values.max() <= ENTRY_MAX):
             raise InvalidState("scheme entry outside sanity bounds [-1, 2]")
+        total = float(values.sum())
+        if not abs(total - 1.0) <= RESIDUAL_ATOL:
+            raise InvalidState(f"scheme entries sum to {total!r}, not 1")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "observables", observables)
@@ -94,7 +94,6 @@ class Scheme:
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "outcome_tuples", tuples)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scheme is immutable")
@@ -104,7 +103,15 @@ class Scheme:
         return len(self.observables)
 
     def entry(self, outcomes) -> float:
-        return float(self.values[self._index[tuple(outcomes)]])
+        """The entry of one outcome tuple, at its mixed-radix flat index."""
+        index = 0
+        try:
+            for obs, a in zip(self.observables, outcomes, strict=True):
+                labels = obs.outcomes
+                index = index * len(labels) + labels.index(a)
+        except ValueError:
+            raise KeyError(f"no outcome tuple {outcomes!r} in scheme") from None
+        return float(self.values[index])
 
     def as_dict(self) -> dict:
         return {t: float(v) for t, v in zip(self.outcome_tuples, self.values)}
@@ -116,11 +123,12 @@ class Scheme:
 def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) -> Scheme:
     """Evaluate Tr(rho P) for the pseudo-projection P of every outcome tuple.
 
-    For a single observable every recipe reduces to the Born rule and is
-    not checked. Otherwise a unit/weights recipe is checked once against
-    the N!/2 reversal classes of `ordering_classes`, and every tuple's P is
-    built from the same classes, whether or not that tuple's projectors
-    commute; only classes with a nonzero weight are evaluated.
+    For a single observable every recipe reduces to the Born rule: it is not
+    checked, and the Weyl product of one projector is that projector.
+    Otherwise a unit/weights recipe is checked once against the N!/2
+    reversal classes of `ordering_classes`, and every tuple's P is built
+    from the same classes, whether or not that tuple's projectors commute;
+    only classes with a nonzero weight are evaluated.
 
     Observable i's `projectors` stack sits on axis i of the outcome grid,
     viewed as (1, ..., k_i, ..., 1, d, d), so the recipe's products broadcast
@@ -142,11 +150,12 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
             raise DimensionMismatch(f"observable dim {obs.dim} vs state dim {rho.dim}")
     d = rho.dim
     counts = [len(obs.projectors) for obs in observables]
-    if n > 1 and recipe.kind != "weyl":
+    if n == 1 or recipe.kind == "weyl":
+        terms = None
+        entries = math.prod(1 + k for k in counts) * d * d
+    else:
         terms = recipe.terms(ordering_classes(n))
         entries = len(terms) * math.prod(counts) * d * d
-    else:
-        entries = math.prod(1 + k for k in counts) * d * d
     if entries > MAX_LATTICE_ENTRIES:
         raise OrderingExplosion(
             f"outcome lattice of {entries} entries exceeds the cap {MAX_LATTICE_ENTRIES}"
@@ -156,9 +165,7 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
         obs.projectors.reshape((1,) * i + (k,) + (1,) * (n - 1 - i) + (d, d))
         for i, (obs, k) in enumerate(zip(observables, counts))
     ]
-    if n == 1:
-        op = mats[0]
-    elif recipe.kind == "weyl":
+    if terms is None:
         op = weyl_matrix(mats)
     else:
         (w, c), *more = terms
@@ -212,7 +219,11 @@ class Classification:
 
 
 def classify(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> Classification:
-    """Classical verdict plus the negative entries, most negative first."""
+    """Classical verdict plus the negative entries, most negative first.
+
+    `eps` must be a finite number >= 0; anything else raises ValueError.
+    """
+    check_eps(eps)
     neg = [
         (t, float(v))
         for t, v in zip(scheme.outcome_tuples, scheme.values)
@@ -256,8 +267,10 @@ def minimal_coarse_graining(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> Co
     in increasing block order, and adds up the co-optimal counts instead of
     listing the partitions. More than MAX_PARTITION_EVENTS events, or more
     than MAX_CANDIDATE_BLOCKS candidate blocks and singletons, raise
-    PartitionSearchTooLarge before the search.
+    PartitionSearchTooLarge before the search. `eps` must be a finite number
+    >= 0; anything else raises ValueError.
     """
+    check_eps(eps)
     values = [float(v) for v in scheme.values]
     n = len(values)
     if n > MAX_PARTITION_EVENTS:

@@ -165,67 +165,58 @@ def projector_from_direction(m, outcome: int) -> HermitianOperator:
 
 
 def _label_value(a) -> float:
-    """Outcome label `a` as the real number it weighs its projector with."""
+    """Outcome label `a` as the real number it weighs its projector with, or
+    NaN if it is not a finite real number (NaN, unlike inf, weighs a zero
+    entry without a warning)."""
     try:
         value = float(a)
     except (TypeError, ValueError, OverflowError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise InvalidState(f"outcome label {a!r} is not a finite real number")
-    return value
+        return math.nan
+    return value if math.isfinite(value) else math.nan
 
 
-def _checked_in_order(res, op: HermitianOperator) -> np.ndarray:
-    """The resolution's (k, d, d) projector stack, after each check in turn;
-    the first that fails raises. This order is the one reported."""
-    dim = op.dim
-    # projectors before the first of another dimension are checked for
-    # idempotency first, as a walk through the resolution would
-    k = next((i for i, (_, p) in enumerate(res) if p.dim != dim), len(res))
-    stack = np.array([p.matrix for _, p in res[:k]]).reshape(k, dim, dim)
-    loose = np.abs(stack @ stack - stack).max(axis=(1, 2)) > RESIDUAL_ATOL
-    if loose.any():
-        a = res[int(loose.argmax())][0]
-        raise NotAProjector(f"resolution entry for outcome {a} is not idempotent")
-    if k < len(res):
+def _validated_stack(res, op: HermitianOperator) -> np.ndarray:
+    """The resolution's (k, d, d) projector stack after the checks of
+    `Observable`, in its order. P_i^2 - P_i, P_0 P_j (j > 0), the sum less
+    the identity and the recomposition less the operator are reduced in one
+    call; each later row P_i P_j (j > i > 0) takes one more, so nothing k^2 d^2
+    in size is held. Projectors before the first of another dimension are
+    checked for idempotency before it is reported, as a walk would."""
+    dim, k = op.dim, len(res)
+    m = next((i for i, (_, p) in enumerate(res) if p.dim != dim), k)
+    stack = np.array([p.matrix for _, p in res[:m]]).reshape(m, dim, dim)
+    labels = [_label_value(a) for a, _ in res]
+    parts = [stack @ stack - stack]
+    if m == k:
+        parts += [
+            stack[:1] @ stack[1:],
+            (stack.sum(axis=0) - _identity(dim))[None],
+            ((np.array(labels).reshape(k, 1, 1) * stack).sum(axis=0) - op.matrix)[None],
+        ]
+    worst = np.abs(np.concatenate(parts)).max(axis=(1, 2)).tolist()
+    for (a, _), r in zip(res, worst):
+        if r > RESIDUAL_ATOL:
+            raise NotAProjector(f"resolution entry for outcome {a} is not idempotent")
+    if m < k:
         raise InvalidState("projector dimension differs from observable")
-    for i in range(k - 1):
-        if np.abs(stack[i] @ stack[i + 1:]).max() > RESIDUAL_ATOL:
-            raise InvalidState("resolution projectors are not orthogonal")
-    if np.abs(stack.sum(axis=0) - _identity(dim)).max() > RESIDUAL_ATOL:
-        raise InvalidState("resolution projectors do not sum to identity")
-    labels = np.array([_label_value(a) for a, _ in res]).reshape(k, 1, 1)
-    if np.abs((labels * stack).sum(axis=0) - op.matrix).max() > RESIDUAL_ATOL:
-        raise InvalidState("resolution does not recompose the observable")
-    return stack
-
-
-def _stack_if_valid(res, op: HermitianOperator) -> np.ndarray | None:
-    """The resolution's (k, d, d) projector stack if it passes every check
-    of `_checked_in_order`, else None, in one pass: each residual computed
-    as that function computes it, and all reduced together. P_i^2 - P_i,
-    P_0 P_j (j > 0), the sum less the identity and the recomposition less
-    the operator share one reduction, and each later row P_i P_j (j > i > 0)
-    takes one more, so nothing k^2 d^2 in size is held."""
-    dim = op.dim
-    if any(p.dim != dim for _, p in res):
-        return None
-    try:
-        labels = [_label_value(a) for a, _ in res]
-    except InvalidState:
-        return None
-    k = len(res)
-    stack = np.array([p.matrix for _, p in res]).reshape(k, dim, dim)
-    labels = np.array(labels).reshape(k, 1, 1)
-    worst = np.abs(np.concatenate([
-        stack @ stack - stack,
-        stack[:1] @ stack[1:],
-        (stack.sum(axis=0) - _identity(dim))[None],
-        ((labels * stack).sum(axis=0) - op.matrix)[None],
-    ])).max()
+    orthogonality = max(worst[k:-2], default=0.0)
     for i in range(1, k - 1):
-        worst = max(worst, np.abs(stack[i] @ stack[i + 1:]).max())
-    return stack if worst <= RESIDUAL_ATOL else None
+        orthogonality = max(orthogonality, np.abs(stack[i] @ stack[i + 1:]).max())
+    if orthogonality > RESIDUAL_ATOL:
+        raise InvalidState("resolution projectors are not orthogonal")
+    if worst[-2] > RESIDUAL_ATOL:
+        raise InvalidState("resolution projectors do not sum to identity")
+    for (a, _), value in zip(res, labels):
+        if math.isnan(value):
+            raise InvalidState(f"outcome label {a!r} is not a finite real number")
+    if worst[-1] > RESIDUAL_ATOL:
+        raise InvalidState("resolution does not recompose the observable")
+    # outcome tuples name projectors by label, so labels must differ
+    outcomes = [a for a, _ in res]
+    repeated = [a for a in outcomes if outcomes.count(a) > 1]
+    if repeated:
+        raise InvalidState(f"outcome {repeated[0]!r} repeated in resolution")
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,10 +233,10 @@ class Observable:
     None otherwise.
 
     Validation is one pass: every check's residual is computed once over
-    that stack and all are reduced together against RESIDUAL_ATOL. Only when
-    one exceeds it do the checks run one at a time, in a fixed order
-    (idempotency, dimension, orthogonality, sum to the identity, labels,
-    recomposition, then repeated labels), to report the first that fails.
+    that stack and reduced to one maximum per check. The checks are then read
+    in a fixed order (idempotency, dimension, orthogonality, sum to the
+    identity, labels, recomposition, then repeated labels), and the first
+    whose maximum exceeds RESIDUAL_ATOL raises.
     """
 
     op: HermitianOperator
@@ -256,14 +247,7 @@ class Observable:
     def __post_init__(self):
         res = tuple((a, p) for a, p in self.resolution)
         object.__setattr__(self, "resolution", res)
-        stack = _stack_if_valid(res, self.op)
-        if stack is None:
-            stack = _checked_in_order(res, self.op)
-        # outcome tuples name projectors by label, so labels must differ
-        outcomes = self.outcomes
-        repeated = [a for a in outcomes if outcomes.count(a) > 1]
-        if repeated:
-            raise InvalidState(f"outcome {repeated[0]!r} repeated in resolution")
+        stack = _validated_stack(res, self.op)
         stack.setflags(write=False)
         object.__setattr__(self, "projectors", stack)
 

@@ -141,6 +141,31 @@ class TestSchemeErrors:
         code, _, err = run(capsys, "scheme", "--bloch", "0,0,0", "--dirs", "north")
         assert code == 2
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "-1e-10"])
+    @pytest.mark.parametrize("command", [
+        ["scheme", "--bloch", "0,0,0", "--dirs", "coplanar120"],
+        ["scan-negativity", "--pnorm", "1", "--steps", "3"],
+        ["classical-region", "--family", "free-pair", "--samples", "10"],
+    ])
+    def test_eps_that_is_not_finite_and_non_negative_is_usage_error(self, capsys, command, eps):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [f"--eps={eps}"])
+        assert exc.value.code == 2
+        assert "--eps: eps must be a finite number >= 0" in capsys.readouterr().err
+
+    def test_eps_that_is_not_a_number_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scheme", "--bloch", "0,0,0", "--dirs", "z", "--eps", "small"])
+        assert exc.value.code == 2
+        assert "could not convert string to float" in capsys.readouterr().err
+
+    def test_zero_eps_is_valid(self, capsys):
+        code, out, _ = run(
+            capsys, "scheme", "--bloch", "0,0,0", "--dirs", "coplanar120", "--eps", "0"
+        )
+        assert code == 0
+        assert json.loads(out)["classical"] is False
+
 
 class TestScanNegativity:
     def test_rows_and_values(self, capsys):
@@ -323,6 +348,12 @@ class TestSpectrum:
     def test_bad_ranks(self, capsys):
         code, _, err = run(capsys, "spectrum", "--dim", "2", "--ranks", "3,1")
         assert code == 2
+
+    @pytest.mark.parametrize("ranks", ["2.7,1", "nan,1"])
+    def test_ranks_that_are_not_integers_are_usage_errors(self, capsys, ranks):
+        code, out, err = run(capsys, "spectrum", "--dim", "4", "--ranks", ranks, "--pairs", "3")
+        assert code == 2 and out == ""
+        assert "--ranks: expected comma-separated integers" in err
 
     def test_csv_summary_comments(self, capsys):
         code, out, _ = run(

@@ -117,6 +117,28 @@ class TestBuildScheme:
         with pytest.raises(InvalidState):
             Scheme(obs, Recipe.weyl(), mixed_state(), [2.5, -1.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_constructor_rejects_non_finite_entries(self, bad):
+        obs = (observable_from_direction((0, 0, 1)),)
+        for values in ([bad, 0.5], [bad, 1.0 - bad]):
+            with pytest.raises(InvalidState):
+                Scheme(obs, Recipe.weyl(), mixed_state(), values)
+        obs = coplanar_observables()[:2]
+        with pytest.raises(InvalidState):
+            Scheme(obs, Recipe.weyl(), mixed_state(), [bad, 0.5, 0.25, 0.25])
+
+    def test_single_observable_scheme_is_its_projectors(self):
+        # the one scheme path: Weyl of one projector returns it bit for bit
+        rng = np.random.default_rng(97)
+        for _ in range(50):
+            rho = density_from_bloch(oracles.rand_bloch(rng))
+            obs = observable_from_direction(oracles.rand_direction(rng))
+            expected = (obs.projectors.reshape(2, 4) @ rho.matrix.T.reshape(-1)).real
+            for recipe in (Recipe.weyl(), Recipe.unit(3), Recipe.convex((0.5, 0.5))):
+                assert np.array_equal(build_scheme(rho, [obs], recipe).values, expected)
+            born = [trace_with(p, rho.op) for _, p in obs.resolution]
+            assert np.allclose(expected, born, atol=1e-15)
+
     def test_qutrit_observables_supported(self):
         # beyond qubits, resolutions are supplied by the caller
         from pseudoprob import HermitianOperator, Observable, trace_with
@@ -153,8 +175,8 @@ def relabelled(obs, labels):
 
 
 class TestOutcomeTuples:
-    # outcome tables are cached per outcome labels; labels that compare
-    # equal but differ in type must not share one
+    # outcome tuples are built from each scheme's own labels; labels that
+    # compare equal but differ in type keep their type
 
     @pytest.mark.parametrize("labels", [(1.0, -1.0), (np.int64(1), np.int64(-1))])
     def test_labels_keep_their_type_after_int_labels(self, labels):
@@ -175,7 +197,7 @@ class TestOutcomeTuples:
         first = build_scheme(rho, obs)
         for recipe in (Recipe.weyl(), Recipe.unit(1)):
             scheme = build_scheme(rho, obs, recipe)
-            assert scheme.outcome_tuples is first.outcome_tuples
+            assert scheme.outcome_tuples == first.outcome_tuples
             table = scheme.as_dict()
             assert list(table) == list(scheme.outcome_tuples)
             for i, t in enumerate(scheme.outcome_tuples):
@@ -319,6 +341,24 @@ class TestClassify:
             )
             for (a1, a2), value in base.as_dict().items():
                 assert abs(flipped.entry((a1, -a2)) - value) <= 1e-12
+
+
+BAD_EPS = [math.nan, math.inf, -math.inf, -1e-10]
+
+
+class TestEps:
+    @pytest.mark.parametrize("eps", BAD_EPS)
+    def test_rejects_eps_that_is_not_finite_and_non_negative(self, eps):
+        scheme = build_scheme(mixed_state(), coplanar_observables())
+        for check in (classify, minimal_coarse_graining, scheme_to_json):
+            with pytest.raises(ValueError, match="eps must be a finite number"):
+                check(scheme, eps)
+
+    def test_zero_eps_is_valid(self):
+        scheme = build_scheme(mixed_state(), coplanar_observables())
+        assert not classify(scheme, 0.0).classical
+        assert minimal_coarse_graining(scheme, 0).block_count == 6
+        assert scheme_to_json(scheme, 0.0)["classical"] is False
 
 
 class TestCoarseGraining:

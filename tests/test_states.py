@@ -251,15 +251,25 @@ class TestObservable:
         (("a", -1), ("up", "plus_x"), InvalidState, "not orthogonal"),
         # ... and before a repeated label
         (("a", "a"), ("up", "down"), InvalidState, "'a' is not a finite real number"),
+        # only a later orthogonality row fails: P0 is orthogonal to P1 and P2,
+        # but P1 P2 is not zero
+        ((0, 1, 2), ("e0", "e1", "e1+e2"), InvalidState, "not orthogonal"),
+        # the first projector is of another dimension
+        ((1, -1), ("qutrit", "down"), InvalidState, "projector dimension differs"),
     ])
     def test_first_failing_check_is_reported(self, labels, projectors, error, message):
         mats = {
             "up": np.diag([1.0, 0.0]), "down": np.diag([0.0, 1.0]),
             "plus_x": 0.5 * np.ones((2, 2)), "half": 0.5 * np.eye(2), "qutrit": np.eye(3),
+            "e0": np.diag([1.0, 0.0, 0.0]), "e1": np.diag([0.0, 1.0, 0.0]),
+            "e1+e2": np.array([[0, 0, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]]),
         }
         res = tuple((a, HermitianOperator(mats[p])) for a, p in zip(labels, projectors))
+        # a qubit observable, unless every projector is a qutrit one
+        dims = {len(mats[p]) for p in projectors}
+        op = HermitianOperator(np.diag([1.0, -1.0, 0.0][:max(dims) if len(dims) == 1 else 2]))
         with pytest.raises(error, match=message):
-            Observable(op=HermitianOperator(np.diag([1.0, -1.0])), resolution=res)
+            Observable(op=op, resolution=res)
 
     @pytest.mark.parametrize("label", ["a", None, 1 + 2j, math.nan, math.inf])
     def test_rejects_label_that_is_not_a_finite_real(self, label):
