@@ -1,6 +1,13 @@
 """Command-line front end: scheme evaluation, negativity sweeps, classical-region
 estimation, spectrum audits, and entanglement queries.
 
+The parser owns the argument grammar: `type=` callables parse number lists,
+recipes and JSON files, required mutually exclusive groups take the "exactly
+one of" pairs, and the checks that need a second argument or a file's
+contents call the subcommand parser's `error`. So every usage error prints
+that subcommand's usage line and exits 2. A token made of '-' and then a
+digit or '.' is a value, so `--bloch -0.5,0,0` reads like `--bloch=-0.5,0,0`.
+
 Exit codes: 0 success, 2 usage or input parse error, 3 domain error.
 """
 
@@ -9,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -39,10 +47,6 @@ _AXES = {
     "y": (0.0, 1.0, 0.0),
     "z": (0.0, 0.0, 1.0),
 }
-
-
-class CliInputError(Exception):
-    """Malformed user input (maps to exit code 2)."""
 
 
 def _fmt(x: float) -> str:
@@ -85,60 +89,6 @@ def _scan_csv(columns: list[str], rows: list, comments: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_json_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliInputError(f"cannot read JSON from {path}: {exc}") from exc
-
-
-def _parse_numbers(text: str, n: int, what: str, kind=float) -> list:
-    try:
-        vals = [kind(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        noun = "integers" if kind is int else "numbers"
-        raise CliInputError(f"{what}: expected comma-separated {noun}, got {text!r}") from exc
-    if len(vals) != n:
-        raise CliInputError(f"{what}: expected {n} components, got {len(vals)}")
-    return vals
-
-
-def _parse_dirs(tokens: list[str] | None, dirs_file: str | None) -> list[np.ndarray]:
-    if (tokens is None) == (dirs_file is None):
-        raise CliInputError("provide directions via --dirs or --dirs-file (exactly one)")
-    if dirs_file is not None:
-        data = _load_json_file(dirs_file)
-        if not isinstance(data, list):
-            raise CliInputError("--dirs-file must hold a JSON list of direction objects")
-        return [direction_from_json(obj) for obj in data]
-    out: list[np.ndarray] = []
-    for tok in tokens:
-        if tok in _AXES:
-            out.append(direction(_AXES[tok]))
-        elif tok == "coplanar120":
-            out.extend(coplanar_triple_directions())
-        else:
-            out.append(direction(_parse_numbers(tok, 3, f"direction {tok!r}")))
-    return out
-
-
-def _parse_recipe(text: str) -> Recipe:
-    if text == "weyl":
-        return Recipe.weyl()
-    if text.startswith("unit:"):
-        try:
-            return Recipe.unit(int(text.split(":", 1)[1]))
-        except ValueError as exc:
-            raise CliInputError(f"bad unit recipe {text!r}") from exc
-    try:
-        return Recipe.convex([float(t) for t in text.split(",")])
-    except ValueError as exc:
-        raise CliInputError(
-            f"recipe must be 'weyl', 'unit:K', or comma-separated weights, got {text!r}"
-        ) from exc
-
-
 def _angle(value: float, args) -> float:
     return math.radians(value) if args.degrees else float(value)
 
@@ -163,16 +113,16 @@ def _haar_projector(rng: np.random.Generator, dim: int, rank: int) -> HermitianO
 
 
 def _cmd_scheme(args) -> tuple:
-    if (args.bloch is None) == (args.state is None):
-        raise CliInputError("provide the state via --bloch or --state (exactly one)")
-    if args.bloch is not None:
-        rho = state_from_json({"bloch": _parse_numbers(args.bloch, 3, "--bloch")})
+    rho = state_from_json({"bloch": args.bloch} if args.state is None else args.state)
+    if args.dirs is not None:
+        # the coplanar120 vectors are unit vectors already; the rest are normalised here
+        dirs = [m if isinstance(m, np.ndarray) else direction(m) for tok in args.dirs for m in tok]
+    elif isinstance(args.dirs_file, list):
+        dirs = [direction_from_json(obj) for obj in args.dirs_file]
     else:
-        rho = state_from_json(_load_json_file(args.state))
-    dirs = _parse_dirs(args.dirs, args.dirs_file)
-    recipe = _parse_recipe(args.recipe)
+        args.error("--dirs-file must hold a JSON list of direction objects")
     observables = [observable_from_direction(m) for m in dirs]
-    scheme = build_scheme(rho, observables, recipe)
+    scheme = build_scheme(rho, observables, args.recipe)
     obj = scheme_to_json(scheme, eps=args.eps)
     cols = [f"a{i+1}" for i in range(scheme.n_observables)] + ["p"]
     rows = [dict(zip(cols, e["a"] + [e["p"]])) for e in obj["entries"]]
@@ -184,8 +134,6 @@ def _cmd_scheme(args) -> tuple:
 
 
 def _cmd_scan_negativity(args) -> tuple:
-    if args.steps < 2:
-        raise CliInputError(f"--steps must be at least 2, got {args.steps}")
     lo = _angle(args.theta_min, args)
     hi = _angle(args.theta_max, args)
     clipped_lo = min(max(lo, THETA_MARGIN), math.pi - THETA_MARGIN)
@@ -197,7 +145,7 @@ def _cmd_scan_negativity(args) -> tuple:
             file=sys.stderr,
         )
     if clipped_hi < clipped_lo:
-        raise CliInputError("--theta-max must not be below --theta-min")
+        args.error("--theta-max must not be below --theta-min")
     thetas = np.linspace(clipped_lo, clipped_hi, args.steps)
     rows = [
         {"theta": float(t), "negativity": negativity_special(args.pnorm, float(t))}
@@ -255,9 +203,9 @@ def _cmd_classical_region(args) -> tuple:
 
 
 def _cmd_spectrum(args) -> tuple:
-    r1, r2 = _parse_numbers(args.ranks, 2, "--ranks", kind=int)
+    r1, r2 = args.ranks
     if not (1 <= r1 <= args.dim and 1 <= r2 <= args.dim):
-        raise CliInputError(f"ranks {r1},{r2} out of range for dim {args.dim}")
+        args.error(f"--ranks {r1},{r2} out of range for --dim {args.dim}")
     rng = np.random.default_rng(args.seed)
     rows = []
     noncommuting = violations = 0
@@ -286,12 +234,10 @@ def _cmd_spectrum(args) -> tuple:
 
 
 def _cmd_entanglement(args) -> tuple:
-    if (args.schmidt_alpha is None) == (args.state is None):
-        raise CliInputError("provide the state via --schmidt-alpha or --state (exactly one)")
-    if args.schmidt_alpha is not None:
+    if args.state is None:
         psi = ent.TwoQubitPureState.from_schmidt(_angle(args.schmidt_alpha, args))
     else:
-        psi = ent.pure_state_from_json(_load_json_file(args.state))
+        psi = ent.pure_state_from_json(args.state)
     p_r = ent.reduced_bloch_norm(psi, 0)
     row = {
         "reduced_bloch_norm": p_r,
@@ -304,11 +250,74 @@ def _cmd_entanglement(args) -> tuple:
 # -------------------------------------------------------------------- parser
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+class _Parser(argparse.ArgumentParser):
+    """Reads a token made of '-' and then a digit or '.' as a value, not an
+    option: no option here starts that way, and argparse's own rule takes
+    only plain decimals, not '-0.5,0,0' or '-1e-10'."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")
+
+
+def _int_at_least(least: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message names it
+    return parse
+
+
+def _numbers(n: int, kind=float):
+    """Type of `n` comma-separated numbers."""
+    noun = "integers" if kind is int else "numbers"
+
+    def parse(text: str) -> list:
+        try:
+            vals = [kind(tok) for tok in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {noun}, got {text!r}"
+            ) from None
+        if len(vals) != n:
+            raise argparse.ArgumentTypeError(f"expected {n} components, got {len(vals)}")
+        return vals
+
+    return parse
+
+
+def _dirs_token(text: str) -> tuple:
+    """The directions one --dirs token names. A vector stays raw, so that
+    `direction` normalises it in the command and a zero one exits 3."""
+    if text == "coplanar120":
+        return coplanar_triple_directions()
+    return (_AXES[text] if text in _AXES else _numbers(3)(text),)
+
+
+def _recipe(text: str) -> Recipe:
+    """'weyl', 'unit:K' or weights; Recipe's own errors leave the parser
+    as domain errors."""
+    if text == "weyl":
+        return Recipe.weyl()
+    try:
+        if text.startswith("unit:"):
+            return Recipe.unit(int(text.removeprefix("unit:")))
+        return Recipe.convex([float(t) for t in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'weyl', 'unit:K' or comma-separated weights, got {text!r}"
+        ) from None
+
+
+def _json_file(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read JSON from {path}: {exc}") from None
 
 
 def _eps(text: str) -> float:
@@ -335,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--degrees", action="store_true", help="interpret angle inputs as degrees"
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pseudoprob",
         description="Pseudo-probability schemes and negativity diagnostics for qubits",
     )
@@ -343,16 +352,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scheme", parents=[common], help="evaluate a pseudo-probability scheme")
-    p.add_argument("--bloch", help="state polarisation as 'x,y,z'")
-    p.add_argument("--state", help="state JSON file with 'bloch' or 'rho'")
-    p.add_argument(
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--bloch", type=_numbers(3), help="state polarisation as 'x,y,z'")
+    g.add_argument("--state", type=_json_file, help="state JSON file with 'bloch' or 'rho'")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument(
         "--dirs",
         nargs="+",
+        type=_dirs_token,
         help="directions: axis names (x, y, z), 'coplanar120', or 'a,b,c' vectors",
     )
-    p.add_argument("--dirs-file", help="JSON file with a list of {\"m\": [x,y,z]}")
-    p.add_argument("--recipe", default="weyl", help="'weyl', 'unit:K', or weights 'w1,w2,...'")
-    p.set_defaults(func=_cmd_scheme)
+    g.add_argument(
+        "--dirs-file", type=_json_file, help="JSON file with a list of {\"m\": [x,y,z]}"
+    )
+    p.add_argument(
+        "--recipe", type=_recipe, default="weyl", help="'weyl', 'unit:K', or weights 'w1,w2,...'"
+    )
+    p.set_defaults(func=_cmd_scheme, error=p.error)
 
     p = sub.add_parser(
         "scan-negativity", parents=[common], help="aligned-geometry negativity vs theta"
@@ -360,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pnorm", type=float, required=True, help="polarisation magnitude |P|")
     p.add_argument("--theta-min", type=float, default=THETA_MARGIN)
     p.add_argument("--theta-max", type=float, default=math.pi - THETA_MARGIN)
-    p.add_argument("--steps", type=int, default=181)
-    p.set_defaults(func=_cmd_scan_negativity)
+    p.add_argument("--steps", type=_int_at_least(2), default=181)
+    p.set_defaults(func=_cmd_scan_negativity, error=p.error)
 
     p = sub.add_parser(
         "classical-region", parents=[common], help="classical-state fractions per family"
@@ -371,10 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(ORTHOGONAL_PAIR, ORTHOGONAL_TRIPLE, "free-pair"),
         required=True,
     )
-    p.add_argument("--samples", type=_positive_int, required=True)
+    p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument(
         "--theta-grid",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=128,
         help="geometry search resolution for free-pair",
     )
@@ -384,35 +400,36 @@ def build_parser() -> argparse.ArgumentParser:
         "spectrum", parents=[common], help="minimum eigenvalues of random projector products"
     )
     p.add_argument("--dim", type=int, choices=range(2, 17), metavar="DIM", required=True)
-    p.add_argument("--ranks", required=True, help="projector ranks as 'r1,r2'")
-    p.add_argument("--pairs", type=_positive_int, default=1000)
-    p.set_defaults(func=_cmd_spectrum)
+    p.add_argument(
+        "--ranks", type=_numbers(2, int), required=True, help="projector ranks as 'r1,r2'"
+    )
+    p.add_argument("--pairs", type=_int_at_least(1), default=1000)
+    p.set_defaults(func=_cmd_spectrum, error=p.error)
 
     p = sub.add_parser(
         "entanglement", parents=[common], help="reduced-purity entanglement monotone"
     )
-    p.add_argument("--schmidt-alpha", type=float, help="cos(a)|00> + sin(a)|11>")
-    p.add_argument("--state", help="state JSON with amps_re/amps_im or schmidt_alpha")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--schmidt-alpha", type=float, help="cos(a)|00> + sin(a)|11>")
+    g.add_argument(
+        "--state", type=_json_file, help="state JSON with amps_re/amps_im or schmidt_alpha"
+    )
     p.set_defaults(func=_cmd_entanglement)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         obj, columns, rows, comments = args.func(args)
-        if args.format == "json":
-            _emit(json.dumps(obj) + "\n", args.out)
-        else:
-            _emit(_scan_csv(columns, rows, comments), args.out)
-        return 0
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (PseudoprobError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    if args.format == "json":
+        _emit(json.dumps(obj) + "\n", args.out)
+    else:
+        _emit(_scan_csv(columns, rows, comments), args.out)
+    return 0
 
 
 def run() -> None:

@@ -27,7 +27,7 @@ class TwoQubitPureState:
         if amps.shape != (4,):
             raise InvalidState(f"need 4 amplitudes, got {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # NaN fails too, before the division
             raise InvalidState(f"state norm {norm!r} deviates from 1 beyond {NORM_ATOL}")
         amps = amps / norm
         amps.setflags(write=False)

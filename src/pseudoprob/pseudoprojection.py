@@ -17,6 +17,7 @@ import bisect
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,8 @@ class Recipe:
 
     @classmethod
     def unit(cls, index: int) -> "Recipe":
+        if not (isinstance(index, numbers.Integral) or float(index).is_integer()):
+            raise InvalidRecipe(f"unit index must be an integer, got {index!r}")
         if index < 0:
             raise InvalidRecipe(f"unit index must be non-negative, got {index}")
         return cls(kind="unit", index=int(index))
@@ -101,7 +104,7 @@ class Recipe:
         if obj == "weyl":
             return cls.weyl()
         if isinstance(obj, dict) and "unit" in obj:
-            return cls.unit(int(obj["unit"]))
+            return cls.unit(obj["unit"])
         if isinstance(obj, dict) and "weights" in obj:
             return cls.convex(obj["weights"])
         raise InvalidRecipe(f"unrecognised recipe JSON {obj!r}")
@@ -110,9 +113,10 @@ class Recipe:
 def _check_weights(ws, expected_len: int) -> None:
     if len(ws) != expected_len:
         raise InvalidConvexWeights(f"expected {expected_len} weights, got {len(ws)}")
-    if any(w < 0 for w in ws):
+    # written so that NaN fails both checks, and ±inf one of them
+    if not all(w >= 0.0 for w in ws):
         raise InvalidConvexWeights("weights must be non-negative")
-    if abs(sum(ws) - 1.0) > ROUNDING_ATOL:
+    if not abs(sum(ws) - 1.0) <= ROUNDING_ATOL:
         raise InvalidConvexWeights(f"weights sum to {sum(ws)!r}, not 1")
 
 
@@ -269,8 +273,8 @@ def unit_pseudo_projections(projectors) -> list[PseudoProjection]:
     units, indices = distinct_unit_matrices([p.matrix for p in projs])
     gens = tuple(projs)
     return [
-        PseudoProjection(op=HermitianOperator(u), generators=gens, recipe=Recipe.unit(k))
-        for k, u in zip(indices, units)
+        PseudoProjection(op=op, generators=gens, recipe=Recipe.unit(k))
+        for k, op in zip(indices, HermitianOperator.from_stack(units))
     ]
 
 
@@ -297,8 +301,6 @@ def combine(units, weights) -> PseudoProjection:
     units = list(units)
     ws = tuple(float(w) for w in weights)
     _check_weights(ws, len(units))
-    if not units:
-        raise ValueError("need at least one unit pseudo-projection")
     class_weights = [0.0] * len(ordering_classes(len(units[0].generators)))
     acc = np.zeros_like(units[0].op.matrix)
     for w, u in zip(ws, units):

@@ -55,7 +55,7 @@ def bloch_vector(p) -> np.ndarray:
     if p.shape != (3,):
         raise ValueError(f"Bloch vector needs a 3-vector, got shape {p.shape}")
     n = _norm(p)
-    if n > 1.0 + ROUNDING_ATOL:
+    if not n <= 1.0 + ROUNDING_ATOL:  # NaN fails too
         raise UnphysicalBloch(f"|P| = {n} exceeds 1")
     p = p.copy()
     p.setflags(write=False)

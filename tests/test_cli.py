@@ -14,6 +14,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """stderr of a call that argparse ends with exit code 2, after checking
+    that it printed the subcommand's usage line and nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith(f"usage: pseudoprob {argv[0]} ")
+    return captured.err
+
+
 class TestScheme:
     def test_coplanar_weyl_json(self, capsys):
         code, out, _ = run(
@@ -111,14 +122,14 @@ class TestScheme:
 
 class TestSchemeErrors:
     def test_missing_state_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "scheme", "--dirs", "z")
-        assert code == 2 and "error" in err
+        err = usage_error(capsys, "scheme", "--dirs", "z")
+        assert "error" in err
 
     def test_malformed_state_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        code, _, err = run(capsys, "scheme", "--state", str(path), "--dirs", "z")
-        assert code == 2 and "cannot read JSON" in err
+        err = usage_error(capsys, "scheme", "--state", str(path), "--dirs", "z")
+        assert "cannot read JSON" in err
 
     def test_unphysical_bloch_is_domain_error(self, capsys):
         code, _, err = run(capsys, "scheme", "--bloch", "1,1,0", "--dirs", "z", "x")
@@ -138,8 +149,37 @@ class TestSchemeErrors:
         assert code == 3 and "ordering-explosion" in err
 
     def test_bad_direction_token(self, capsys):
-        code, _, err = run(capsys, "scheme", "--bloch", "0,0,0", "--dirs", "north")
-        assert code == 2
+        usage_error(capsys, "scheme", "--bloch", "0,0,0", "--dirs", "north")
+
+    def test_dirs_and_dirs_file_together_are_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "dirs.json"
+        path.write_text(json.dumps([{"m": [0, 0, 1]}]))
+        err = usage_error(
+            capsys, "scheme", "--bloch", "0,0,0", "--dirs", "z", "--dirs-file", str(path)
+        )
+        assert "argument --dirs-file: not allowed with argument --dirs" in err
+
+    def test_no_directions_is_usage_error(self, capsys):
+        err = usage_error(capsys, "scheme", "--bloch", "0,0,0")
+        assert "one of the arguments --dirs --dirs-file is required" in err
+
+    def test_dirs_file_holding_an_object_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "dirs.json"
+        path.write_text(json.dumps({"m": [0, 0, 1]}))
+        err = usage_error(capsys, "scheme", "--bloch", "0,0,0", "--dirs-file", str(path))
+        assert "--dirs-file must hold a JSON list" in err
+
+    def test_nan_weights_are_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "scheme", "--bloch", "0,0,0", "--dirs", "z", "--recipe", "nan,1"
+        )
+        assert code == 3 and out == ""
+        assert err == "error: invalid-convex-weights: weights must be non-negative\n"
+
+    def test_nan_bloch_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "scheme", "--bloch", "nan,0,0", "--dirs", "z")
+        assert code == 3 and out == ""
+        assert err == "error: unphysical-bloch: |P| = nan exceeds 1\n"
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "-1e-10"])
     @pytest.mark.parametrize("command", [
@@ -244,8 +284,13 @@ class TestScanNegativity:
             assert a["negativity"] == pytest.approx(b["negativity"], abs=1e-12)
 
     def test_steps_too_small(self, capsys):
-        code, _, err = run(capsys, "scan-negativity", "--pnorm", "1", "--steps", "1")
-        assert code == 2
+        usage_error(capsys, "scan-negativity", "--pnorm", "1", "--steps", "1")
+
+    def test_theta_max_below_theta_min_is_usage_error(self, capsys):
+        err = usage_error(
+            capsys, "scan-negativity", "--pnorm", "1", "--theta-min", "2", "--theta-max", "1"
+        )
+        assert "--theta-max must not be below --theta-min" in err
 
     def test_bad_pnorm_is_domain_error(self, capsys):
         code, _, err = run(capsys, "scan-negativity", "--pnorm", "1.5", "--steps", "3")
@@ -346,13 +391,11 @@ class TestSpectrum:
         assert exc.value.code == 2
 
     def test_bad_ranks(self, capsys):
-        code, _, err = run(capsys, "spectrum", "--dim", "2", "--ranks", "3,1")
-        assert code == 2
+        usage_error(capsys, "spectrum", "--dim", "2", "--ranks", "3,1")
 
     @pytest.mark.parametrize("ranks", ["2.7,1", "nan,1"])
     def test_ranks_that_are_not_integers_are_usage_errors(self, capsys, ranks):
-        code, out, err = run(capsys, "spectrum", "--dim", "4", "--ranks", ranks, "--pairs", "3")
-        assert code == 2 and out == ""
+        err = usage_error(capsys, "spectrum", "--dim", "4", "--ranks", ranks, "--pairs", "3")
         assert "--ranks: expected comma-separated integers" in err
 
     def test_csv_summary_comments(self, capsys):
@@ -405,6 +448,19 @@ class TestEntanglement:
         code, _, err = run(capsys, "entanglement", "--state", str(path))
         assert code == 3 and "invalid-state" in err
 
+    def test_schmidt_alpha_and_state_together_are_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "psi.json"
+        path.write_text(json.dumps({"schmidt_alpha": 0.1}))
+        err = usage_error(
+            capsys, "entanglement", "--schmidt-alpha", "0.1", "--state", str(path)
+        )
+        assert "argument --state: not allowed with argument --schmidt-alpha" in err
+
+    def test_nan_schmidt_alpha_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "entanglement", "--schmidt-alpha", "nan")
+        assert code == 3 and out == ""
+        assert err.startswith("error: invalid-state: ") and err.count("\n") == 1
+
     def test_csv_matches_json(self, capsys):
         code, out, _ = run(capsys, "entanglement", "--schmidt-alpha", str(math.pi / 8))
         assert code == 0
@@ -419,6 +475,36 @@ class TestEntanglement:
         # 17 significant digits give back the JSON floats exactly
         assert [float(v) for v in values.split(",")] == [obj[c] for c in header.split(",")]
         assert values.split(",")[2] == format(obj["monotone"], ".17g")
+
+
+class TestNegativeValues:
+    """A value that starts with '-' and a digit or '.' is not taken for an option."""
+
+    def test_negative_bloch_component(self, capsys):
+        code, out, _ = run(capsys, "scheme", "--bloch", "-0.5,0,0", "--dirs", "x", "z")
+        assert code == 0
+        assert run(capsys, "scheme", "--bloch=-0.5,0,0", "--dirs", "x", "z") == (0, out, "")
+        values = {tuple(e["a"]): e["p"] for e in json.loads(out)["entries"]}
+        assert values[(-1, 1)] == pytest.approx(0.375, abs=1e-12)
+
+    def test_negative_direction_token(self, capsys, tmp_path):
+        path = tmp_path / "dirs.json"
+        path.write_text(json.dumps([{"m": [-1, 0, 0]}, {"m": [0, 0, 1]}]))
+        code, out, _ = run(capsys, "scheme", "--bloch", "0.3,0,0", "--dirs", "-1,0,0", "z")
+        assert code == 0
+        assert run(capsys, "scheme", "--bloch", "0.3,0,0", "--dirs-file", str(path)) == (
+            0, out, "",
+        )
+
+    @pytest.mark.parametrize("value", ["-.5", "-1e-3", "-0.5"])
+    def test_negative_angle(self, capsys, value):
+        code, out, _ = run(capsys, "entanglement", "--schmidt-alpha", value)
+        assert code == 0
+        assert run(capsys, "entanglement", f"--schmidt-alpha={value}") == (0, out, "")
+
+    def test_negative_eps_reads_as_its_value(self, capsys):
+        err = usage_error(capsys, "scheme", "--bloch", "0,0,0", "--dirs", "z", "--eps", "-1e-10")
+        assert "argument --eps: eps must be a finite number >= 0" in err
 
 
 class TestReproducibility:

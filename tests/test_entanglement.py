@@ -25,6 +25,17 @@ class TestStateConstruction:
         with pytest.raises(InvalidState):
             TwoQubitPureState([1.0, 1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("amps", [[math.nan, 0, 0, 0], [1.0, 0, 0, math.nan]])
+    def test_rejects_nan_amplitudes(self, amps):
+        # pytest turns warnings into errors, so this also checks that the
+        # NaN fails before the normalising division can warn
+        with pytest.raises(InvalidState, match="norm nan"):
+            TwoQubitPureState(amps)
+
+    def test_rejects_nan_schmidt_angle(self):
+        with pytest.raises(InvalidState):
+            TwoQubitPureState.from_schmidt(math.nan)
+
     def test_renormalises_small_drift(self):
         psi = TwoQubitPureState([1.0 + 5e-9, 0.0, 0.0, 0.0])
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-15

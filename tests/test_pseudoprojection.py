@@ -164,6 +164,42 @@ class TestCombine:
             combine(units, weights)
 
 
+class TestRecipeValidation:
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan),
+            (math.inf, 0.0), (-math.inf, 1.0), (math.inf, -math.inf),
+        ],
+    )
+    def test_weights_that_are_not_finite_are_rejected(self, weights):
+        with pytest.raises(InvalidConvexWeights):
+            Recipe.convex(weights)
+        with pytest.raises(InvalidConvexWeights):
+            Recipe.from_json({"weights": list(weights)})
+
+    @pytest.mark.parametrize("index", [2.7, -0.5, math.nan, math.inf, np.float64(np.inf)])
+    def test_unit_index_that_is_not_an_integer_is_rejected(self, index):
+        with pytest.raises(InvalidRecipe, match="must be an integer"):
+            Recipe.unit(index)
+        with pytest.raises(InvalidRecipe, match="must be an integer"):
+            Recipe.from_json({"unit": index})
+
+    @pytest.mark.parametrize("index", [2, 2.0, np.int64(2)])
+    def test_integral_unit_index_is_accepted(self, index):
+        recipe = Recipe.unit(index)
+        assert recipe == Recipe.from_json({"unit": index}) == Recipe.unit(2)
+        assert type(recipe.index) is int
+
+    def test_negative_unit_index_is_rejected(self):
+        with pytest.raises(InvalidRecipe, match="must be non-negative"):
+            Recipe.unit(-1)
+
+    def test_combine_with_no_units_is_rejected(self):
+        with pytest.raises(InvalidConvexWeights):
+            combine([], ())
+
+
 class TestCombineReplay:
     """combine's recipe, replayed through build_scheme, gives its operator."""
 

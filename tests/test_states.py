@@ -11,6 +11,7 @@ from pseudoprob import (
     Observable,
     UnphysicalBloch,
     bloch_from_density,
+    bloch_vector,
     density_from_bloch,
     direction,
     observable_from_direction,
@@ -60,6 +61,13 @@ class TestDensityFromBloch:
     def test_rejects_unphysical(self):
         with pytest.raises(UnphysicalBloch):
             density_from_bloch((1.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("p", [(math.nan, 0, 0), (0, 0, math.nan), (math.inf, 0, 0)])
+    def test_rejects_bloch_vector_that_is_not_finite(self, p):
+        with pytest.raises(UnphysicalBloch):
+            bloch_vector(p)
+        with pytest.raises(UnphysicalBloch):
+            density_from_bloch(p)
 
     def test_entries_written_out(self):
         rng = np.random.default_rng(4)
