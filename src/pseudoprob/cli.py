@@ -8,6 +8,10 @@ contents call the subcommand parser's `error`. So every usage error prints
 that subcommand's usage line and exits 2. A token made of '-' and then a
 digit or '.' is a value, so `--bloch -0.5,0,0` reads like `--bloch=-0.5,0,0`.
 
+Every count (--steps, --samples, --theta-grid, --pairs) has an upper bound,
+a work budget checked before anything is allocated; a count over it is a
+usage error too.
+
 Exit codes: 0 success, 2 usage or input parse error, 3 domain error.
 """
 
@@ -42,6 +46,24 @@ from .tolerances import CLASSICALITY_EPS, COMMUTATOR_CUTOFF, NEGATIVE_EIG_CUTOFF
 from . import entanglement as ent
 
 PRNG_NAME = "numpy default_rng (PCG64)"
+# Work budgets: the parser checks each count against its bound before
+# anything is allocated, and a count over it is a usage error. Worst cases at
+# the bounds, timed in-process on a 2-vCPU Xeon VM (single runs):
+# scan-negativity takes ~30 us per step: 100,000 steps ~3.0 s.
+MAX_STEPS = 100_000
+# the orthogonal classical-region families take ~0.25 us per sample:
+# 10^6 samples ~0.25 s, with a tracemalloc peak of ~62 MiB.
+MAX_SAMPLES = 1_000_000
+# free-pair sweeps every sample over the theta grid, ~0.2 us per sample and
+# grid point plus ~280 us per grid point, which is as much as
+# GRID_POINT_SAMPLES samples: --theta-grid may be at most
+# MAX_GRID_WORK // (samples + GRID_POINT_SAMPLES). One sample over 6,662
+# grid points takes ~1.9 s, and 10^6 samples over 9 ~2.1 s.
+GRID_POINT_SAMPLES = 1_500
+MAX_GRID_WORK = 10_000_000
+# spectrum takes ~0.7 ms per pair at every --dim from 2 to 16: 4,096 pairs
+# ~2.9 s.
+MAX_PAIRS = 4_096
 _AXES = {
     "x": (1.0, 0.0, 0.0),
     "y": (0.0, 1.0, 0.0),
@@ -161,7 +183,18 @@ def _cmd_scan_negativity(args) -> tuple:
     return _scan_json("scan-negativity", params, rows, args), ["theta", "negativity"], rows, []
 
 
+def theta_grid_bound(samples: int) -> int:
+    """The most free-pair --theta-grid points MAX_GRID_WORK allows for
+    `samples` samples."""
+    return MAX_GRID_WORK // (samples + GRID_POINT_SAMPLES)
+
+
 def _cmd_classical_region(args) -> tuple:
+    if args.family == "free-pair" and args.theta_grid > theta_grid_bound(args.samples):
+        args.error(
+            f"--theta-grid {args.theta_grid} exceeds the free-pair work budget: at most "
+            f"{theta_grid_bound(args.samples)} grid points for {args.samples} samples"
+        )
     rng = np.random.default_rng(args.seed)
     states = _sample_ball(rng, args.samples)
     pnorms = np.linalg.norm(states, axis=1)
@@ -260,11 +293,15 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-[\d.]")
 
 
-def _int_at_least(least: int):
+def _int_between(least: int, most: int | None = None):
+    """Type of an integer in [least, most] (no upper bound for None)."""
+
     def parse(text: str) -> int:
         value = int(text)
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse's "invalid int value" message names it
@@ -376,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pnorm", type=float, required=True, help="polarisation magnitude |P|")
     p.add_argument("--theta-min", type=float, default=THETA_MARGIN)
     p.add_argument("--theta-max", type=float, default=math.pi - THETA_MARGIN)
-    p.add_argument("--steps", type=_int_at_least(2), default=181)
+    p.add_argument("--steps", type=_int_between(2, MAX_STEPS), default=181)
     p.set_defaults(func=_cmd_scan_negativity, error=p.error)
 
     p = sub.add_parser(
@@ -387,14 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(ORTHOGONAL_PAIR, ORTHOGONAL_TRIPLE, "free-pair"),
         required=True,
     )
-    p.add_argument("--samples", type=_int_at_least(1), required=True)
+    p.add_argument("--samples", type=_int_between(1, MAX_SAMPLES), required=True)
     p.add_argument(
         "--theta-grid",
-        type=_int_at_least(1),
+        type=_int_between(1),
         default=128,
-        help="geometry search resolution for free-pair",
+        help="geometry search resolution for free-pair, at most "
+        f"{MAX_GRID_WORK} // (samples + {GRID_POINT_SAMPLES})",
     )
-    p.set_defaults(func=_cmd_classical_region)
+    p.set_defaults(func=_cmd_classical_region, error=p.error)
 
     p = sub.add_parser(
         "spectrum", parents=[common], help="minimum eigenvalues of random projector products"
@@ -403,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ranks", type=_numbers(2, int), required=True, help="projector ranks as 'r1,r2'"
     )
-    p.add_argument("--pairs", type=_int_at_least(1), default=1000)
+    p.add_argument("--pairs", type=_int_between(1, MAX_PAIRS), default=1000)
     p.set_defaults(func=_cmd_spectrum, error=p.error)
 
     p = sub.add_parser(

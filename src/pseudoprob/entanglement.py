@@ -38,7 +38,9 @@ class TwoQubitPureState:
 
     @classmethod
     def from_schmidt(cls, alpha: float) -> "TwoQubitPureState":
-        """cos(alpha)|00> + sin(alpha)|11>."""
+        """cos(alpha)|00> + sin(alpha)|11>, for a finite angle alpha."""
+        if not math.isfinite(alpha):
+            raise InvalidState(f"Schmidt angle {alpha!r} is not a finite number")
         return cls([math.cos(alpha), 0.0, 0.0, math.sin(alpha)])
 
     def __repr__(self) -> str:

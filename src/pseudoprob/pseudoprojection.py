@@ -40,10 +40,11 @@ from .tolerances import RESIDUAL_ATOL, ROUNDING_ATOL
 
 # A Weyl average takes 2^N N products; build_scheme makes each partial
 # product once per outcome of the observables it involves, within
-# schemes.MAX_LATTICE_ENTRIES: an N = 8 Weyl scheme takes ~20 ms over qubits
-# (256 tuples) and ~0.1-0.2 s over qutrits (6561 tuples) on a 2-vCPU Xeon
-# VM, min of 3 (the VM's speed varies by run). Only unit_pseudo_projections
-# enumerates all N!/2 = 20160 classes at N = 8.
+# schemes.MAX_LATTICE_ENTRIES: an N = 8 Weyl scheme takes ~6-8 ms over
+# qubits (256 tuples) and ~40-46 ms over qutrits (6561 tuples), and a weights
+# recipe over all 20160 classes of 8 qubit observables ~0.33-0.37 s, on a
+# 2-vCPU Xeon VM, min of 3 (the VM's speed varies by run). Only
+# unit_pseudo_projections enumerates all N!/2 = 20160 classes at N = 8.
 MAX_GENERATORS = 8
 
 
@@ -173,10 +174,10 @@ def ordering_classes(n: int) -> tuple:
 
 def hermitized_product(mats, order) -> np.ndarray:
     """(A_sigma + A_sigma^dag)/2 for the ordered product A_sigma of `mats`,
-    each a (d, d) matrix or a (..., d, d) stack; stacks broadcast, so
-    generators on separate grid axes give the product over their outcome
-    grid, grown one axis at a time. The product is hermitized in place, so
-    the peak holds it and its conjugate beside the level below it."""
+    each a (d, d) matrix (or a stack of them, broadcast as numpy does). It
+    makes `distinct_unit_matrices`' units one at a time; `build_scheme`
+    evaluates recipes with `weighted_matrix` instead. The product is
+    hermitized in place."""
     prod = mats[order[0]]
     for k in order[1:]:
         prod = prod @ mats[k]
@@ -229,6 +230,47 @@ def _subset_plan(n: int) -> tuple:
     )
 
 
+# [1, i] down a new second-to-last axis: a[..., None, :] * _ONE_I puts each
+# row of a above the same row of i a
+_ONE_I = np.array([[1.0], [1.0j]])
+_ONE_I.setflags(write=False)
+
+
+def right_factors(a) -> np.ndarray:
+    """The real (..., 2d, 2d) stack E = Re a (x) I_2 + Im a (x) [[0, 1], [-1, 0]]
+    of a complex (..., d, d) stack, so that for any complex (..., d, d) w
+    with a contiguous last axis, w.view(float64) @ E is (w @ a).view(float64)
+    up to rounding, broadcasting as w @ a does.
+
+    Row 2k of E is row k of a viewed as interleaved (re, im) floats, and row
+    2k + 1 is row k of i a: one multiplication builds it, whatever a's
+    layout."""
+    a = np.asarray(a)
+    *lead, d, _ = a.shape
+    return (a[..., None, :] * _ONE_I).view(np.float64).reshape(*lead, 2 * d, 2 * d)
+
+
+# stacked matmul calls per generator from which the real route pays
+_REAL_FROM_CALLS = 4
+
+
+def _operands(mats, calls: int) -> tuple:
+    """(left, right, real): each generator as a left operand and as a right
+    factor of a recursion that makes `calls` stacked matmul calls.
+
+    A real stacked matmul costs about half a complex one per call and an
+    eighth per small product, but a generator's `right_factors` cost about
+    what three calls save, and whole builds gain only from about four calls
+    per generator on (qubit Weyl at N = 4, not N = 3). From there on the
+    operands are real: the generator viewed as (..., d, 2d) interleaved
+    floats, and its factors. Below that they are the generators themselves.
+    """
+    if calls < _REAL_FROM_CALLS * len(mats):
+        return mats, mats, False
+    left = [np.ascontiguousarray(m, dtype=np.complex128).view(np.float64) for m in mats]
+    return left, [right_factors(m) for m in mats], True
+
+
 def weyl_matrix(mats) -> np.ndarray:
     """Equal-weight average of all N! ordering products, hermitized.
 
@@ -236,28 +278,71 @@ def weyl_matrix(mats) -> np.ndarray:
     and the stacks broadcast: a stack of outcome tuples gives one result
     per tuple, and generator i's (k_i, d, d) projectors on their own grid
     axis give the whole (k_1, ..., k_N, d, d) outcome grid. The subset
-    recursion W(S) = sum_{i in S} A_i W(S - {i}) runs one subset size at a
-    time, each sum taken over i ascending; on a grid, W(S) spans only the
-    axes in S, so it is made once for all the tuples that share the
-    outcomes of S.
+    recursion right-multiplies, W(S) = sum_{i in S} W(S - {i}) A_i, one
+    subset size at a time, each sum taken over i ascending; on a grid, W(S)
+    spans only the axes in S, so it is made once for all the tuples that
+    share the outcomes of S. From N = 4 on (`_operands`), every W(S) is kept
+    as a float64 view and each product is a real matmul with A_i's
+    `right_factors`.
 
     Sums and the hermitization run in place on arrays made here, so the
     peak holds about two copies of the result beside the level below it.
     """
     n = len(mats)
-    w = {(i,): mats[i] for i in range(n)}
+    left, right, real = _operands(mats, n * 2 ** (n - 1) - n)
+    w = {(i,): left[i] for i in range(n)}
     for level in _subset_plan(n):
         below, w = w, {}
         for s, steps in level:
             (i, rest), *more = steps
-            acc = mats[i] @ below[rest]
+            acc = below[rest] @ right[i]
             for i, rest in more:
-                acc += mats[i] @ below[rest]
+                acc += below[rest] @ right[i]
             w[s] = acc
-    # a new array, also for N = 1, where w holds the caller's matrix
-    acc = w.pop(tuple(range(n))) / math.factorial(n)
+    acc = w.pop(tuple(range(n)))
+    # a new array, also for N = 1, where w holds the caller's matrix; halving
+    # is exact, so A + A^dag for A = W/(2 N!) is (W/N! + (W/N!)^dag)/2 bit for
+    # bit
+    acc = (acc.view(np.complex128) if real else acc) / (2 * math.factorial(n))
     acc += acc.conj().swapaxes(-1, -2)
-    acc *= 0.5
+    return acc
+
+
+def weighted_matrix(mats, terms) -> np.ndarray:
+    """sum_c w_c (A_c + A_c^dag)/2 over the (weight, ordering) `terms`, each
+    ordering a permutation of the N generators in `mats`, which broadcast as
+    in `weyl_matrix`.
+
+    Hermitization is linear, so the weighted sum of the products is formed
+    first and hermitized once. It is summed before the products grow: B(s),
+    the weighted sum over the orderings that end in the suffix s of the
+    product of the rest, starts at B(c[1:]) = w_c A_c[0], and
+    B(s) = sum_{i not in s} B((i,) + s) A_i, down to B(()). On a grid B(s)
+    spans only the axes outside s, so at most N products cover the whole
+    grid. Products are formed left to right, so a single ordering (a unit
+    recipe) is the plain chain product, and once the orderings make 4
+    calls per generator (`_operands`) they are real matmuls on float64
+    views, as in `weyl_matrix`.
+    """
+    n = len(mats)
+    # N - 1 calls per ordering, before orderings share suffixes
+    left, right, real = _operands(mats, len(terms) * (n - 1))
+    # each ordering starts at a new array w_c/2 A_c[0]; halving is exact, so
+    # A + A^dag for A = B(())/2 is the hermitized sum bit for bit
+    level = {}
+    for w, c in terms:
+        level[c[1:]] = 0.5 * w * left[c[0]]
+    for _ in range(n - 1):
+        below, level = level, {}
+        for s, b in below.items():
+            prod = b @ right[s[0]]
+            acc = level.setdefault(s[1:], prod)
+            if acc is not prod:
+                acc += prod
+    acc = level.pop(())
+    if real:
+        acc = acc.view(np.complex128)
+    acc += acc.conj().swapaxes(-1, -2)
     return acc
 
 

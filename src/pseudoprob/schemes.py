@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     PartitionSearchTooLarge,
 )
 from .pseudoprojection import (
-    MAX_GENERATORS, Recipe, hermitized_product, ordering_classes, weyl_matrix,
+    MAX_GENERATORS, Recipe, ordering_classes, weighted_matrix, weyl_matrix,
 )
 from .states import DensityMatrix
 from .tolerances import ATOL_LOOSE, CLASSICALITY_EPS, RESIDUAL_ATOL
@@ -44,15 +45,18 @@ MAX_PARTITION_EVENTS = 16
 MAX_CANDIDATE_BLOCKS = 1 << 14
 # build_scheme's outcome lattice holds W(S) for every subset S of the
 # observables and every outcome of those in S: prod_i (1 + k_i) complex d x d
-# matrices for k_i outcomes each. A unit/weights recipe instead forms each
-# nonzero class's product over the prod_i k_i outcome tuples. Inputs above
+# matrices for k_i outcomes each. A unit/weights recipe instead makes B(s)
+# for every distinct proper suffix s of its nonzero orderings, over the
+# outcomes of the observables outside s (_suffix_matrices). Inputs above
 # this many entries are rejected before anything is built. On a 2-vCPU Xeon
-# VM, min of 3: the slowest accepted inputs found take ~0.8 s (Weyl, d = 4,
-# outcome counts 4,4,4,4,4,4,3,3; 4.0M entries) and ~0.75 s (qubit N = 8
-# with 4096 weighted classes; 4.2M), and the largest tracemalloc peak found
-# is ~115 MiB (d = 44, N = 2; 3.9M). Large d with few outcomes stays cheap:
-# single-outcome observables at d = 1024, N = 2 or d = 128, N = 8 take
-# ~0.4 s (single runs), and a qutrit N = 8 Weyl scheme (0.59M) 0.1-0.2 s.
+# VM, min of 3: the slowest accepted inputs found take ~0.24 s (Weyl, d = 4,
+# outcome counts 4,4,4,4,4,4,3,3; 4.0M entries) and ~0.4 s (weights over
+# 11383 classes of 8 qutrit observables, or over all 20160 classes of 8
+# two-outcome observables at d = 4), and the largest tracemalloc peak found
+# is ~115 MiB (Weyl, d = 44, N = 2; 3.9M). Large d with few outcomes stays
+# cheap: single-outcome observables at d = 1024, N = 2 or d = 128, N = 8
+# take ~0.25-0.4 s (single runs), and a qutrit N = 8 Weyl scheme (0.59M)
+# ~40-46 ms.
 MAX_LATTICE_ENTRIES = 1 << 22
 
 
@@ -120,6 +124,19 @@ class Scheme:
         return f"Scheme(n_observables={self.n_observables}, entries={len(self.values)})"
 
 
+def _suffix_matrices(terms, counts) -> int:
+    """Outcomes over which `weighted_matrix` makes its matrices, summed: B(s)
+    once per distinct proper suffix s = c[j:] of the orderings c, over the
+    outcomes of the observables in the prefix c[:j], k_i of them for
+    observable i."""
+    sizes = {}
+    for _, c in terms:
+        prefix_sizes = itertools.accumulate(map(counts.__getitem__, c), operator.mul)
+        for j, size in enumerate(prefix_sizes, 1):
+            sizes[c[j:]] = size
+    return sum(sizes.values())
+
+
 def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) -> Scheme:
     """Evaluate Tr(rho P) for the pseudo-projection P of every outcome tuple.
 
@@ -133,7 +150,10 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
     Observable i's `projectors` stack sits on axis i of the outcome grid,
     viewed as (1, ..., k_i, ..., 1, d, d), so the recipe's products broadcast
     over all tuples at once and each sub-product is made once for the
-    tuples sharing its outcomes. Inputs whose lattice exceeds
+    tuples sharing its outcomes. Weyl runs `weyl_matrix`'s subset recursion
+    and unit/weights `weighted_matrix`'s suffix recursion, both multiplying
+    on the right, as real matmuls on float64 views wherever they make enough
+    matmul calls to pay for the right factors. Inputs whose lattice exceeds
     MAX_LATTICE_ENTRIES raise OrderingExplosion before any of it is built.
     """
     observables = tuple(observables)
@@ -155,7 +175,11 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
         entries = math.prod(1 + k for k in counts) * d * d
     else:
         terms = recipe.terms(ordering_classes(n))
-        entries = len(terms) * math.prod(counts) * d * d
+        # weighted_matrix makes at most n matrices per ordering, each over at
+        # most the whole grid; the exact count is needed only past the cap
+        entries = len(terms) * n * math.prod(counts) * d * d
+        if entries > MAX_LATTICE_ENTRIES:
+            entries = _suffix_matrices(terms, counts) * d * d
     if entries > MAX_LATTICE_ENTRIES:
         raise OrderingExplosion(
             f"outcome lattice of {entries} entries exceeds the cap {MAX_LATTICE_ENTRIES}"
@@ -165,16 +189,7 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
         obs.projectors.reshape((1,) * i + (k,) + (1,) * (n - 1 - i) + (d, d))
         for i, (obs, k) in enumerate(zip(observables, counts))
     ]
-    if terms is None:
-        op = weyl_matrix(mats)
-    else:
-        (w, c), *more = terms
-        op = hermitized_product(mats, c)
-        op *= w
-        for w, c in more:
-            h = hermitized_product(mats, c)
-            h *= w
-            op += h
+    op = weyl_matrix(mats) if terms is None else weighted_matrix(mats, terms)
     # Tr(rho P) = sum_ij rho_ij P_ji = vec(P) . vec(rho^T)
     values = op.reshape(-1, d * d) @ rho.matrix.T.reshape(-1)
     residue = float(np.abs(values.imag).max())

@@ -1,8 +1,10 @@
 import json
 import math
+import time
 
 import pytest
 
+from pseudoprob import cli
 from pseudoprob.cli import main
 
 S2 = math.sqrt(2.0)
@@ -461,6 +463,23 @@ class TestEntanglement:
         assert code == 3 and out == ""
         assert err.startswith("error: invalid-state: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, angle", [
+        (["--schmidt-alpha", "inf"], "inf"),
+        (["--schmidt-alpha=-inf"], "-inf"),
+        (["--degrees", "--schmidt-alpha", "inf"], "inf"),
+    ])
+    def test_infinite_schmidt_alpha_is_one_invalid_state_line(self, capsys, argv, angle):
+        code, out, err = run(capsys, "entanglement", *argv)
+        assert code == 3 and out == ""
+        assert err == f"error: invalid-state: Schmidt angle {angle} is not a finite number\n"
+
+    def test_infinite_schmidt_alpha_in_state_file_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "psi.json"
+        path.write_text('{"schmidt_alpha": Infinity}')
+        code, out, err = run(capsys, "entanglement", "--state", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: invalid-state: Schmidt angle") and err.count("\n") == 1
+
     def test_csv_matches_json(self, capsys):
         code, out, _ = run(capsys, "entanglement", "--schmidt-alpha", str(math.pi / 8))
         assert code == 0
@@ -541,3 +560,56 @@ class TestReproducibility:
             "--family", "free-pair", "--samples", "50", "--seed", "42", "--deterministic",
         )
         assert json.loads(out)["params"]["seed"] == 42
+
+
+class TestWorkBudgets:
+    # Each count is checked against its bound before any work: at the bound
+    # the parser accepts it, one past it is a usage error that returns at once.
+
+    BOUNDS = [
+        (["scan-negativity", "--pnorm", "1"], "--steps", cli.MAX_STEPS),
+        (["classical-region", "--family", "orthogonal-pair"], "--samples", cli.MAX_SAMPLES),
+        (["spectrum", "--dim", "4", "--ranks", "2,1"], "--pairs", cli.MAX_PAIRS),
+    ]
+
+    @pytest.mark.parametrize("argv, flag, most", BOUNDS, ids=["steps", "samples", "pairs"])
+    def test_parser_accepts_the_bound(self, argv, flag, most):
+        args = cli.build_parser().parse_args(argv + [flag, str(most)])
+        assert getattr(args, flag[2:]) == most
+
+    @pytest.mark.parametrize("argv, flag, most", BOUNDS, ids=["steps", "samples", "pairs"])
+    def test_one_past_the_bound_fails_fast(self, capsys, argv, flag, most):
+        t0 = time.perf_counter()
+        err = usage_error(capsys, *argv, flag, str(most + 1))
+        assert time.perf_counter() - t0 < 0.5
+        assert f"argument {flag}: must be at most {most}, got {most + 1}" in err
+
+    @pytest.mark.parametrize("samples", [1, 10_000, cli.MAX_SAMPLES])
+    def test_theta_grid_bound_is_the_largest_grid_within_the_budget(self, samples):
+        most = cli.theta_grid_bound(samples)
+        cost = samples + cli.GRID_POINT_SAMPLES
+        assert most >= 1
+        assert most * cost <= cli.MAX_GRID_WORK < (most + 1) * cost
+
+    def test_theta_grid_one_past_the_bound_fails_fast(self, capsys):
+        most = cli.theta_grid_bound(1)
+        t0 = time.perf_counter()
+        err = usage_error(
+            capsys, "classical-region", "--family", "free-pair", "--samples", "1",
+            "--theta-grid", str(most + 1),
+        )
+        assert time.perf_counter() - t0 < 0.5
+        assert f"at most {most} grid points for 1 samples" in err
+
+    def test_theta_grid_is_only_bounded_where_it_is_swept(self, capsys):
+        code, out, _ = run(
+            capsys, "classical-region", "--family", "orthogonal-pair",
+            "--samples", "10", "--theta-grid", str(cli.theta_grid_bound(10) + 1),
+        )
+        assert code == 0 and "theta_grid_points" not in out
+
+    def test_readme_counts_are_inside_their_budgets(self):
+        # the README's largest counts: 181 steps, 10^5 samples, 10^4
+        # free-pair samples over the default 128-point grid, 1000 pairs
+        assert 181 <= cli.MAX_STEPS and 100_000 <= cli.MAX_SAMPLES
+        assert 128 <= cli.theta_grid_bound(10_000) and 1000 <= cli.MAX_PAIRS

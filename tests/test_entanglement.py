@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -35,6 +36,11 @@ class TestStateConstruction:
     def test_rejects_nan_schmidt_angle(self):
         with pytest.raises(InvalidState):
             TwoQubitPureState.from_schmidt(math.nan)
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_schmidt_angle(self, alpha):
+        with pytest.raises(InvalidState, match="Schmidt angle .* is not a finite number"):
+            TwoQubitPureState.from_schmidt(alpha)
 
     def test_renormalises_small_drift(self):
         psi = TwoQubitPureState([1.0 + 5e-9, 0.0, 0.0, 0.0])
@@ -143,6 +149,12 @@ class TestHelpers:
     def test_state_from_json_schmidt(self):
         psi = pure_state_from_json({"schmidt_alpha": math.pi / 4})
         assert monotone(psi) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
+    def test_state_from_json_rejects_non_finite_schmidt_angle(self, text):
+        obj = json.loads(f'{{"schmidt_alpha": {text}}}')
+        with pytest.raises(InvalidState, match="Schmidt angle"):
+            pure_state_from_json(obj)
 
     def test_state_from_json_missing(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
-"""The scheme kernel: `weyl_matrix` and `hermitized_product` over stacks of
-outcome tuples, `build_scheme` on the outcome grid against per-tuple
-oracles and explicit products, its memory against the lattice size, and
-the lattice cap."""
+"""The scheme kernel: the real right factors, `weyl_matrix`,
+`weighted_matrix` and `hermitized_product` over stacks of outcome tuples,
+`build_scheme` on the outcome grid against per-tuple oracles and explicit
+products, its memory against the lattice size, and the lattice cap."""
 
 import itertools
 import math
@@ -22,7 +22,9 @@ from pseudoprob import (
     observable_from_direction,
     schemes,
 )
-from pseudoprob.pseudoprojection import hermitized_product, ordering_classes, weyl_matrix
+from pseudoprob.pseudoprojection import (
+    hermitized_product, ordering_classes, right_factors, weighted_matrix, weyl_matrix,
+)
 
 import oracles
 
@@ -60,6 +62,13 @@ def stacked_mats(observables):
     return tuples, np.array([tuple_mats(observables, t) for t in tuples]).swapaxes(0, 1)
 
 
+def grid_mats(observables):
+    """Observable i's projector stack on axis i of the outcome grid."""
+    n = len(observables)
+    return [obs.projectors.reshape((1,) * i + (-1,) + (1,) * (n - 1 - i) + (obs.dim, obs.dim))
+            for i, obs in enumerate(observables)]
+
+
 def trace_entry(rho, op):
     return float(np.trace(rho.matrix @ op).real)
 
@@ -94,6 +103,99 @@ class TestStackedKernel:
             assert got.shape == (len(tuples), d, d)
             for t, h in zip(tuples, got):
                 assert np.abs(h - hermitized_product(tuple_mats(obs, t), order)).max() <= 1e-15
+
+
+def random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestRightFactors:
+    # w.view(float64) @ right_factors(a) is (w @ a).view(float64)
+
+    @staticmethod
+    def assert_identity(w, a):
+        got = w.view(np.float64) @ right_factors(a)
+        assert np.abs(got - (w @ a).view(np.float64)).max() <= 1e-15 * np.abs(w).max() * np.abs(a).max()
+        assert np.abs(got.view(complex) - w @ a).max() <= 1e-15 * np.abs(w).max() * np.abs(a).max()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_contiguous_stacks(self, d):
+        rng = np.random.default_rng(d)
+        self.assert_identity(random_complex(rng, (7, d, d)), random_complex(rng, (7, d, d)))
+
+    def test_broadcast_grid_stacks(self):
+        # generator 1's projectors on axis 1 of the grid, times W on axis 0
+        _, obs = random_case(3, 3, 2)
+        w = weyl_matrix([obs[0].projectors]).reshape(3, 1, 3, 3)
+        a = obs[1].projectors.reshape(1, 3, 3, 3)
+        e = right_factors(a)
+        assert e.shape == (1, 3, 6, 6)
+        self.assert_identity(w, a)
+        # a stack broadcast along a stride-0 axis
+        self.assert_identity(w, np.broadcast_to(obs[1].projectors[:1], (3, 3, 3, 3)))
+
+    def test_non_contiguous_tuple_stack_slices(self):
+        _, obs = random_case(4, 2, 5)
+        _, stack = stacked_mats(obs)  # (N, T, d, d)
+        block = stack[:, 3:29:5]
+        assert not block[1].flags.c_contiguous
+        self.assert_identity(np.ascontiguousarray(block[0]), block[1])
+        self.assert_identity(np.ascontiguousarray(block[2]), stack[3, 28:2:-5])
+
+    def test_rows_interleave_the_factor_and_i_times_it(self):
+        rng = np.random.default_rng(6)
+        a = random_complex(rng, (4, 3, 3))
+        e = right_factors(a)
+        assert np.array_equal(e[:, ::2], a.view(np.float64))
+        assert np.array_equal(e[:, 1::2], (1j * a).view(np.float64))
+
+
+class TestWeightedKernel:
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_weights_with_zeros_match_per_class_sum(self, n):
+        rho, obs = random_case(60 + n, 2, n)
+        classes = ordering_classes(n)
+        weights = np.random.default_rng(n).dirichlet(np.ones(len(classes)))
+        weights[::3] = 0.0  # some classes left out
+        weights /= weights.sum()
+        scheme = build_scheme(rho, obs, Recipe.convex(weights))
+        for t in scheme.outcome_tuples:
+            mats = tuple_mats(obs, t)
+            op = sum(w * hermitized_product(mats, c) for w, c in zip(weights, classes) if w)
+            assert abs(scheme.entry(t) - trace_entry(rho, op)) <= 1e-14
+
+    @pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
+    def test_unit_is_the_chain_product_bit_for_bit(self, d, n):
+        # a single ordering makes N - 1 matmul calls, too few to pay for
+        # real factors, so it stays the complex chain product
+        _, obs = random_case(70 + n, d, n)
+        mats = grid_mats(obs)
+        for c in ordering_classes(n):
+            assert np.array_equal(weighted_matrix(mats, [(1.0, c)]), hermitized_product(mats, c))
+
+    def test_weighted_matrix_leaves_a_single_generator_alone(self):
+        _, (obs,) = random_case(9, 3, 1)
+        got = weighted_matrix([obs.projectors], [(1.0, (0,))])
+        assert not np.shares_memory(got, obs.projectors)
+        assert np.array_equal(got, obs.projectors)
+
+
+class TestUnequalOutcomeCounts:
+    def test_grid_with_a_degenerate_qutrit_observable_matches_oracle(self):
+        # outcome counts 2, 3, 1, 3: a degenerate qutrit observable, two
+        # non-degenerate ones and the identity; at N = 4 Weyl takes the real
+        # route
+        rng = np.random.default_rng(11)
+        rho, _ = random_case(11, 3, 1)
+        obs = [grouped_observable(rng, 3, 2), haar_observable(rng, 3),
+               grouped_observable(rng, 3, 1), haar_observable(rng, 3)]
+        assert [len(o.outcomes) for o in obs] == [2, 3, 1, 3]
+        scheme = build_scheme(rho, obs)
+        assert len(scheme.outcome_tuples) == 18
+        for t in scheme.outcome_tuples:
+            expected = trace_entry(rho, oracles.weyl_oracle(tuple_mats(obs, t)))
+            assert abs(scheme.entry(t) - expected) <= 1e-15
+        assert abs(scheme.values.sum() - 1.0) <= 1e-14
 
 
 class TestBuildSchemeEntries:
@@ -172,6 +274,14 @@ class TestBlocks:
 def lattice_entries(d, n, k):
     """prod_i (1 + k_i) d^2 for n observables of k outcomes each."""
     return (1 + k) ** n * d * d
+
+
+def suffix_entries(orderings, d, k):
+    """sum over the distinct proper suffixes s of the orderings of
+    prod_{i not in s} k_i d^2, for observables of k outcomes each."""
+    n = len(orderings[0])
+    suffixes = {c[j:] for c in orderings for j in range(1, n + 1)}
+    return sum(k ** (n - len(s)) for s in suffixes) * d * d
 
 
 class TestMemoryBound:
@@ -262,11 +372,17 @@ class TestLatticeCap:
         assert abs(scheme.entry(t) - polar) <= 1e-12
 
     def test_weights_counted_per_class(self):
-        # qubit N = 8: each weighted class forms its product over 256 tuples
-        rho, obs = random_case(6, 2, 8)
-        per_class = 2 ** 8 * 4
-        inside = schemes.MAX_LATTICE_ENTRIES // per_class
-        weights = np.zeros(len(ordering_classes(8)))
+        # the suffix recursion makes B(s) once per distinct proper suffix s
+        # of the weighted orderings, over the outcomes outside s; over 8
+        # qutrit observables the first 11383 classes fit and 11384 do not
+        rho, obs = random_case(6, 3, 8)
+        classes = ordering_classes(8)
+        inside = 11383
+        assert suffix_entries(classes[:inside], 3, 3) <= schemes.MAX_LATTICE_ENTRIES
+        assert suffix_entries(classes[:inside + 1], 3, 3) > schemes.MAX_LATTICE_ENTRIES
+        # far fewer than one full grid per class: the old per-class count
+        assert inside * 3 ** 8 * 9 > 16 * schemes.MAX_LATTICE_ENTRIES
+        weights = np.zeros(len(classes))
         weights[:inside] = 1.0 / inside
         t0 = time.perf_counter()
         scheme = build_scheme(rho, obs, Recipe.convex(weights))
@@ -274,11 +390,13 @@ class TestLatticeCap:
         t = scheme.outcome_tuples[-1]
         mats = tuple_mats(obs, t)
         expected = sum(trace_entry(rho, hermitized_product(mats, c))
-                       for c in ordering_classes(8)[:inside]) / inside
+                       for c in classes[:inside]) / inside
         assert abs(scheme.entry(t) - expected) <= 1e-13
         weights[:inside + 1] = 1.0 / (inside + 1)
+        t0 = time.perf_counter()
         with pytest.raises(OrderingExplosion):
             build_scheme(rho, obs, Recipe.convex(weights))
+        assert time.perf_counter() - t0 < 0.5
 
     def test_just_outside_cap_fails_before_allocating(self):
         rho, obs = random_case(8, 8, 8)
