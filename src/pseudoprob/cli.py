@@ -6,7 +6,8 @@ recipes and JSON files, required mutually exclusive groups take the "exactly
 one of" pairs, and the checks that need a second argument or a file's
 contents call the subcommand parser's `error`. So every usage error prints
 that subcommand's usage line and exits 2. A token made of '-' and then a
-digit or '.' is a value, so `--bloch -0.5,0,0` reads like `--bloch=-0.5,0,0`.
+digit, '.', 'inf' or 'nan' is a value, so `--bloch -0.5,0,0` reads like
+`--bloch=-0.5,0,0` and `--eps -inf` like `--eps=-inf`.
 
 Every count (--steps, --samples, --theta-grid, --pairs) has an upper bound,
 a work budget checked before anything is allocated; a count over it is a
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .errors import PseudoprobError
-from .operators import HermitianOperator, commutator_norm, eigenvalues_hermitian, symmetrized_product
+from .operators import _commutator_norms, _hermitian_parts, _spectra
 from .pseudoprojection import Recipe
 from .qubit import (
     ORTHOGONAL_PAIR,
@@ -61,8 +62,12 @@ MAX_SAMPLES = 1_000_000
 # grid points takes ~1.9 s, and 10^6 samples over 9 ~2.1 s.
 GRID_POINT_SAMPLES = 1_500
 MAX_GRID_WORK = 10_000_000
-# spectrum takes ~0.7 ms per pair at every --dim from 2 to 16: 4,096 pairs
-# ~2.9 s.
+# spectrum runs every pair in one stacked pass: ~15 us per pair at --dim 4
+# (ranks 2,1) and ~0.15 ms at --dim 16 (ranks 16,16), so 4,096 pairs take
+# ~0.06 s and ~0.6-0.7 s (the per-pair loop it replaced took ~0.6-0.8 s and
+# ~1.2-1.5 s; min of 5, two runs each). Memory grows with the count: the
+# worst accepted input, --dim 16 --ranks 16,16 --pairs 4096, peaks at
+# ~129 MiB under tracemalloc, ~32 KiB per pair.
 MAX_PAIRS = 4_096
 _AXES = {
     "x": (1.0, 0.0, 0.0),
@@ -121,12 +126,6 @@ def _sample_ball(rng: np.random.Generator, n: int) -> np.ndarray:
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     r = rng.random(n) ** (1.0 / 3.0)
     return v * r[:, None]
-
-
-def _haar_projector(rng: np.random.Generator, dim: int, rank: int) -> HermitianOperator:
-    z = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    q, _ = np.linalg.qr(z)
-    return HermitianOperator(q @ q.conj().T)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -239,26 +238,32 @@ def _cmd_spectrum(args) -> tuple:
     r1, r2 = args.ranks
     if not (1 <= r1 <= args.dim and 1 <= r2 <= args.dim):
         args.error(f"--ranks {r1},{r2} out of range for --dim {args.dim}")
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    noncommuting = violations = 0
-    for i in range(args.pairs):
-        p1 = _haar_projector(rng, args.dim, r1)
-        p2 = _haar_projector(rng, args.dim, r2)
-        min_eig = float(eigenvalues_hermitian(symmetrized_product(p1, p2))[0])
-        comm = commutator_norm(p1, p2)
-        if comm > COMMUTATOR_CUTOFF:
-            noncommuting += 1
-            if min_eig >= -NEGATIVE_EIG_CUTOFF:
-                violations += 1
-        rows.append({"pair": i, "min_eig": min_eig, "commutator_norm": comm})
-    params = {
-        "dim": args.dim,
-        "ranks": [r1, r2],
-        "pairs": args.pairs,
-        "seed": args.seed,
-    }
-    summary = {"pairs": args.pairs, "noncommuting": noncommuting, "violations": violations}
+    d, n = args.dim, args.pairs
+    # one row of normals per pair, in the per-pair draw order: frame 1's real
+    # and imaginary parts, then frame 2's
+    normals = np.random.default_rng(args.seed).normal(size=(n, 2 * d * (r1 + r2)))
+    frames = []
+    for f in np.split(normals, [2 * d * r1], axis=1):
+        re, im = f.reshape(n, 2, d, -1).swapaxes(0, 1)
+        q = np.linalg.qr(re + 1j * im)[0]
+        frames.append(_hermitian_parts(q @ q.conj().swapaxes(1, 2))[0])
+    # the normals and every view of them go before the products, so the
+    # peak is the second frame's (see MAX_PAIRS)
+    del normals, f, re, im, q
+    # each pair's symmetrized_product, its spectrum and commutator_norm,
+    # with the same arithmetic, on stacks
+    ab, ba = frames[0] @ frames[1], frames[1] @ frames[0]
+    sym = 0.5 * (ab + ba)
+    comm = _commutator_norms(ab, ba)
+    min_eig = _spectra(_hermitian_parts(sym)[0])[:, 0]
+    noncommuting = int((comm > COMMUTATOR_CUTOFF).sum())
+    violations = int(((comm > COMMUTATOR_CUTOFF) & (min_eig >= -NEGATIVE_EIG_CUTOFF)).sum())
+    rows = [
+        {"pair": i, "min_eig": e, "commutator_norm": c}
+        for i, (e, c) in enumerate(zip(min_eig.tolist(), comm.tolist()))
+    ]
+    params = {"dim": d, "ranks": [r1, r2], "pairs": n, "seed": args.seed}
+    summary = {"pairs": n, "noncommuting": noncommuting, "violations": violations}
     comments = [f"# noncommuting={noncommuting}", f"# violations={violations}"]
     return (
         _scan_json("spectrum", params, rows, args, summary=summary),
@@ -284,13 +289,14 @@ def _cmd_entanglement(args) -> tuple:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a token made of '-' and then a digit or '.' as a value, not an
-    option: no option here starts that way, and argparse's own rule takes
-    only plain decimals, not '-0.5,0,0' or '-1e-10'."""
+    """Reads a token made of '-' and then a digit, '.', 'inf' or 'nan' (in
+    any case) as a value, not an option: no option here starts that way, and
+    argparse's own rule takes only plain decimals, not '-0.5,0,0', '-1e-10'
+    or '-inf'."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-[\d.]")
+        self._negative_number_matcher = re.compile(r"-([\d.]|inf|nan)", re.IGNORECASE)
 
 
 def _int_between(least: int, most: int | None = None):

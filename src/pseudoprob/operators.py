@@ -156,11 +156,14 @@ def eigenvalues_hermitian(a: HermitianOperator, vectors: bool = False):
     With `vectors=True` also returns the unitary eigenvector matrix V
     (columns are eigenvectors, M = V diag(w) V^dag).
     """
+    return _spectra(a.matrix, vectors)
+
+
+def _spectra(m: np.ndarray, vectors: bool = False):
+    """`eigenvalues_hermitian` on a (..., d, d) array of Hermitian matrices:
+    the one place where LAPACK's LinAlgError becomes EigenConvergenceError."""
     try:
-        if vectors:
-            vals, vecs = np.linalg.eigh(a.matrix)
-            return vals, vecs
-        return np.linalg.eigvalsh(a.matrix)
+        return tuple(np.linalg.eigh(m)) if vectors else np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
 
@@ -188,4 +191,10 @@ def idempotency_residual(a: HermitianOperator) -> float:
 def commutator_norm(a: HermitianOperator, b: HermitianOperator) -> float:
     """Entrywise max-norm of the commutator [a, b]."""
     _check_same_dim(a, b)
-    return float(np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix).max())
+    return float(_commutator_norms(a.matrix @ b.matrix, b.matrix @ a.matrix))
+
+
+def _commutator_norms(ab: np.ndarray, ba: np.ndarray) -> np.ndarray:
+    """Entrywise max-norm of each commutator ab - ba of a (..., d, d) stack,
+    given both products."""
+    return np.abs(ab - ba).max(axis=(-2, -1))

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .operators import (
     HermitianOperator,
-    commutator_norm,
+    _commutator_norms,
     eigenvalues_hermitian,
     idempotency_residual,
     identity,
@@ -102,13 +102,20 @@ class Recipe:
 
     @classmethod
     def from_json(cls, obj) -> "Recipe":
+        """Inverse of `to_json`: the unit index and each weight must be a
+        JSON number (not a boolean or a string), and the weights a list."""
         if obj == "weyl":
             return cls.weyl()
-        if isinstance(obj, dict) and "unit" in obj:
+        if isinstance(obj, dict) and "unit" in obj and _is_number(obj["unit"]):
             return cls.unit(obj["unit"])
-        if isinstance(obj, dict) and "weights" in obj:
-            return cls.convex(obj["weights"])
+        weights = obj.get("weights") if isinstance(obj, dict) else None
+        if isinstance(weights, list) and all(_is_number(w) for w in weights):
+            return cls.convex(weights)
         raise InvalidRecipe(f"unrecognised recipe JSON {obj!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_weights(ws, expected_len: int) -> None:
@@ -436,13 +443,12 @@ def negation_product_residual(pp) -> float:
 def spectral_audit(pp: PseudoProjection) -> SpectralAudit:
     """Minimum eigenvalue, worst generator commutator, and projection check."""
     vals = eigenvalues_hermitian(pp.op)
-    gens = pp.generators
-    comm = 0.0
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            comm = max(comm, commutator_norm(gens[i], gens[j]))
+    if len({g.dim for g in pp.generators}) > 1:
+        raise DimensionMismatch("projectors of mixed dimension")
+    m = np.stack([g.matrix for g in pp.generators])
+    i, j = np.triu_indices(len(m), 1)  # every pair i < j, in one call
     return SpectralAudit(
         min_eig=float(vals[0]),
-        commutator_norm=comm,
+        commutator_norm=float(_commutator_norms(m[i] @ m[j], m[j] @ m[i]).max(initial=0.0)),
         is_true_projection=idempotency_residual(pp.op) <= RESIDUAL_ATOL,
     )

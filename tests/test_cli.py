@@ -2,10 +2,20 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
+from pseudoprob import (
+    HermitianOperator,
+    commutator_norm,
+    eigenvalues_hermitian,
+    symmetrized_product,
+)
 from pseudoprob import cli
 from pseudoprob.cli import main
+from pseudoprob.tolerances import COMMUTATOR_CUTOFF, NEGATIVE_EIG_CUTOFF
+
+import oracles
 
 S2 = math.sqrt(2.0)
 
@@ -410,6 +420,52 @@ class TestSpectrum:
         assert code == 0
         assert "# violations=0" in out
 
+    def test_lapack_failure_is_one_domain_error(self, capsys, monkeypatch):
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        code, out, err = run(capsys, "spectrum", "--dim", "3", "--ranks", "1,2", "--pairs", "5")
+        assert (code, out) == (3, "")
+        assert err == "error: eig-no-convergence: Eigenvalues did not converge\n"
+
+    @pytest.mark.parametrize(
+        "dim, ranks, pairs, seed",
+        [(2, (1, 1), 300, 3), (4, (2, 1), 1000, 7), (9, (9, 9), 40, 1), (16, (8, 3), 100, 5),
+         (5, (2, 3), 1, 11)],
+    )
+    def test_rows_equal_the_per_pair_reference(self, capsys, dim, ranks, pairs, seed):
+        # every pair built on its own, in draw order, from the same generator:
+        # the stacked pass does the same arithmetic, so the rows are equal
+        rng = np.random.default_rng(seed)
+        rows = []
+        for i in range(pairs):
+            p1, p2 = (HermitianOperator(oracles.haar_projector(rng, dim, r)) for r in ranks)
+            comm = commutator_norm(p1, p2)
+            assert comm == np.abs(p1.matrix @ p2.matrix - p2.matrix @ p1.matrix).max()
+            min_eig = float(eigenvalues_hermitian(symmetrized_product(p1, p2))[0])
+            rows.append({"pair": i, "min_eig": min_eig, "commutator_norm": comm})
+        argv = [
+            "spectrum", "--dim", str(dim), "--ranks", f"{ranks[0]},{ranks[1]}",
+            "--pairs", str(pairs), "--seed", str(seed), "--deterministic",
+        ]
+        code, out, _ = run(capsys, *argv)
+        obj = json.loads(out)
+        assert code == 0 and obj["rows"] == rows
+        noncommuting = [r for r in rows if r["commutator_norm"] > COMMUTATOR_CUTOFF]
+        violations = [r for r in noncommuting if r["min_eig"] >= -NEGATIVE_EIG_CUTOFF]
+        assert obj["summary"] == {
+            "pairs": pairs, "noncommuting": len(noncommuting), "violations": len(violations),
+        }
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        lines = out.splitlines()
+        assert lines[1:-2] == [
+            f"{r['pair']},{r['min_eig']:.17g},{r['commutator_norm']:.17g}" for r in rows
+        ]
+        assert lines[-2:] == [
+            f"# noncommuting={len(noncommuting)}", f"# violations={len(violations)}",
+        ]
+
 
 class TestEntanglement:
     def test_bell(self, capsys):
@@ -523,6 +579,18 @@ class TestNegativeValues:
 
     def test_negative_eps_reads_as_its_value(self, capsys):
         err = usage_error(capsys, "scheme", "--bloch", "0,0,0", "--dirs", "z", "--eps", "-1e-10")
+        assert "argument --eps: eps must be a finite number >= 0" in err
+
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-INF", "-nan", "-NaN"])
+    def test_negative_non_finite_angle_is_one_invalid_state_line(self, capsys, value):
+        code, out, err = run(capsys, "entanglement", "--schmidt-alpha", value)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: invalid-state: ") and err.count("\n") == 1
+        assert run(capsys, "entanglement", f"--schmidt-alpha={value}") == (code, out, err)
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan"])
+    def test_negative_non_finite_eps_reads_as_its_value(self, capsys, value):
+        err = usage_error(capsys, "scheme", "--bloch", "0,0,0", "--dirs", "z", "--eps", value)
         assert "argument --eps: eps must be a finite number >= 0" in err
 
 

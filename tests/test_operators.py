@@ -12,6 +12,7 @@ from pseudoprob import (
     SIGMA_Y,
     SIGMA_Z,
     DimensionMismatch,
+    EigenConvergenceError,
     HermitianOperator,
     NonHermitianInput,
     commutator_norm,
@@ -195,6 +196,15 @@ class TestEigenvalues:
         assert np.allclose(vals, expected, atol=1e-14)
         for x in vals:
             assert abs(x * x - 0.5 * x - 1.0 / 16.0) < 1e-14
+
+    @pytest.mark.parametrize("vectors, routine", [(False, "eigvalsh"), (True, "eigh")])
+    def test_lapack_failure_is_eigen_convergence_error(self, monkeypatch, vectors, routine):
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, routine, fail)
+        with pytest.raises(EigenConvergenceError, match="did not converge"):
+            eigenvalues_hermitian(SIGMA_Z, vectors=vectors)
 
     def test_sorted_ascending(self):
         vals = eigenvalues_hermitian(hermitian_pair(6, 3)[0])

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from pseudoprob import (
+    DimensionMismatch,
     HermitianOperator,
     InvalidConvexWeights,
     InvalidRecipe,
     NotAProjector,
     OrderingExplosion,
+    PseudoProjection,
     Recipe,
     build_scheme,
     combine,
+    commutator_norm,
     coplanar_triple_directions,
     density_from_bloch,
     disjunction_operator,
@@ -185,6 +188,24 @@ class TestRecipeValidation:
         with pytest.raises(InvalidRecipe, match="must be an integer"):
             Recipe.from_json({"unit": index})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"unit": "3"}, {"unit": None}, {"unit": True}, {"unit": False}, {"unit": [2]},
+            {"weights": 5}, {"weights": None}, {"weights": "ab"}, {"weights": {"w": 1.0}},
+            {"weights": ["0.5", "0.5"]}, {"weights": [True, False]}, {"weights": [0.5, None]},
+            {}, "unit", 3, None,
+        ],
+        ids=repr,
+    )
+    def test_malformed_json_raises_invalid_recipe(self, obj):
+        with pytest.raises(InvalidRecipe, match="unrecognised recipe JSON"):
+            Recipe.from_json(obj)
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], [1, 0], [np.float64(0.25), 0.75]])
+    def test_json_weights_that_are_numbers_are_accepted(self, weights):
+        assert Recipe.from_json({"weights": weights}) == Recipe.convex(weights)
+
     @pytest.mark.parametrize("index", [2, 2.0, np.int64(2)])
     def test_integral_unit_index_is_accepted(self, index):
         recipe = Recipe.unit(index)
@@ -288,6 +309,32 @@ class TestSpectralAudit:
     def test_coplanar_weyl_negative(self):
         audit = spectral_audit(weyl_pseudo_projection(coplanar_projectors()))
         assert audit.min_eig < 0
+
+    @staticmethod
+    def haar_generators():
+        rng = np.random.default_rng(61)
+        return [HermitianOperator(oracles.haar_projector(rng, 3, 1 + k % 2)) for k in range(5)]
+
+    @pytest.mark.parametrize("gens", ["coplanar", "haar"])
+    def test_commutator_norm_is_the_largest_pairwise_one(self, gens):
+        gens = coplanar_projectors() if gens == "coplanar" else self.haar_generators()
+        pairwise = [
+            commutator_norm(gens[i], gens[j])
+            for i in range(len(gens)) for j in range(i + 1, len(gens))
+        ]
+        assert len(pairwise) == len(gens) * (len(gens) - 1) // 2
+        audit = spectral_audit(weyl_pseudo_projection(gens))
+        assert audit.commutator_norm == max(pairwise) > 0.1
+
+    def test_single_generator_has_no_commutator(self):
+        pp = PseudoProjection(op=PI_Z, generators=(PI_Z,), recipe=Recipe.weyl())
+        assert spectral_audit(pp).commutator_norm == 0.0
+
+    def test_generators_of_mixed_dimension_are_rejected(self):
+        qutrit = HermitianOperator(np.diag([1.0, 0.0, 0.0]))
+        pp = PseudoProjection(op=PI_Z, generators=(PI_Z, PI_X, qutrit), recipe=Recipe.weyl())
+        with pytest.raises(DimensionMismatch):
+            spectral_audit(pp)
 
 
 class TestSpectrumClosedForm:
