@@ -9,9 +9,9 @@ that subcommand's usage line and exits 2. A token made of '-' and then a
 digit, '.', 'inf' or 'nan' is a value, so `--bloch -0.5,0,0` reads like
 `--bloch=-0.5,0,0` and `--eps -inf` like `--eps=-inf`.
 
-Every count (--steps, --samples, --theta-grid, --pairs) has an upper bound,
-a work budget checked before anything is allocated; a count over it is a
-usage error too.
+Every count has an upper bound, a work budget checked before anything is
+allocated: --steps at most 100,000, --samples and --theta-grid at most 10^6
+each, --pairs at most 4,096. A count over its bound is a usage error too.
 
 Exit codes: 0 success, 2 usage or input parse error, 3 domain error.
 """
@@ -34,7 +34,7 @@ from .pseudoprojection import Recipe
 from .qubit import (
     ORTHOGONAL_PAIR,
     ORTHOGONAL_TRIPLE,
-    PairGeometry,
+    _aligned_directions,
     coplanar_triple_directions,
     critical_radius_bisection,
     negativity_max,
@@ -49,19 +49,21 @@ from . import entanglement as ent
 PRNG_NAME = "numpy default_rng (PCG64)"
 # Work budgets: the parser checks each count against its bound before
 # anything is allocated, and a count over it is a usage error. Worst cases at
-# the bounds, timed in-process on a 2-vCPU Xeon VM (single runs):
-# scan-negativity takes ~30 us per step: 100,000 steps ~3.0 s.
+# the bounds, timed in-process on a 2-vCPU Xeon VM (min of 5 unless stated;
+# the VM's speed varies by run):
+# scan-negativity computes every step in one broadcast call, and building
+# and writing the rows takes most of its ~3.5-4.5 us per step: 100,000 steps
+# take ~0.35-0.45 s, with a tracemalloc peak of ~36 MiB.
 MAX_STEPS = 100_000
 # the orthogonal classical-region families take ~0.25 us per sample:
 # 10^6 samples ~0.25 s, with a tracemalloc peak of ~62 MiB.
 MAX_SAMPLES = 1_000_000
-# free-pair sweeps every sample over the theta grid, ~0.2 us per sample and
-# grid point plus ~280 us per grid point, which is as much as
-# GRID_POINT_SAMPLES samples: --theta-grid may be at most
-# MAX_GRID_WORK // (samples + GRID_POINT_SAMPLES). One sample over 6,662
-# grid points takes ~1.9 s, and 10^6 samples over 9 ~2.1 s.
-GRID_POINT_SAMPLES = 1_500
-MAX_GRID_WORK = 10_000_000
+# free-pair finds each sample's two bracketing grid points with one
+# searchsorted and evaluates only those, so a grid point costs ~25 ns and a
+# sample ~1 us: 10^6 samples over 10^6 grid points take ~1.1-1.4 s, with a
+# tracemalloc peak of ~222 MiB (the 10^6-sample draw and its (samples, 3)
+# arrays; one sample over 10^6 points takes ~30 ms).
+MAX_THETA_GRID = 1_000_000
 # spectrum runs every pair in one stacked pass: ~15 us per pair at --dim 4
 # (ranks 2,1) and ~0.15 ms at --dim 16 (ranks 16,16), so 4,096 pairs take
 # ~0.06 s and ~0.6-0.7 s (the per-pair loop it replaced took ~0.6-0.8 s and
@@ -168,35 +170,16 @@ def _cmd_scan_negativity(args) -> tuple:
     if clipped_hi < clipped_lo:
         args.error("--theta-max must not be below --theta-min")
     thetas = np.linspace(clipped_lo, clipped_hi, args.steps)
-    rows = [
-        {"theta": float(t), "negativity": negativity_special(args.pnorm, float(t))}
-        for t in thetas
-    ]
-    params = {
-        "pnorm": args.pnorm,
-        "theta_min": clipped_lo,
-        "theta_max": clipped_hi,
-        "steps": args.steps,
-        "seed": args.seed,
-    }
+    values = negativity_special(args.pnorm, thetas).tolist()
+    rows = [{"theta": t, "negativity": v} for t, v in zip(thetas.tolist(), values)]
+    params = {"pnorm": args.pnorm, "theta_min": clipped_lo, "theta_max": clipped_hi,
+              "steps": args.steps, "seed": args.seed}
     return _scan_json("scan-negativity", params, rows, args), ["theta", "negativity"], rows, []
 
 
-def theta_grid_bound(samples: int) -> int:
-    """The most free-pair --theta-grid points MAX_GRID_WORK allows for
-    `samples` samples."""
-    return MAX_GRID_WORK // (samples + GRID_POINT_SAMPLES)
-
-
 def _cmd_classical_region(args) -> tuple:
-    if args.family == "free-pair" and args.theta_grid > theta_grid_bound(args.samples):
-        args.error(
-            f"--theta-grid {args.theta_grid} exceeds the free-pair work budget: at most "
-            f"{theta_grid_bound(args.samples)} grid points for {args.samples} samples"
-        )
     rng = np.random.default_rng(args.seed)
-    states = _sample_ball(rng, args.samples)
-    pnorms = np.linalg.norm(states, axis=1)
+    pnorms = np.linalg.norm(_sample_ball(rng, args.samples), axis=1)
     params = {"family": args.family, "samples": args.samples, "seed": args.seed}
     if args.family in (ORTHOGONAL_PAIR, ORTHOGONAL_TRIPLE):
         r_c = critical_radius_bisection(args.family)
@@ -211,15 +194,19 @@ def _cmd_classical_region(args) -> tuple:
             "euclidean_volume_fraction": frac,
             "euclidean_volume_fraction_se": se,
         }
-    else:  # free-pair: sweep the aligned geometry over a theta grid per state
-        grid = np.pi * np.arange(1, args.theta_grid + 1) / (args.theta_grid + 1)
-        params["theta_grid_points"] = args.theta_grid
-        pvecs = np.zeros((args.samples, 3))
-        pvecs[:, 2] = pnorms
+    else:  # free-pair: is some aligned geometry on the theta grid non-classical?
+        # Its smallest entry is (c^2 - |P| c)/2, c = cos(theta/2), and the
+        # other three are never negative. That is convex in c, and c falls
+        # along the grid, so the grid minimum is at one of the two points
+        # whose c brackets |P|/2: the first with c <= |P|/2 and the one before.
+        n = args.theta_grid
+        grid = np.pi * np.arange(1, n + 1) / (n + 1)
+        params["theta_grid_points"] = n
+        pvecs = np.outer(pnorms, (0.0, 0.0, 1.0))  # P along z
+        first = np.searchsorted(-np.cos(0.5 * grid), -0.5 * pnorms)
         nonclassical = np.zeros(args.samples, dtype=bool)
-        for theta in grid:
-            g = PairGeometry.aligned(0.0, float(theta))
-            entries = pair_entries(pvecs, g.m1, g.m2)
+        for k in (np.maximum(first - 1, 0), np.minimum(first, n - 1)):
+            entries = pair_entries(pvecs, *_aligned_directions(grid[k]))
             nonclassical |= entries.min(axis=-1) < -args.eps
         polarized = pnorms > 0.0
         frac = float(nonclassical[polarized].mean()) if polarized.any() else 0.0
@@ -299,14 +286,14 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-([\d.]|inf|nan)", re.IGNORECASE)
 
 
-def _int_between(least: int, most: int | None = None):
-    """Type of an integer in [least, most] (no upper bound for None)."""
+def _int_between(least: int, most: int):
+    """Type of an integer in [least, most]."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
-        if most is not None and value > most:
+        if value > most:
             raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
 
@@ -433,10 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_between(1, MAX_SAMPLES), required=True)
     p.add_argument(
         "--theta-grid",
-        type=_int_between(1),
+        type=_int_between(1, MAX_THETA_GRID),
         default=128,
-        help="geometry search resolution for free-pair, at most "
-        f"{MAX_GRID_WORK} // (samples + {GRID_POINT_SAMPLES})",
+        help="geometry search resolution for free-pair",
     )
     p.set_defaults(func=_cmd_classical_region, error=p.error)
 

@@ -113,12 +113,24 @@ class HermitianOperator:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HermitianOperator":
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
+        dim = _json_field(obj, "dim", "matrix", int)
+        re = _json_field(obj, "re", "matrix")
+        im = _json_field(obj, "im", "matrix")
         if re.shape != (dim, dim) or im.shape != (dim, dim):
             raise ValueError("matrix JSON shape does not match dim")
         return cls(re + 1j * im)
+
+
+def _json_field(obj, key: str, what: str, convert=None):
+    """convert(obj[key]), by default a float array, for the JSON object `obj`
+    that describes `what`. A non-object, a missing key or a value `convert`
+    rejects raises ValueError, so every malformed file is one domain error."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f'{what} JSON needs an object with a "{key}" key')
+    try:
+        return np.asarray(obj[key], dtype=float) if convert is None else convert(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f'{what} JSON "{key}" must hold numbers') from None
 
 
 # the slots' own setters, bypassing the __setattr__ that keeps values immutable

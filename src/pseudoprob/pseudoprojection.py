@@ -68,7 +68,9 @@ class Recipe:
 
     @classmethod
     def unit(cls, index: int) -> "Recipe":
-        if not (isinstance(index, numbers.Integral) or float(index).is_integer()):
+        if not _is_number(index) or not (
+            isinstance(index, numbers.Integral) or float(index).is_integer()
+        ):
             raise InvalidRecipe(f"unit index must be an integer, got {index!r}")
         if index < 0:
             raise InvalidRecipe(f"unit index must be non-negative, got {index}")
@@ -76,7 +78,10 @@ class Recipe:
 
     @classmethod
     def convex(cls, weights) -> "Recipe":
-        ws = tuple(float(w) for w in weights)
+        ws = tuple(weights)
+        if not all(_is_number(w) for w in ws):
+            raise InvalidConvexWeights(f"weights must be real numbers, got {ws!r}")
+        ws = tuple(float(w) for w in ws)
         _check_weights(ws, len(ws))
         return cls(kind="weights", weights=ws)
 

@@ -47,9 +47,23 @@ def _check_pnorm(pnorm: float) -> None:
         raise ValueError(f"pnorm must lie in [0, 1], got {pnorm}")
 
 
-def _check_theta(theta: float) -> None:
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie in (0, pi), got {theta}")
+def _check_theta(theta) -> None:
+    """Every angle of `theta` (a number or an array) in (0, pi); the first
+    one that is not, NaN included, is named."""
+    theta = np.asarray(theta, dtype=float)
+    outside = ~((0.0 < theta) & (theta < math.pi))
+    if outside.any():
+        raise ValueError(f"theta must lie in (0, pi), got {float(theta[outside][0])}")
+
+
+def _aligned_directions(theta) -> tuple:
+    """The aligned pair's directions (sin h, 0, cos h) and (-sin h, 0, cos h),
+    h = theta/2, each of shape theta.shape + (3,): unit vectors at angle
+    theta in the x-z plane with m1 + m2 along z."""
+    half = 0.5 * np.asarray(theta, dtype=float)
+    s, c = np.sin(half), np.cos(half)
+    zero = np.zeros_like(half)
+    return np.stack([s, zero, c], axis=-1), np.stack([-s, zero, c], axis=-1)
 
 
 def pair_entries(p, m1, m2) -> np.ndarray:
@@ -120,10 +134,7 @@ class PairGeometry:
         """Directions at angle theta in the x-z plane, P along m1 + m2."""
         _check_theta(theta)
         _check_pnorm(pnorm)
-        half = 0.5 * theta
-        m1 = np.array([math.sin(half), 0.0, math.cos(half)])
-        m2 = np.array([-math.sin(half), 0.0, math.cos(half)])
-        return cls(p=np.array([0.0, 0.0, float(pnorm)]), m1=m1, m2=m2)
+        return cls(np.array([0.0, 0.0, float(pnorm)]), *_aligned_directions(theta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,15 +193,19 @@ def triple_scheme_weyl_closed(g: TripleGeometry) -> Scheme:
     return Scheme(observables, Recipe.weyl(), density_from_bloch(g.p), values)
 
 
-def negativity_special(pnorm: float, theta: float) -> float:
+def negativity_special(pnorm: float, theta):
     """Negativity of the aligned pair geometry: max(0, (|P| c - c^2)/2),
-    c = cos(theta/2). Positive exactly when |P| > cos(theta/2)."""
+    c = cos(theta/2). Positive exactly when |P| > cos(theta/2).
+
+    Broadcasts over theta like `pair_entries`: a float for a number, an
+    array of theta's shape for an array.
+    """
     pnorm = float(pnorm)
-    theta = float(theta)
     _check_pnorm(pnorm)
     _check_theta(theta)
-    c = math.cos(0.5 * theta)
-    return max(0.0, 0.5 * (pnorm * c - c * c))
+    c = np.cos(0.5 * np.asarray(theta, dtype=float))
+    value = np.maximum(0.0, 0.5 * (pnorm * c - c * c))
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ import pytest
 
 from pseudoprob import (
     HermitianOperator,
+    PairGeometry,
     commutator_norm,
     eigenvalues_hermitian,
+    pair_entries,
     symmetrized_product,
 )
 from pseudoprob import cli
@@ -142,6 +144,25 @@ class TestSchemeErrors:
         path.write_text("{not json")
         err = usage_error(capsys, "scheme", "--state", str(path), "--dirs", "z")
         assert "cannot read JSON" in err
+
+    @pytest.mark.parametrize(
+        "flag, content",
+        [
+            ("--state", 5), ("--state", {"rho": 5}), ("--state", {"rho": {"dim": 2}}),
+            ("--state", [0, 0, 1]), ("--state", {"bloch": {"x": 1}}),
+            ("--state", {"rho": {"dim": 2, "re": [[1, {}], [0, 0]], "im": [[0, 0], [0, 0]]}}),
+            ("--dirs-file", [5]), ("--dirs-file", [{"m": {"x": 1}}]),
+        ],
+        ids=repr,
+    )
+    def test_json_of_the_wrong_shape_is_one_domain_error(self, capsys, tmp_path, flag, content):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        given = ["--state", str(path)] if flag == "--state" else ["--bloch", "0,0,0"]
+        rest = ["--dirs", "z"] if flag == "--state" else ["--dirs-file", str(path)]
+        code, out, err = run(capsys, "scheme", *given, *rest)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unphysical_bloch_is_domain_error(self, capsys):
         code, _, err = run(capsys, "scheme", "--bloch", "1,1,0", "--dirs", "z", "x")
@@ -352,6 +373,28 @@ class TestClassicalRegion:
         row = json.loads(out)["rows"][0]
         assert row["nonclassical_fraction"] >= 0.99
 
+    @pytest.mark.parametrize("grid", [1, 2, 7, 128])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_free_pair_equals_the_loop_over_every_grid_point(self, capsys, seed, grid):
+        # the reference sweeps the aligned geometry over the whole theta
+        # grid, one PairGeometry per point, from the same draw
+        pnorms = np.linalg.norm(cli._sample_ball(np.random.default_rng(seed), 3000), axis=1)
+        pvecs = np.zeros((pnorms.size, 3))
+        pvecs[:, 2] = pnorms
+        thetas = np.pi * np.arange(1, grid + 1) / (grid + 1)
+        worst = np.full(pnorms.size, np.inf)
+        for theta in thetas:
+            g = PairGeometry.aligned(0.0, float(theta))
+            worst = np.minimum(worst, pair_entries(pvecs, g.m1, g.m2).min(axis=-1))
+        for eps in (0.0, 1e-10, 1e-3, 0.02, 0.05, 0.1, 0.2):
+            code, out, _ = run(
+                capsys, "classical-region", "--family", "free-pair", "--samples", "3000",
+                "--seed", str(seed), "--theta-grid", str(grid), "--eps", str(eps),
+            )
+            assert code == 0
+            expected = float((worst < -eps)[pnorms > 0].mean())
+            assert json.loads(out)["rows"][0]["nonclassical_fraction"] == expected
+
     def test_zero_samples_rejected_as_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["classical-region", "--family", "orthogonal-pair", "--samples", "0"])
@@ -536,6 +579,18 @@ class TestEntanglement:
         assert code == 3 and out == ""
         assert err.startswith("error: invalid-state: Schmidt angle") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "content",
+        [{"schmidt_alpha": None}, {"schmidt_alpha": [1]}, 5, [0.1], {"amps_re": [1, "a", 0, 0]}],
+        ids=repr,
+    )
+    def test_json_of_the_wrong_shape_is_one_domain_error(self, capsys, tmp_path, content):
+        path = tmp_path / "psi.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, "entanglement", "--state", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_csv_matches_json(self, capsys):
         code, out, _ = run(capsys, "entanglement", "--schmidt-alpha", str(math.pi / 8))
         assert code == 0
@@ -638,41 +693,29 @@ class TestWorkBudgets:
         (["scan-negativity", "--pnorm", "1"], "--steps", cli.MAX_STEPS),
         (["classical-region", "--family", "orthogonal-pair"], "--samples", cli.MAX_SAMPLES),
         (["spectrum", "--dim", "4", "--ranks", "2,1"], "--pairs", cli.MAX_PAIRS),
+        (
+            ["classical-region", "--family", "free-pair", "--samples", "1"],
+            "--theta-grid", cli.MAX_THETA_GRID,
+        ),
     ]
+    IDS = ["steps", "samples", "pairs", "theta-grid"]
 
-    @pytest.mark.parametrize("argv, flag, most", BOUNDS, ids=["steps", "samples", "pairs"])
+    @pytest.mark.parametrize("argv, flag, most", BOUNDS, ids=IDS)
     def test_parser_accepts_the_bound(self, argv, flag, most):
         args = cli.build_parser().parse_args(argv + [flag, str(most)])
-        assert getattr(args, flag[2:]) == most
+        assert getattr(args, flag[2:].replace("-", "_")) == most
 
-    @pytest.mark.parametrize("argv, flag, most", BOUNDS, ids=["steps", "samples", "pairs"])
+    @pytest.mark.parametrize("argv, flag, most", BOUNDS, ids=IDS)
     def test_one_past_the_bound_fails_fast(self, capsys, argv, flag, most):
         t0 = time.perf_counter()
         err = usage_error(capsys, *argv, flag, str(most + 1))
         assert time.perf_counter() - t0 < 0.5
         assert f"argument {flag}: must be at most {most}, got {most + 1}" in err
 
-    @pytest.mark.parametrize("samples", [1, 10_000, cli.MAX_SAMPLES])
-    def test_theta_grid_bound_is_the_largest_grid_within_the_budget(self, samples):
-        most = cli.theta_grid_bound(samples)
-        cost = samples + cli.GRID_POINT_SAMPLES
-        assert most >= 1
-        assert most * cost <= cli.MAX_GRID_WORK < (most + 1) * cost
-
-    def test_theta_grid_one_past_the_bound_fails_fast(self, capsys):
-        most = cli.theta_grid_bound(1)
-        t0 = time.perf_counter()
-        err = usage_error(
-            capsys, "classical-region", "--family", "free-pair", "--samples", "1",
-            "--theta-grid", str(most + 1),
-        )
-        assert time.perf_counter() - t0 < 0.5
-        assert f"at most {most} grid points for 1 samples" in err
-
     def test_theta_grid_is_only_bounded_where_it_is_swept(self, capsys):
         code, out, _ = run(
             capsys, "classical-region", "--family", "orthogonal-pair",
-            "--samples", "10", "--theta-grid", str(cli.theta_grid_bound(10) + 1),
+            "--samples", "10", "--theta-grid", str(cli.MAX_THETA_GRID),
         )
         assert code == 0 and "theta_grid_points" not in out
 
@@ -680,4 +723,4 @@ class TestWorkBudgets:
         # the README's largest counts: 181 steps, 10^5 samples, 10^4
         # free-pair samples over the default 128-point grid, 1000 pairs
         assert 181 <= cli.MAX_STEPS and 100_000 <= cli.MAX_SAMPLES
-        assert 128 <= cli.theta_grid_bound(10_000) and 1000 <= cli.MAX_PAIRS
+        assert 128 <= cli.MAX_THETA_GRID and 1000 <= cli.MAX_PAIRS

@@ -206,7 +206,27 @@ class TestRecipeValidation:
     def test_json_weights_that_are_numbers_are_accepted(self, weights):
         assert Recipe.from_json({"weights": weights}) == Recipe.convex(weights)
 
-    @pytest.mark.parametrize("index", [2, 2.0, np.int64(2)])
+    @pytest.mark.parametrize("index", ["3", True, False, None, [2]], ids=repr)
+    def test_unit_index_that_is_not_a_number_is_rejected(self, index):
+        with pytest.raises(InvalidRecipe, match="must be an integer"):
+            Recipe.unit(index)
+
+    @pytest.mark.parametrize(
+        "weights", [["0.5", "0.5"], [True, False], [0.5, None], [1.0, "0"]], ids=repr
+    )
+    def test_weights_that_are_not_numbers_are_rejected(self, weights):
+        with pytest.raises(InvalidConvexWeights, match="must be real numbers"):
+            Recipe.convex(weights)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [np.array([0.25, 0.75]), np.array([1, 0]), [np.float32(0.5), np.float64(0.5)]],
+        ids=repr,
+    )
+    def test_numpy_weights_are_accepted(self, weights):
+        assert Recipe.convex(weights).weights == tuple(float(w) for w in weights)
+
+    @pytest.mark.parametrize("index", [2, 2.0, np.int64(2), np.float64(2.0)])
     def test_integral_unit_index_is_accepted(self, index):
         recipe = Recipe.unit(index)
         assert recipe == Recipe.from_json({"unit": index}) == Recipe.unit(2)

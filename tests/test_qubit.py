@@ -175,6 +175,28 @@ class TestNegativitySpecial:
         with pytest.raises(ValueError):
             negativity_special(0.5, math.pi)
 
+    def test_array_equals_the_scalar_calls(self):
+        thetas = np.linspace(1e-6, math.pi - 1e-6, 1001)
+        for pnorm in (0.0, 0.3, 0.9, 1.0):
+            values = negativity_special(pnorm, thetas)
+            assert values.shape == thetas.shape
+            assert values.tolist() == [negativity_special(pnorm, float(t)) for t in thetas]
+        grid = negativity_special(0.8, thetas.reshape(7, 143))
+        assert np.array_equal(grid, negativity_special(0.8, thetas).reshape(7, 143))
+
+    def test_scalar_theta_returns_a_float(self):
+        assert type(negativity_special(1.0, 1.0)) is float
+        assert type(negativity_special(1.0, np.float64(1.0))) is float
+
+    @pytest.mark.parametrize("bad", [0.0, math.pi, -1.0, 4.0, math.nan])
+    def test_array_with_a_theta_out_of_range_names_it(self, bad):
+        with pytest.raises(ValueError) as scalar:
+            negativity_special(0.5, bad)
+        with pytest.raises(ValueError) as array:
+            negativity_special(0.5, np.array([1.0, bad, 0.0, 2.0]))
+        assert str(array.value) == str(scalar.value)
+        assert str(scalar.value) == f"theta must lie in (0, pi), got {bad}"
+
     def test_monotone_in_polarisation(self):
         theta = 1.9
         grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
