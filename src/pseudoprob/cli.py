@@ -172,8 +172,13 @@ def _cmd_scan_negativity(args) -> tuple:
     thetas = np.linspace(clipped_lo, clipped_hi, args.steps)
     values = negativity_special(args.pnorm, thetas).tolist()
     rows = [{"theta": t, "negativity": v} for t, v in zip(thetas.tolist(), values)]
-    params = {"pnorm": args.pnorm, "theta_min": clipped_lo, "theta_max": clipped_hi,
-              "steps": args.steps, "seed": args.seed}
+    params = {
+        "pnorm": args.pnorm,
+        "theta_min": clipped_lo,
+        "theta_max": clipped_hi,
+        "steps": args.steps,
+        "seed": args.seed,
+    }
     return _scan_json("scan-negativity", params, rows, args), ["theta", "negativity"], rows, []
 
 
@@ -424,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=128,
         help="geometry search resolution for free-pair",
     )
-    p.set_defaults(func=_cmd_classical_region, error=p.error)
+    p.set_defaults(func=_cmd_classical_region)
 
     p = sub.add_parser(
         "spectrum", parents=[common], help="minimum eigenvalues of random projector products"

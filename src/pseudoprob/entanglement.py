@@ -98,7 +98,7 @@ def pure_state_from_json(obj: dict) -> TwoQubitPureState:
     """Load from {"amps_re": [...], "amps_im": [...]} or {"schmidt_alpha": x}."""
     what = "two-qubit state"
     if isinstance(obj, dict) and "schmidt_alpha" in obj:
-        return TwoQubitPureState.from_schmidt(_json_field(obj, "schmidt_alpha", what, float))
+        return TwoQubitPureState.from_schmidt(_json_field(obj, "schmidt_alpha", what, scalar=True))
     if isinstance(obj, dict) and "amps_re" in obj:
         re = _json_field(obj, "amps_re", what)
         im = _json_field(obj, "amps_im", what) if "amps_im" in obj else np.zeros(4)

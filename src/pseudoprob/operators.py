@@ -8,6 +8,7 @@ everything is safe to use concurrently without coordination.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -113,7 +114,7 @@ class HermitianOperator:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HermitianOperator":
-        dim = _json_field(obj, "dim", "matrix", int)
+        dim = _json_field(obj, "dim", "matrix", scalar=True)
         re = _json_field(obj, "re", "matrix")
         im = _json_field(obj, "im", "matrix")
         if re.shape != (dim, dim) or im.shape != (dim, dim):
@@ -121,16 +122,31 @@ class HermitianOperator:
         return cls(re + 1j * im)
 
 
-def _json_field(obj, key: str, what: str, convert=None):
-    """convert(obj[key]), by default a float array, for the JSON object `obj`
-    that describes `what`. A non-object, a missing key or a value `convert`
-    rejects raises ValueError, so every malformed file is one domain error."""
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _all_numbers(value) -> bool:
+    """Whether `value` is a number or (nested) lists of numbers."""
+    if isinstance(value, (list, tuple)):
+        return all(_all_numbers(v) for v in value)
+    return _is_number(value)
+
+
+def _json_field(obj, key: str, what: str, scalar: bool = False):
+    """obj[key] as a float array (a float if `scalar`), for the JSON object
+    `obj` that describes `what`. A non-object, a missing key or a value that is
+    not JSON numbers (a string, null, a boolean, a ragged list) raises
+    ValueError, so every malformed file is one domain error."""
     if not isinstance(obj, dict) or key not in obj:
         raise ValueError(f'{what} JSON needs an object with a "{key}" key')
-    try:
-        return np.asarray(obj[key], dtype=float) if convert is None else convert(obj[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f'{what} JSON "{key}" must hold numbers') from None
+    value = obj[key]
+    if _is_number(value) if scalar else _all_numbers(value):
+        try:
+            return float(value) if scalar else np.asarray(value, dtype=float)
+        except (ValueError, OverflowError):  # a ragged list, an integer past float range
+            pass
+    raise ValueError(f'{what} JSON "{key}" must hold {"a number" if scalar else "numbers"}')
 
 
 # the slots' own setters, bypassing the __setattr__ that keeps values immutable

@@ -32,6 +32,7 @@ from .errors import (
 from .operators import (
     HermitianOperator,
     _commutator_norms,
+    _is_number,
     eigenvalues_hermitian,
     idempotency_residual,
     identity,
@@ -117,10 +118,6 @@ class Recipe:
         if isinstance(weights, list) and all(_is_number(w) for w in weights):
             return cls.convex(weights)
         raise InvalidRecipe(f"unrecognised recipe JSON {obj!r}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_weights(ws, expected_len: int) -> None:

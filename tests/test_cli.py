@@ -151,7 +151,11 @@ class TestSchemeErrors:
             ("--state", 5), ("--state", {"rho": 5}), ("--state", {"rho": {"dim": 2}}),
             ("--state", [0, 0, 1]), ("--state", {"bloch": {"x": 1}}),
             ("--state", {"rho": {"dim": 2, "re": [[1, {}], [0, 0]], "im": [[0, 0], [0, 0]]}}),
+            ("--state", {"bloch": ["0.5", 0, 0]}), ("--state", {"bloch": None}),
+            ("--state", {"bloch": [True, 0, 0]}),
+            ("--state", {"rho": {"dim": 2.7, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}}),
             ("--dirs-file", [5]), ("--dirs-file", [{"m": {"x": 1}}]),
+            ("--dirs-file", [{"m": ["1", 0, 0]}]), ("--dirs-file", [{"m": [[1, 0], [0]]}]),
         ],
         ids=repr,
     )
@@ -581,7 +585,10 @@ class TestEntanglement:
 
     @pytest.mark.parametrize(
         "content",
-        [{"schmidt_alpha": None}, {"schmidt_alpha": [1]}, 5, [0.1], {"amps_re": [1, "a", 0, 0]}],
+        [
+            {"schmidt_alpha": None}, {"schmidt_alpha": [1]}, {"schmidt_alpha": "0.5"}, 5, [0.1],
+            {"amps_re": [1, "a", 0, 0]}, {"amps_re": [1, 0, 0, 0], "amps_im": None},
+        ],
         ids=repr,
     )
     def test_json_of_the_wrong_shape_is_one_domain_error(self, capsys, tmp_path, content):

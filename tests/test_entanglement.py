@@ -156,6 +156,11 @@ class TestHelpers:
         with pytest.raises(InvalidState, match="Schmidt angle"):
             pure_state_from_json(obj)
 
+    @pytest.mark.parametrize("im", [None, ["0", 0, 0, 0], [False, 0, 0, 0]], ids=repr)
+    def test_state_from_json_names_a_key_that_does_not_hold_numbers(self, im):
+        with pytest.raises(ValueError, match='two-qubit state JSON "amps_im" must hold numbers'):
+            pure_state_from_json({"amps_re": [1, 0, 0, 0], "amps_im": im})
+
     def test_state_from_json_missing(self):
         with pytest.raises(ValueError):
             pure_state_from_json({})

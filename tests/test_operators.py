@@ -85,6 +85,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             HermitianOperator.from_json({"dim": 3, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})
 
+    def test_json_dim_may_be_an_integral_float(self):
+        obj = {"dim": 2.0, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+        assert np.array_equal(HermitianOperator.from_json(obj).matrix, np.eye(2))
+
+    @pytest.mark.parametrize("dim", ["2", True, None, [2]], ids=repr)
+    def test_json_dim_that_is_not_a_number_names_the_key(self, dim):
+        with pytest.raises(ValueError, match='matrix JSON "dim" must hold a number'):
+            HermitianOperator.from_json({"dim": dim, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})
+
 
 BAD_MATRICES = {
     "nan": [[np.nan, 0], [0, 1]],
