@@ -91,8 +91,9 @@ class TestConstruction:
 
     @pytest.mark.parametrize("dim", ["2", True, None, [2]], ids=repr)
     def test_json_dim_that_is_not_a_number_names_the_key(self, dim):
+        obj = {"dim": dim, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
         with pytest.raises(ValueError, match='matrix JSON "dim" must hold a number'):
-            HermitianOperator.from_json({"dim": dim, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})
+            HermitianOperator.from_json(obj)
 
 
 BAD_MATRICES = {
