@@ -83,7 +83,6 @@ from .schemes import (
     marginal,
     minimal_coarse_graining,
     negativity,
-    scheme_to_json,
 )
 from .states import (
     DensityDiagnostics,

@@ -4,14 +4,19 @@ estimation, spectrum audits, and entanglement queries.
 The parser owns the argument grammar: `type=` callables parse number lists,
 recipes and JSON files, required mutually exclusive groups take the "exactly
 one of" pairs, and the checks that need a second argument or a file's
-contents call the subcommand parser's `error`. So every usage error prints
-that subcommand's usage line and exits 2. A token made of '-' and then a
-digit, '.', 'inf' or 'nan' is a value, so `--bloch -0.5,0,0` reads like
-`--bloch=-0.5,0,0` and `--eps -inf` like `--eps=-inf`.
+contents call the subcommand parser's `error`, as does writing to an --out
+path that cannot be written. So every usage error prints that subcommand's
+usage line and exits 2. A token made of '-' and then a digit, '.', 'inf' or
+'nan' is a value, so `--bloch -0.5,0,0` reads like `--bloch=-0.5,0,0` and
+`--eps -inf` like `--eps=-inf`.
 
 Every count has an upper bound, a work budget checked before anything is
 allocated: --steps at most 100,000, --samples and --theta-grid at most 10^6
 each, --pairs at most 4,096. A count over its bound is a usage error too.
+
+The JSON wire format is decided here alone: the readers of state and
+direction files and the scheme writer are this module's, and the library's
+objects know no file format.
 
 Exit codes: 0 success, 2 usage or input parse error, 3 domain error.
 """
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .errors import PseudoprobError
-from .operators import _commutator_norms, _hermitian_parts, _spectra
+from .operators import HermitianOperator, _commutator_norms, _hermitian_parts, _is_number, _spectra
 from .pseudoprojection import Recipe
 from .qubit import (
     ORTHOGONAL_PAIR,
@@ -41,8 +46,8 @@ from .qubit import (
     negativity_special,
     pair_entries,
 )
-from .schemes import build_scheme, check_eps, scheme_to_json
-from .states import direction, direction_from_json, observable_from_direction, state_from_json
+from .schemes import build_scheme, check_eps, classify, negativity
+from .states import DensityMatrix, density_from_bloch, direction, observable_from_direction
 from .tolerances import CLASSICALITY_EPS, COMMUTATOR_CUTOFF, NEGATIVE_EIG_CUTOFF, THETA_MARGIN
 from . import entanglement as ent
 
@@ -82,12 +87,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _emit(text: str, args) -> None:
+    """Write `text` to --out, or to stdout without it. A path that cannot be
+    written is a usage error, as an unreadable input file is."""
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        args.error(f"cannot write {args.out}: {exc}")
 
 
 def _metadata(args) -> dict:
@@ -130,23 +140,112 @@ def _sample_ball(rng: np.random.Generator, n: int) -> np.ndarray:
     return v * r[:, None]
 
 
+# ---------------------------------------------------------- JSON wire format
+# A reader raises ValueError, naming the key, for JSON of the wrong shape, so
+# every malformed file is one domain error.
+
+
+def _all_numbers(value) -> bool:
+    """Whether `value` is a number or (nested) lists of numbers."""
+    if isinstance(value, (list, tuple)):
+        return all(_all_numbers(v) for v in value)
+    return _is_number(value)
+
+
+def _json_field(obj, key: str, what: str, scalar: bool = False):
+    """obj[key] as a float array (a float if `scalar`), for the JSON object
+    `obj` that describes `what`. A non-object, a missing key or a value that is
+    not JSON numbers (a string, null, a boolean, a ragged list) raises
+    ValueError."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f'{what} JSON needs an object with a "{key}" key')
+    value = obj[key]
+    if _is_number(value) if scalar else _all_numbers(value):
+        try:
+            return float(value) if scalar else np.asarray(value, dtype=float)
+        except (ValueError, OverflowError):  # a ragged list, an integer past float range
+            pass
+    raise ValueError(f'{what} JSON "{key}" must hold {"a number" if scalar else "numbers"}')
+
+
+def _read_matrix(obj) -> HermitianOperator:
+    """The operator of a {"dim": d, "re": [[...]], "im": [[...]]} object."""
+    dim = _json_field(obj, "dim", "matrix", scalar=True)
+    re = _json_field(obj, "re", "matrix")
+    im = _json_field(obj, "im", "matrix")
+    if re.shape != (dim, dim) or im.shape != (dim, dim):
+        raise ValueError("matrix JSON shape does not match dim")
+    return HermitianOperator(re + 1j * im)
+
+
+def _read_state(obj) -> DensityMatrix:
+    """A state from {"bloch": [x,y,z]} or {"rho": {dim,re,im}}."""
+    if isinstance(obj, dict) and "bloch" in obj:
+        return density_from_bloch(_json_field(obj, "bloch", "state"))
+    if isinstance(obj, dict) and "rho" in obj:
+        return DensityMatrix(_read_matrix(obj["rho"]))
+    raise ValueError('state JSON needs an object with a "bloch" or "rho" key')
+
+
+def _read_direction(obj) -> np.ndarray:
+    """A direction from {"m": [x,y,z]} (normalised on load)."""
+    return direction(_json_field(obj, "m", "direction"))
+
+
+def _read_pure_state(obj) -> ent.TwoQubitPureState:
+    """A two-qubit state from {"amps_re": [...], "amps_im": [...]} or
+    {"schmidt_alpha": x}."""
+    what = "two-qubit state"
+    if isinstance(obj, dict) and "schmidt_alpha" in obj:
+        return ent.TwoQubitPureState.from_schmidt(_json_field(obj, "schmidt_alpha", what, scalar=True))
+    if isinstance(obj, dict) and "amps_re" in obj:
+        re = _json_field(obj, "amps_re", what)
+        im = _json_field(obj, "amps_im", what) if "amps_im" in obj else np.zeros(4)
+        return ent.TwoQubitPureState(re + 1j * im)
+    raise ValueError('two-qubit state JSON needs an object with "amps_re" or "schmidt_alpha"')
+
+
+def _recipe_json(recipe: Recipe):
+    if recipe.kind == "weyl":
+        return "weyl"
+    if recipe.kind == "unit":
+        return {"unit": recipe.index}
+    return {"weights": list(recipe.weights)}
+
+
+def _scheme_json(scheme, eps: float) -> dict:
+    """The scheme of direction-built observables (each written as its axis),
+    entries in canonical order."""
+    entries = [
+        {"a": [int(a) for a in t], "p": float(v)}
+        for t, v in zip(scheme.outcome_tuples, scheme.values)
+    ]
+    return {
+        "observables": [{"m": [float(x) for x in obs.axis]} for obs in scheme.observables],
+        "recipe": _recipe_json(scheme.recipe),
+        "entries": entries,
+        "negativity": negativity(scheme),
+        "classical": classify(scheme, eps).classical,
+    }
+
+
 # ---------------------------------------------------------------- subcommands
 # Each returns its JSON object, then its CSV columns, rows and comment lines;
 # `main` writes the one --format asks for.
 
 
 def _cmd_scheme(args) -> tuple:
-    rho = state_from_json({"bloch": args.bloch} if args.state is None else args.state)
+    rho = density_from_bloch(args.bloch) if args.state is None else _read_state(args.state)
     if args.dirs is not None:
         # the coplanar120 vectors are unit vectors already; the rest are normalised here
         dirs = [m if isinstance(m, np.ndarray) else direction(m) for tok in args.dirs for m in tok]
     elif isinstance(args.dirs_file, list):
-        dirs = [direction_from_json(obj) for obj in args.dirs_file]
+        dirs = [_read_direction(obj) for obj in args.dirs_file]
     else:
         args.error("--dirs-file must hold a JSON list of direction objects")
     observables = [observable_from_direction(m) for m in dirs]
     scheme = build_scheme(rho, observables, args.recipe)
-    obj = scheme_to_json(scheme, eps=args.eps)
+    obj = _scheme_json(scheme, args.eps)
     cols = [f"a{i+1}" for i in range(scheme.n_observables)] + ["p"]
     rows = [dict(zip(cols, e["a"] + [e["p"]])) for e in obj["entries"]]
     comments = [
@@ -267,7 +366,7 @@ def _cmd_entanglement(args) -> tuple:
     if args.state is None:
         psi = ent.TwoQubitPureState.from_schmidt(_angle(args.schmidt_alpha, args))
     else:
-        psi = ent.pure_state_from_json(args.state)
+        psi = _read_pure_state(args.state)
     p_r = ent.reduced_bloch_norm(psi, 0)
     row = {
         "reduced_bloch_norm": p_r,
@@ -403,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--recipe", type=_recipe, default="weyl", help="'weyl', 'unit:K', or weights 'w1,w2,...'"
     )
-    p.set_defaults(func=_cmd_scheme, error=p.error)
+    p.set_defaults(func=_cmd_scheme)
 
     p = sub.add_parser(
         "scan-negativity", parents=[common], help="aligned-geometry negativity vs theta"
@@ -412,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-min", type=float, default=THETA_MARGIN)
     p.add_argument("--theta-max", type=float, default=math.pi - THETA_MARGIN)
     p.add_argument("--steps", type=_int_between(2, MAX_STEPS), default=181)
-    p.set_defaults(func=_cmd_scan_negativity, error=p.error)
+    p.set_defaults(func=_cmd_scan_negativity)
 
     p = sub.add_parser(
         "classical-region", parents=[common], help="classical-state fractions per family"
@@ -439,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ranks", type=_numbers(2, int), required=True, help="projector ranks as 'r1,r2'"
     )
     p.add_argument("--pairs", type=_int_between(1, MAX_PAIRS), default=1000)
-    p.set_defaults(func=_cmd_spectrum, error=p.error)
+    p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser(
         "entanglement", parents=[common], help="reduced-purity entanglement monotone"
@@ -450,6 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--state", type=_json_file, help="state JSON with amps_re/amps_im or schmidt_alpha"
     )
     p.set_defaults(func=_cmd_entanglement)
+    for p in sub.choices.values():
+        p.set_defaults(error=p.error)
     return parser
 
 
@@ -461,9 +562,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if args.format == "json":
-        _emit(json.dumps(obj) + "\n", args.out)
+        _emit(json.dumps(obj) + "\n", args)
     else:
-        _emit(_scan_csv(columns, rows, comments), args.out)
+        _emit(_scan_csv(columns, rows, comments), args)
     return 0
 
 

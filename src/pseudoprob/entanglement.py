@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import InvalidState
-from .operators import HermitianOperator, _json_field, eigenvalues_hermitian
+from .operators import HermitianOperator, eigenvalues_hermitian
 from .qubit import negativity_max
 from .states import DensityMatrix
 from .tolerances import NORM_ATOL, ROUNDING_ATOL
@@ -92,15 +92,3 @@ def random_single_qubit_unitary(rng: np.random.Generator) -> np.ndarray:
     q2 = z[:, 1] - q1 * (q1.conj() @ z[:, 1])
     q2 = q2 / np.linalg.norm(q2)
     return np.column_stack([q1, q2])
-
-
-def pure_state_from_json(obj: dict) -> TwoQubitPureState:
-    """Load from {"amps_re": [...], "amps_im": [...]} or {"schmidt_alpha": x}."""
-    what = "two-qubit state"
-    if isinstance(obj, dict) and "schmidt_alpha" in obj:
-        return TwoQubitPureState.from_schmidt(_json_field(obj, "schmidt_alpha", what, scalar=True))
-    if isinstance(obj, dict) and "amps_re" in obj:
-        re = _json_field(obj, "amps_re", what)
-        im = _json_field(obj, "amps_im", what) if "amps_im" in obj else np.zeros(4)
-        return TwoQubitPureState(re + 1j * im)
-    raise ValueError('two-qubit state JSON needs an object with "amps_re" or "schmidt_alpha"')

@@ -41,12 +41,20 @@ from .tolerances import RESIDUAL_ATOL, ROUNDING_ATOL
 
 # A Weyl average takes 2^N N products; build_scheme makes each partial
 # product once per outcome of the observables it involves, within
-# schemes.MAX_LATTICE_ENTRIES: an N = 8 Weyl scheme takes ~6-8 ms over
-# qubits (256 tuples) and ~40-46 ms over qutrits (6561 tuples), and a weights
-# recipe over all 20160 classes of 8 qubit observables ~0.33-0.37 s, on a
-# 2-vCPU Xeon VM, min of 3 (the VM's speed varies by run). Only
-# unit_pseudo_projections enumerates all N!/2 = 20160 classes at N = 8.
+# MAX_LATTICE_ENTRIES: an N = 8 Weyl scheme takes ~6-8 ms over qubits (256
+# tuples) and ~40-46 ms over qutrits (6561 tuples), and a weights recipe over
+# all 20160 classes of 8 qubit observables ~0.33-0.37 s, on a 2-vCPU Xeon VM,
+# min of 3 (the VM's speed varies by run). Only unit_pseudo_projections
+# enumerates all N!/2 = 20160 classes at N = 8: ~0.8 s at d = 2 and ~1.2 s at
+# d = 14, the largest d within MAX_LATTICE_ENTRIES (at N = 7, d = 40: ~0.5 s).
+# weyl_pseudo_projection at N = 8 takes ~0.33 s at its largest d, 128.
 MAX_GENERATORS = 8
+# The most d x d complex matrix entries one call builds, counted before
+# anything is built: build_scheme's outcome lattice (see schemes), 2^N d^2 for
+# weyl_pseudo_projection (its W(S) for every subset S, build_scheme's count for
+# single-outcome axes) and (N!/2) d^2 for unit_pseudo_projections (one unit
+# per reversal class).
+MAX_LATTICE_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -99,26 +107,6 @@ class Recipe:
             return [(w, c) for w, c in zip(self.weights, classes) if w]
         raise InvalidRecipe(f"unknown recipe kind {self.kind!r}")
 
-    def to_json(self):
-        if self.kind == "weyl":
-            return "weyl"
-        if self.kind == "unit":
-            return {"unit": self.index}
-        return {"weights": list(self.weights)}
-
-    @classmethod
-    def from_json(cls, obj) -> "Recipe":
-        """Inverse of `to_json`: the unit index and each weight must be a
-        JSON number (not a boolean or a string), and the weights a list."""
-        if obj == "weyl":
-            return cls.weyl()
-        if isinstance(obj, dict) and "unit" in obj and _is_number(obj["unit"]):
-            return cls.unit(obj["unit"])
-        weights = obj.get("weights") if isinstance(obj, dict) else None
-        if isinstance(weights, list) and all(_is_number(w) for w in weights):
-            return cls.convex(weights)
-        raise InvalidRecipe(f"unrecognised recipe JSON {obj!r}")
-
 
 def _check_weights(ws, expected_len: int) -> None:
     if len(ws) != expected_len:
@@ -156,7 +144,11 @@ class SpectralAudit:
     is_true_projection: bool
 
 
-def _check_generators(projs) -> list:
+def _check_generators(projs, matrices) -> list:
+    """The N projectors as a list, checked in this order: 2 <= N <=
+    MAX_GENERATORS; the `matrices(N)` d x d matrices to be built from them,
+    d the first one's dimension, within MAX_LATTICE_ENTRIES entries; each
+    projector of dimension d and idempotent."""
     projs = list(projs)
     if len(projs) < 2:
         raise ValueError("need at least two projectors")
@@ -165,6 +157,9 @@ def _check_generators(projs) -> list:
             f"{len(projs)} projectors exceed the generator cap {MAX_GENERATORS}"
         )
     dim = projs[0].dim
+    entries = matrices(len(projs)) * dim * dim
+    if entries > MAX_LATTICE_ENTRIES:
+        raise OrderingExplosion(f"{entries} matrix entries exceed the cap {MAX_LATTICE_ENTRIES}")
     for p in projs:
         if p.dim != dim:
             raise DimensionMismatch("projectors of mixed dimension")
@@ -363,7 +358,7 @@ def unit_pseudo_projections(projectors) -> list[PseudoProjection]:
     projection when all commute). Each is tagged Recipe.unit(k) with its
     class index k, so `build_scheme` with that recipe reproduces it.
     """
-    projs = _check_generators(projectors)
+    projs = _check_generators(projectors, lambda n: math.factorial(n) // 2)
     units, indices = distinct_unit_matrices([p.matrix for p in projs])
     gens = tuple(projs)
     return [
@@ -380,31 +375,38 @@ def weyl_pseudo_projection(projectors) -> PseudoProjection:
     their symmetrized product; for a complementary pair (pi, 1 - pi) it
     vanishes identically.
     """
-    projs = _check_generators(projectors)
+    projs = _check_generators(projectors, lambda n: 2 ** n)
     op = HermitianOperator(weyl_matrix([p.matrix for p in projs]))
     return PseudoProjection(op=op, generators=tuple(projs), recipe=Recipe.weyl())
 
 
 def combine(units, weights) -> PseudoProjection:
-    """Convex combination of unit pseudo-projections.
+    """Convex combination of unit pseudo-projections of the same generators.
 
     Tagged with one weight per ordering class, each unit's weight at its
     Recipe.unit class index, so `build_scheme` replays the tag also when
-    units collapsed or only some of them were passed.
+    units collapsed or only some of them were passed. The tag names the first
+    unit's generators, so every unit's generator matrices must equal them, in
+    the same order.
     """
     units = list(units)
     ws = tuple(float(w) for w in weights)
     _check_weights(ws, len(units))
-    class_weights = [0.0] * len(ordering_classes(len(units[0].generators)))
+    gens = units[0].generators
+    class_weights = [0.0] * len(ordering_classes(len(gens)))
     acc = np.zeros_like(units[0].op.matrix)
     for w, u in zip(ws, units):
         if u.recipe.kind != "unit" or u.recipe.index >= len(class_weights):
             raise InvalidRecipe(f"combine needs unit pseudo-projections, got recipe {u.recipe!r}")
+        if len(u.generators) != len(gens) or not all(
+            np.array_equal(g.matrix, h.matrix) for g, h in zip(u.generators, gens)
+        ):
+            raise InvalidRecipe("combine needs units of the same generators")
         class_weights[u.recipe.index] += w
         acc = acc + w * u.op.matrix
     return PseudoProjection(
         op=HermitianOperator(acc),
-        generators=units[0].generators,
+        generators=gens,
         recipe=Recipe.convex(class_weights),
     )
 

@@ -23,7 +23,7 @@ from .errors import (
     PartitionSearchTooLarge,
 )
 from .pseudoprojection import (
-    MAX_GENERATORS, Recipe, ordering_classes, weighted_matrix, weyl_matrix,
+    MAX_GENERATORS, MAX_LATTICE_ENTRIES, Recipe, ordering_classes, weighted_matrix, weyl_matrix,
 )
 from .states import DensityMatrix
 from .tolerances import ATOL_LOOSE, CLASSICALITY_EPS, RESIDUAL_ATOL
@@ -48,7 +48,7 @@ MAX_CANDIDATE_BLOCKS = 1 << 14
 # matrices for k_i outcomes each. A unit/weights recipe instead makes B(s)
 # for every distinct proper suffix s of its nonzero orderings, over the
 # outcomes of the observables outside s (_suffix_matrices). Inputs above
-# this many entries are rejected before anything is built. On a 2-vCPU Xeon
+# MAX_LATTICE_ENTRIES entries are rejected before anything is built. On a 2-vCPU Xeon
 # VM, min of 3: the slowest accepted inputs found take ~0.24 s (Weyl, d = 4,
 # outcome counts 4,4,4,4,4,4,3,3; 4.0M entries) and ~0.4 s (weights over
 # 11383 classes of 8 qutrit observables, or over all 20160 classes of 8
@@ -57,7 +57,6 @@ MAX_CANDIDATE_BLOCKS = 1 << 14
 # cheap: single-outcome observables at d = 1024, N = 2 or d = 128, N = 8
 # take ~0.25-0.4 s (single runs), and a qutrit N = 8 Weyl scheme (0.59M)
 # ~40-46 ms.
-MAX_LATTICE_ENTRIES = 1 << 22
 
 
 def check_eps(eps: float) -> float:
@@ -352,23 +351,3 @@ def minimal_coarse_graining(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> Co
         partition=tuple(partition), block_count=top, num_maximizers=count,
         search_states=len(memo) - 1,
     )
-
-
-def scheme_to_json(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> dict:
-    """Wire format with direction-backed observables, canonical entry order."""
-    obs_json = []
-    for obs in scheme.observables:
-        if obs.axis is None:
-            raise ValueError("scheme JSON output needs direction-backed observables")
-        obs_json.append({"m": [float(x) for x in obs.axis]})
-    entries = [
-        {"a": [int(a) for a in t], "p": float(v)}
-        for t, v in zip(scheme.outcome_tuples, scheme.values)
-    ]
-    return {
-        "observables": obs_json,
-        "recipe": scheme.recipe.to_json(),
-        "entries": entries,
-        "negativity": negativity(scheme),
-        "classical": classify(scheme, eps).classical,
-    }

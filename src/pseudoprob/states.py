@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidState, NotAProjector, UnphysicalBloch
-from .operators import HermitianOperator, _json_field, eigenvalues_hermitian
+from .operators import HermitianOperator, eigenvalues_hermitian
 from .tolerances import ATOL_LOOSE, RESIDUAL_ATOL, ROUNDING_ATOL
 
 # Directions must be normalisable without drama; anything outside this norm
@@ -277,17 +277,3 @@ def observable_from_direction(m) -> Observable:
     half = 0.5 * sigma
     op, up, down = HermitianOperator.from_stack([sigma, _HALF_I2 + half, _HALF_I2 - half])
     return Observable(op=op, resolution=((1, up), (-1, down)), axis=mhat)
-
-
-def state_from_json(obj: dict) -> DensityMatrix:
-    """Load a state from {"bloch": [x,y,z]} or {"rho": {dim,re,im}}."""
-    if isinstance(obj, dict) and "bloch" in obj:
-        return density_from_bloch(_json_field(obj, "bloch", "state"))
-    if isinstance(obj, dict) and "rho" in obj:
-        return DensityMatrix(HermitianOperator.from_json(obj["rho"]))
-    raise ValueError('state JSON needs an object with a "bloch" or "rho" key')
-
-
-def direction_from_json(obj: dict) -> np.ndarray:
-    """Load a direction from {"m": [x,y,z]} (normalised on load)."""
-    return direction(_json_field(obj, "m", "direction"))

@@ -6,20 +6,28 @@ import numpy as np
 import pytest
 
 from pseudoprob import (
+    DensityMatrix,
     HermitianOperator,
+    InvalidState,
     PairGeometry,
+    Recipe,
+    build_scheme,
     commutator_norm,
+    coplanar_triple_directions,
     eigenvalues_hermitian,
+    monotone,
+    observable_from_direction,
     pair_entries,
     symmetrized_product,
 )
 from pseudoprob import cli
 from pseudoprob.cli import main
-from pseudoprob.tolerances import COMMUTATOR_CUTOFF, NEGATIVE_EIG_CUTOFF
+from pseudoprob.tolerances import CLASSICALITY_EPS, COMMUTATOR_CUTOFF, NEGATIVE_EIG_CUTOFF
 
 import oracles
 
 S2 = math.sqrt(2.0)
+COPLANAR_OBSERVABLES = [observable_from_direction(m) for m in coplanar_triple_directions()]
 
 
 def run(capsys, *argv):
@@ -731,3 +739,114 @@ class TestWorkBudgets:
         # free-pair samples over the default 128-point grid, 1000 pairs
         assert 181 <= cli.MAX_STEPS and 100_000 <= cli.MAX_SAMPLES
         assert 128 <= cli.MAX_THETA_GRID and 1000 <= cli.MAX_PAIRS
+
+
+class TestOutPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scheme", "--bloch", "0,0,0", "--dirs", "z"],
+            ["spectrum", "--dim", "2", "--ranks", "1,1", "--pairs", "3", "--format", "csv"],
+        ],
+        ids=["scheme", "spectrum"],
+    )
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_is_one_usage_error_naming_the_path(self, capsys, tmp_path, argv, where):
+        target = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+        err = usage_error(capsys, *argv, "--out", str(target))
+        assert "Traceback" not in err and err.count("error:") == 1
+        assert err.splitlines()[-1].startswith(f"pseudoprob {argv[0]}: error: cannot write {target}: ")
+
+
+class TestWireFormat:
+    # the readers of --state and --dirs-file objects and the scheme writer
+
+    def test_matrix_reads_re_and_im_exactly(self):
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        op = HermitianOperator(0.5 * (z + z.conj().T))
+        obj = json.loads(
+            json.dumps({"dim": 3, "re": op.matrix.real.tolist(), "im": op.matrix.imag.tolist()})
+        )
+        assert np.array_equal(cli._read_matrix(obj).matrix, op.matrix)
+
+    def test_matrix_shape_mismatch(self):
+        with pytest.raises(ValueError, match="matrix JSON shape does not match dim"):
+            cli._read_matrix({"dim": 3, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})
+
+    def test_matrix_dim_may_be_an_integral_float(self):
+        obj = {"dim": 2.0, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+        assert np.array_equal(cli._read_matrix(obj).matrix, np.eye(2))
+
+    @pytest.mark.parametrize("dim", ["2", True, None, [2]], ids=repr)
+    def test_matrix_dim_that_is_not_a_number_names_the_key(self, dim):
+        obj = {"dim": dim, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+        with pytest.raises(ValueError, match='matrix JSON "dim" must hold a number'):
+            cli._read_matrix(obj)
+
+    def test_state_from_bloch(self):
+        rho = cli._read_state({"bloch": [0, 0, 1]})
+        assert np.allclose(rho.matrix, np.diag([1.0, 0.0]))
+
+    def test_state_from_rho(self):
+        obj = {"rho": {"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}}
+        assert np.array_equal(cli._read_state(obj).matrix, 0.5 * np.eye(2))
+
+    def test_state_missing_keys(self):
+        with pytest.raises(ValueError):
+            cli._read_state({"psi": [1, 0]})
+
+    def test_direction_json(self):
+        m = cli._read_direction({"m": [0, 0, 5]})
+        assert np.allclose(m, [0, 0, 1])
+        with pytest.raises(ValueError):
+            cli._read_direction({"n": [0, 0, 1]})
+
+    def test_pure_state_amplitudes(self):
+        psi = cli._read_pure_state({"amps_re": [1, 0, 0, 0], "amps_im": [0, 0, 0, 0]})
+        assert np.allclose(psi.amplitudes, [1, 0, 0, 0])
+
+    def test_pure_state_schmidt(self):
+        psi = cli._read_pure_state({"schmidt_alpha": math.pi / 4})
+        assert monotone(psi) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
+    def test_pure_state_rejects_non_finite_schmidt_angle(self, text):
+        obj = json.loads(f'{{"schmidt_alpha": {text}}}')
+        with pytest.raises(InvalidState, match="Schmidt angle"):
+            cli._read_pure_state(obj)
+
+    @pytest.mark.parametrize("im", [None, ["0", 0, 0, 0], [False, 0, 0, 0]], ids=repr)
+    def test_pure_state_names_a_key_that_does_not_hold_numbers(self, im):
+        with pytest.raises(ValueError, match='two-qubit state JSON "amps_im" must hold numbers'):
+            cli._read_pure_state({"amps_re": [1, 0, 0, 0], "amps_im": im})
+
+    def test_pure_state_missing_keys(self):
+        with pytest.raises(ValueError):
+            cli._read_pure_state({})
+
+    def test_wire_format(self):
+        scheme = build_scheme(DensityMatrix.maximally_mixed(2), COPLANAR_OBSERVABLES)
+        obj = cli._scheme_json(scheme, CLASSICALITY_EPS)
+        assert list(obj) == ["observables", "recipe", "entries", "negativity", "classical"]
+        assert obj["recipe"] == "weyl"
+        assert len(obj["entries"]) == 8
+        assert obj["entries"][0]["a"] == [1, 1, 1]
+        assert obj["entries"][0]["p"] == pytest.approx(-1 / 16, abs=1e-12)
+        assert obj["classical"] is False
+        assert obj["negativity"] == pytest.approx(0.125, abs=1e-12)
+
+    def test_recipe_json_forms(self):
+        assert cli._recipe_json(Recipe.weyl()) == "weyl"
+        assert cli._recipe_json(Recipe.unit(2)) == {"unit": 2}
+        assert cli._recipe_json(Recipe.convex((0.5, 0.5))) == {"weights": [0.5, 0.5]}
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1e-10])
+    def test_scheme_writer_rejects_eps_that_is_not_finite_and_non_negative(self, eps):
+        scheme = build_scheme(DensityMatrix.maximally_mixed(2), COPLANAR_OBSERVABLES)
+        with pytest.raises(ValueError, match="eps must be a finite number"):
+            cli._scheme_json(scheme, eps)
+
+    def test_scheme_writer_takes_zero_eps(self):
+        scheme = build_scheme(DensityMatrix.maximally_mixed(2), COPLANAR_OBSERVABLES)
+        assert cli._scheme_json(scheme, 0.0)["classical"] is False

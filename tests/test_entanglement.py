@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from pseudoprob import (
     reduced_bloch_norm,
     reduced_density,
 )
-from pseudoprob.entanglement import pure_state_from_json
 
 
 def random_state(rng):
@@ -141,26 +139,3 @@ class TestHelpers:
         for _ in range(50):
             u = random_single_qubit_unitary(rng)
             assert np.abs(u @ u.conj().T - np.eye(2)).max() <= 1e-12
-
-    def test_state_from_json_amplitudes(self):
-        psi = pure_state_from_json({"amps_re": [1, 0, 0, 0], "amps_im": [0, 0, 0, 0]})
-        assert np.allclose(psi.amplitudes, [1, 0, 0, 0])
-
-    def test_state_from_json_schmidt(self):
-        psi = pure_state_from_json({"schmidt_alpha": math.pi / 4})
-        assert monotone(psi) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
-    def test_state_from_json_rejects_non_finite_schmidt_angle(self, text):
-        obj = json.loads(f'{{"schmidt_alpha": {text}}}')
-        with pytest.raises(InvalidState, match="Schmidt angle"):
-            pure_state_from_json(obj)
-
-    @pytest.mark.parametrize("im", [None, ["0", 0, 0, 0], [False, 0, 0, 0]], ids=repr)
-    def test_state_from_json_names_a_key_that_does_not_hold_numbers(self, im):
-        with pytest.raises(ValueError, match='two-qubit state JSON "amps_im" must hold numbers'):
-            pure_state_from_json({"amps_re": [1, 0, 0, 0], "amps_im": im})
-
-    def test_state_from_json_missing(self):
-        with pytest.raises(ValueError):
-            pure_state_from_json({})

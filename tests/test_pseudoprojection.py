@@ -30,11 +30,14 @@ from pseudoprob import (
     weyl_pseudo_projection,
 )
 
+from pseudoprob.pseudoprojection import MAX_LATTICE_ENTRIES
+
 import oracles
 
 PI_Z = projector_from_direction((0, 0, 1), 1)
 PI_Z_MINUS = projector_from_direction((0, 0, 1), -1)
 PI_X = projector_from_direction((1, 0, 0), 1)
+PI_Y = projector_from_direction((0, 1, 0), 1)
 
 
 def coplanar_projectors(outcomes=(1, 1, 1)):
@@ -81,6 +84,32 @@ class TestUnitPseudoProjections:
         ]
         units = unit_pseudo_projections(projs)
         assert 1 <= len(units) <= 12
+
+
+class TestWorkBound:
+    # The largest projector dimension whose matrices fit MAX_LATTICE_ENTRIES
+    # builds, and one more is rejected before anything is built: 2^N d^2
+    # entries for Weyl, (N!/2) d^2 for units.
+    EDGES = [
+        (weyl_pseudo_projection, 8, 128, 2 ** 8),
+        (unit_pseudo_projections, 7, 40, math.factorial(7) // 2),
+    ]
+
+    @staticmethod
+    def projectors(n, d):
+        rng = np.random.default_rng(d)
+        return [HermitianOperator(np.diag(rng.integers(0, 2, d))) for _ in range(n)]
+
+    @pytest.mark.parametrize("build, n, most, matrices", EDGES, ids=["weyl", "units"])
+    def test_largest_dimension_inside_the_cap_builds(self, build, n, most, matrices):
+        assert matrices * most ** 2 <= MAX_LATTICE_ENTRIES < matrices * (most + 1) ** 2
+        build(self.projectors(n, most))
+
+    @pytest.mark.parametrize("build, n, most, matrices", EDGES, ids=["weyl", "units"])
+    def test_one_dimension_more_is_rejected(self, build, n, most, matrices):
+        entries = matrices * (most + 1) ** 2
+        with pytest.raises(OrderingExplosion, match=f": {entries} matrix entries exceed the cap"):
+            build(self.projectors(n, most + 1))
 
 
 class TestWeyl:
@@ -178,33 +207,11 @@ class TestRecipeValidation:
     def test_weights_that_are_not_finite_are_rejected(self, weights):
         with pytest.raises(InvalidConvexWeights):
             Recipe.convex(weights)
-        with pytest.raises(InvalidConvexWeights):
-            Recipe.from_json({"weights": list(weights)})
 
     @pytest.mark.parametrize("index", [2.7, -0.5, math.nan, math.inf, np.float64(np.inf)])
     def test_unit_index_that_is_not_an_integer_is_rejected(self, index):
         with pytest.raises(InvalidRecipe, match="must be an integer"):
             Recipe.unit(index)
-        with pytest.raises(InvalidRecipe, match="must be an integer"):
-            Recipe.from_json({"unit": index})
-
-    @pytest.mark.parametrize(
-        "obj",
-        [
-            {"unit": "3"}, {"unit": None}, {"unit": True}, {"unit": False}, {"unit": [2]},
-            {"weights": 5}, {"weights": None}, {"weights": "ab"}, {"weights": {"w": 1.0}},
-            {"weights": ["0.5", "0.5"]}, {"weights": [True, False]}, {"weights": [0.5, None]},
-            {}, "unit", 3, None,
-        ],
-        ids=repr,
-    )
-    def test_malformed_json_raises_invalid_recipe(self, obj):
-        with pytest.raises(InvalidRecipe, match="unrecognised recipe JSON"):
-            Recipe.from_json(obj)
-
-    @pytest.mark.parametrize("weights", [[0.5, 0.5], [1, 0], [np.float64(0.25), 0.75]])
-    def test_json_weights_that_are_numbers_are_accepted(self, weights):
-        assert Recipe.from_json({"weights": weights}) == Recipe.convex(weights)
 
     @pytest.mark.parametrize("index", ["3", True, False, None, [2]], ids=repr)
     def test_unit_index_that_is_not_a_number_is_rejected(self, index):
@@ -229,7 +236,7 @@ class TestRecipeValidation:
     @pytest.mark.parametrize("index", [2, 2.0, np.int64(2), np.float64(2.0)])
     def test_integral_unit_index_is_accepted(self, index):
         recipe = Recipe.unit(index)
-        assert recipe == Recipe.from_json({"unit": index}) == Recipe.unit(2)
+        assert recipe == Recipe.unit(2)
         assert type(recipe.index) is int
 
     def test_negative_unit_index_is_rejected(self):
@@ -266,6 +273,26 @@ class TestCombineReplay:
     def test_rejects_units_without_class_tag(self):
         with pytest.raises(InvalidRecipe):
             combine([weyl_pseudo_projection(coplanar_projectors())], (1.0,))
+
+    @pytest.mark.parametrize(
+        "others",
+        [[PI_Z, PI_Y], [PI_X, PI_Z], [PI_Z, PI_X, PI_Y]],
+        ids=["other-pair", "same-pair-reordered", "one-more"],
+    )
+    def test_rejects_units_of_other_generators(self, others):
+        ua = unit_pseudo_projections([PI_Z, PI_X])
+        ub = unit_pseudo_projections(others)
+        with pytest.raises(InvalidRecipe, match="same generators"):
+            combine([ua[0], ub[0]], (0.5, 0.5))
+
+    def test_units_of_equal_generators_from_separate_calls_combine(self):
+        ua = unit_pseudo_projections([PI_Z, PI_X])
+        ub = unit_pseudo_projections(
+            [projector_from_direction((0, 0, 1), 1), projector_from_direction((1, 0, 0), 1)]
+        )
+        out = combine([ua[0], ub[0]], (0.5, 0.5))
+        assert np.array_equal(out.op.matrix, ua[0].op.matrix)
+        assert out.recipe == Recipe.convex((1.0,))
 
 
 class TestDisjunction:

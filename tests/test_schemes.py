@@ -22,7 +22,6 @@ from pseudoprob import (
     negativity,
     observable_from_direction,
     pair_scheme_closed,
-    scheme_to_json,
     trace_with,
     triple_scheme_weyl_closed,
 )
@@ -350,7 +349,7 @@ class TestEps:
     @pytest.mark.parametrize("eps", BAD_EPS)
     def test_rejects_eps_that_is_not_finite_and_non_negative(self, eps):
         scheme = build_scheme(mixed_state(), coplanar_observables())
-        for check in (classify, minimal_coarse_graining, scheme_to_json):
+        for check in (classify, minimal_coarse_graining):
             with pytest.raises(ValueError, match="eps must be a finite number"):
                 check(scheme, eps)
 
@@ -358,7 +357,6 @@ class TestEps:
         scheme = build_scheme(mixed_state(), coplanar_observables())
         assert not classify(scheme, 0.0).classical
         assert minimal_coarse_graining(scheme, 0).block_count == 6
-        assert scheme_to_json(scheme, 0.0)["classical"] is False
 
 
 class TestCoarseGraining:
@@ -412,23 +410,3 @@ class TestCoarseGraining:
         scheme = build_scheme(mixed_state(), obs)
         with pytest.raises(PartitionSearchTooLarge):
             minimal_coarse_graining(scheme)
-
-
-class TestSchemeJson:
-    def test_wire_format(self):
-        scheme = build_scheme(mixed_state(), coplanar_observables())
-        obj = scheme_to_json(scheme)
-        assert list(obj) == ["observables", "recipe", "entries", "negativity", "classical"]
-        assert obj["recipe"] == "weyl"
-        assert len(obj["entries"]) == 8
-        assert obj["entries"][0]["a"] == [1, 1, 1]
-        assert obj["entries"][0]["p"] == pytest.approx(-1 / 16, abs=1e-12)
-        assert obj["classical"] is False
-        assert obj["negativity"] == pytest.approx(0.125, abs=1e-12)
-
-    def test_recipe_json_forms(self):
-        assert Recipe.weyl().to_json() == "weyl"
-        assert Recipe.unit(2).to_json() == {"unit": 2}
-        assert Recipe.convex((0.5, 0.5)).to_json() == {"weights": [0.5, 0.5]}
-        for recipe in (Recipe.weyl(), Recipe.unit(2), Recipe.convex((0.25, 0.75))):
-            assert Recipe.from_json(recipe.to_json()) == recipe

@@ -19,7 +19,7 @@ from pseudoprob import (
     trace_with,
     validate_density,
 )
-from pseudoprob.states import direction_from_json, pauli_matrix, state_from_json
+from pseudoprob.states import pauli_matrix
 
 import oracles
 
@@ -303,23 +303,3 @@ class TestObservable:
             resolution=((2.0, p1), (-1.0, p2), (3.0, p3)),
         )
         assert obs.outcomes == (2.0, -1.0, 3.0)
-
-
-class TestJsonLoaders:
-    def test_state_from_bloch(self):
-        rho = state_from_json({"bloch": [0, 0, 1]})
-        assert np.allclose(rho.matrix, np.diag([1.0, 0.0]))
-
-    def test_state_from_rho(self):
-        obj = {"rho": {"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}}
-        assert np.array_equal(state_from_json(obj).matrix, 0.5 * np.eye(2))
-
-    def test_state_missing_keys(self):
-        with pytest.raises(ValueError):
-            state_from_json({"psi": [1, 0]})
-
-    def test_direction_json(self):
-        m = direction_from_json({"m": [0, 0, 5]})
-        assert np.allclose(m, [0, 0, 1])
-        with pytest.raises(ValueError):
-            direction_from_json({"n": [0, 0, 1]})
