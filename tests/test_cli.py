@@ -116,6 +116,18 @@ class TestScheme:
         values = {tuple(e["a"]): e["p"] for e in json.loads(out)["entries"]}
         assert values[(1, 1)] == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "bloch, code", [([0, 0, 0], 0), ([0.3, -0.2, 0.5], 0), ([-0.5, 0, 0], 0), ([1, 1, 0], 3)]
+    )
+    def test_bloch_flag_and_bloch_state_file_agree(self, capsys, tmp_path, bloch, code):
+        # --bloch goes straight to density_from_bloch; a file goes through the JSON reader
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"bloch": bloch}))
+        flag = "--bloch=" + ",".join(str(x) for x in bloch)
+        from_flag = run(capsys, "scheme", flag, "--dirs", "coplanar120")
+        from_file = run(capsys, "scheme", "--state", str(path), "--dirs", "coplanar120")
+        assert from_flag == from_file and from_flag[0] == code
+
     def test_dirs_file(self, capsys, tmp_path):
         path = tmp_path / "dirs.json"
         path.write_text(json.dumps([{"m": [0, 0, 1]}, {"m": [2, 0, 0]}]))
