@@ -3,12 +3,13 @@ estimation, spectrum audits, and entanglement queries.
 
 The parser owns the argument grammar: `type=` callables parse number lists,
 recipes and JSON files, required mutually exclusive groups take the "exactly
-one of" pairs, and the checks that need a second argument or a file's
-contents call the subcommand parser's `error`, as does writing to an --out
-path that cannot be written. So every usage error prints that subcommand's
-usage line and exits 2. A token made of '-' and then a digit, '.', 'inf' or
-'nan' is a value, so `--bloch -0.5,0,0` reads like `--bloch=-0.5,0,0` and
-`--eps -inf` like `--eps=-inf`.
+one of" pairs, and the checks that need a second argument or a file's contents
+call the subcommand parser's `error`, as does an --out path that cannot be
+written: one whose directory does not exist is found before the work, any other
+when it is written. So every usage error prints that subcommand's usage line
+and exits 2. A token made of '-' and then a digit, '.', 'inf' or 'nan' is a
+value, so `--bloch -0.5,0,0` reads like `--bloch=-0.5,0,0` and `--eps -inf`
+like `--eps=-inf`.
 
 Every count has an upper bound, a work budget checked before anything is
 allocated: --steps at most 100,000, --samples and --theta-grid at most 10^6
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -87,9 +89,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _check_out(args) -> None:
+    """Raise the usage error for an --out path whose directory does not
+    exist, before the work; nothing is created, opened or truncated."""
+    if args.out:
+        parent = os.path.dirname(args.out) or "."
+        if not os.path.isdir(parent):
+            args.error(f"cannot write {args.out}: no directory {parent}")
+
+
 def _emit(text: str, args) -> None:
     """Write `text` to --out, or to stdout without it. A path that cannot be
-    written is a usage error, as an unreadable input file is."""
+    written is a usage error, as an unreadable input file is; what
+    `_check_out` cannot see, such as permissions, is found here."""
     if not args.out:
         sys.stdout.write(text)
         return
@@ -557,6 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_out(args)
         obj, columns, rows, comments = args.func(args)
     except (PseudoprobError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,12 +35,14 @@ ENTRY_MIN, ENTRY_MAX = -1.0, 2.0
 # entries with the positives that cover them, and the non-negative
 # singletons), not with the Bell number of the events. A table with more than
 # MAX_CANDIDATE_BLOCKS = 2^14 of them raises PartitionSearchTooLarge once they
-# are listed, before the search; listing takes at most ~0.4 s. On a 2-vCPU
-# Xeon VM: 11,000 seeded random 16-event Weyl schemes (4 qubit observables,
-# up to 9 negative entries) had at most 12,344 candidate blocks (~1.2 s),
-# median ~1,850; the slowest tables found within the budget, 12 equal
-# negative and 4 positive entries (16,384), take 1.3-2.1 s; 14 negative and
-# 2 positive entries (32,768) took 4.7-5.4 s and are rejected.
+# are listed, before the search; listing and rejecting the largest tables
+# found, 14 or 15 negative entries (32,768), takes ~0.1 s. On a 2-vCPU Xeon VM
+# (Python 3.11.7): 6,000 seeded random 16-event Weyl schemes (4 qubit
+# observables, up to 10 negative entries) had at most 12,230 candidate blocks
+# (0.65-0.95 s), median ~1,880; the slowest tables found within the budget,
+# 12 equal negative and 4 positive entries (16,384), take 1.3-2.1 s; 14
+# negative and 2 positive entries (32,768) took ~5.3 s with the budget lifted
+# and are rejected.
 MAX_PARTITION_EVENTS = 16
 MAX_CANDIDATE_BLOCKS = 1 << 14
 # build_scheme's outcome lattice holds W(S) for every subset S of the
@@ -263,7 +265,8 @@ class CoarseGraining:
 
 def minimal_coarse_graining(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> CoarseGraining:
     """Partition the event space into the largest number of blocks with
-    non-negative sums (each block summed in canonical event order, >= -eps).
+    non-negative sums: each block's entries, added left to right in
+    canonical event order, lowest event first, reach -eps.
 
     Exact search (no heuristics). Among partitions of maximal block count
     the lexicographically smallest is returned, blocks sorted by their
@@ -276,65 +279,85 @@ def minimal_coarse_graining(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> Co
     positive entries, or it could be split into more blocks. So the only
     blocks tried besides singletons are candidate blocks: one or more
     negative entries plus positive entries taken in canonical order until
-    the sum first reaches -eps. One memoised pass over the sets of unplaced
-    events puts the lowest one in each block it can open, singleton first,
-    in increasing block order, and adds up the co-optimal counts instead of
-    listing the partitions. More than MAX_PARTITION_EVENTS events, or more
-    than MAX_CANDIDATE_BLOCKS candidate blocks and singletons, raise
-    PartitionSearchTooLarge before the search. `eps` must be a finite number
-    >= 0; anything else raises ValueError.
+    the sum first reaches -eps. A block is a bitmask over the events, and
+    its sum one lookup in a table of all 2^n subset sums, built by doubling
+    when some entry is negative: the sums over the first b events, each
+    plus entry b. So every block sum is the same plain float sum on every
+    Python version (sum() of floats is compensated from 3.12 on). One
+    memoised pass over the sets of unplaced events puts the lowest one in
+    each block it can open, in increasing block order (singleton first),
+    and adds up the co-optimal counts instead of listing the partitions.
+    More than MAX_PARTITION_EVENTS events, or more than MAX_CANDIDATE_BLOCKS
+    candidate blocks and singletons, raise PartitionSearchTooLarge before
+    the search. `eps` must be a finite number >= 0; anything else raises
+    ValueError.
     """
     check_eps(eps)
-    values = [float(v) for v in scheme.values]
+    values = scheme.values.tolist()
     n = len(values)
     if n > MAX_PARTITION_EVENTS:
         raise PartitionSearchTooLarge(f"{n} events exceeds cap {MAX_PARTITION_EVENTS}")
-
-    def feasible(events) -> bool:
-        return sum(map(values.__getitem__, sorted(events))) >= -eps
-
-    negatives = [i for i in range(n) if values[i] < -eps]
+    floor = -eps
+    negatives = [i for i in range(n) if values[i] < floor]
     positives = tuple(i for i in range(n) if values[i] > 0.0)
-    # the blocks the lowest unplaced event can open, by that event
-    candidates = [[(i,)] if values[i] >= -eps else [] for i in range(n)]
+    # the singletons and candidate blocks: events in canonical order, as
+    # bytes (which sort like tuples of them, and faster) -> mask
+    candidates = {bytes((i,)): 1 << i for i in range(n) if values[i] >= floor}
+    if negatives:
+        # sums[mask]: the events in mask summed left to right
+        sums = [0.0]
+        for v in values:
+            sums += [t + v for t in sums]
+        # tails[k]: the mask of positives[k:]
+        tails = [0] * (len(positives) + 1)
+        for k in range(len(positives) - 1, -1, -1):
+            tails[k] = tails[k + 1] | 1 << positives[k]
 
-    def cover(block, start):
-        # block + positives[start:] is feasible; block alone is not
-        for k in range(start, len(positives)):
-            grown = block + positives[k:k + 1]
-            if feasible(grown):
-                grown = tuple(sorted(grown))
-                candidates[grown[0]].append(grown)
-            else:
-                cover(grown, k + 1)
-            if not feasible(block + positives[k + 1:]):
-                return
+        def cover(block, mask, start):
+            # block + positives[start:] is feasible; block alone is not
+            for k in range(start, len(positives)):
+                grown = block + positives[k:k + 1]
+                grown_mask = mask | 1 << positives[k]
+                if sums[grown_mask] >= floor:
+                    candidates[bytes(sorted(grown))] = grown_mask
+                else:
+                    cover(grown, grown_mask, k + 1)
+                if sums[mask | tails[k + 1]] < floor:
+                    return
 
-    for r in range(1, len(negatives) + 1):
-        for block in itertools.combinations(negatives, r):
-            if feasible(block + positives):
-                cover(block, 0)
-    blocks = sum(map(len, candidates))
-    if blocks > MAX_CANDIDATE_BLOCKS:
+        bits = [1 << i for i in negatives]
+        for r in range(1, len(negatives) + 1):
+            masks = map(sum, itertools.combinations(bits, r))
+            for block, mask in zip(itertools.combinations(negatives, r), masks):
+                if sums[mask | tails[0]] >= floor:
+                    cover(block, mask, 0)
+    if len(candidates) > MAX_CANDIDATE_BLOCKS:
         raise PartitionSearchTooLarge(
-            f"{blocks} candidate blocks exceed the budget {MAX_CANDIDATE_BLOCKS}"
+            f"{len(candidates)} candidate blocks exceed the budget {MAX_CANDIDATE_BLOCKS}"
         )
-    options = [[sum(1 << i for i in block) for block in sorted(c)] for c in candidates]
+    # the blocks the lowest unplaced event can open, by that event, in
+    # increasing block order
+    options = {1 << i: [] for i in range(n)}  # keyed by the lowest event's bit
+    for events in sorted(candidates):
+        options[1 << events[0]].append(candidates[events])
 
     memo = {0: (0, 1, 0)}
+    get = memo.get
 
     def best(rest):  # unplaced events -> (most blocks, partitions reaching it, first block)
-        if rest not in memo:
-            top, count, first = -1, 0, 0
-            for block in options[(rest & -rest).bit_length() - 1]:
-                if block & rest == block:
-                    blocks, ways, _ = best(rest ^ block)
-                    if ways and blocks + 1 > top:
-                        top, count, first = blocks + 1, ways, block
-                    elif ways and blocks + 1 == top:
-                        count += ways
-            memo[rest] = (top, count, first)
-        return memo[rest]
+        most, count, first = -1, 0, 0  # over children rest ^ block: most blocks, ways, first block
+        for block in options[rest & -rest]:
+            if block & rest == block:
+                child = rest ^ block
+                blocks, ways, _ = get(child) or best(child)
+                if not ways:
+                    continue
+                if blocks > most:
+                    most, count, first = blocks, ways, block
+                elif blocks == most:
+                    count += ways
+        memo[rest] = result = (most + 1, count, first)
+        return result
 
     rest = (1 << n) - 1
     top, count, _ = best(rest)
@@ -342,11 +365,17 @@ def minimal_coarse_graining(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> Co
         # unreachable: some partition into candidate blocks and singletons
         # is optimal
         raise InvalidState("no feasible partition found")
+    tuples = scheme.outcome_tuples
     partition = []
     while rest:
         block = memo[rest][2]
-        partition.append(tuple(scheme.outcome_tuples[i] for i in range(n) if block >> i & 1))
         rest ^= block
+        events = []
+        while block:
+            low = block & -block
+            events.append(tuples[low.bit_length() - 1])
+            block ^= low
+        partition.append(tuple(events))
     return CoarseGraining(
         partition=tuple(partition), block_count=top, num_maximizers=count,
         search_states=len(memo) - 1,

@@ -77,12 +77,23 @@ def canonical_partition(part):
     return tuple(sorted(tuple(sorted(b)) for b in part))
 
 
-def best_partitions(values, eps=1e-10):
-    """Exhaustive search: (max feasible block count, sorted canonical maximizers)."""
+def loop_sum(xs):
+    """xs added left to right, one float addition at a time; sum() of floats
+    is compensated from Python 3.12 on."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def best_partitions(values, eps=1e-10, total=loop_sum):
+    """Exhaustive search: (max feasible block count, sorted canonical
+    maximizers), each block's values added up by `total` in ascending event
+    order."""
     best = -1
     winners = []
     for part in all_partitions(range(len(values))):
-        if all(sum(values[i] for i in block) >= -eps for block in part):
+        if all(total(values[i] for i in block) >= -eps for block in part):
             if len(part) > best:
                 best = len(part)
                 winners = [canonical_partition(part)]

@@ -769,6 +769,32 @@ class TestOutPath:
         assert "Traceback" not in err and err.count("error:") == 1
         assert err.splitlines()[-1].startswith(f"pseudoprob {argv[0]}: error: cannot write {target}: ")
 
+    def test_missing_directory_is_found_before_the_work(self, capsys, tmp_path):
+        # the work would end in a domain error (exit 3): the usage error comes
+        # first, and nothing is created
+        target = tmp_path / "missing" / "x.json"
+        err = usage_error(capsys, "scheme", "--bloch", "2,0,0", "--dirs", "z", "--out", str(target))
+        assert err.splitlines()[-1] == (
+            f"pseudoprob scheme: error: cannot write {target}: no directory {target.parent}"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_existing_file_is_kept_when_the_work_fails(self, capsys, tmp_path):
+        target = tmp_path / "x.json"
+        target.write_text("kept")
+        argv = ["scheme", "--bloch", "2,0,0", "--dirs", "z", "--out", str(target)]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert target.read_text() == "kept"
+
+    def test_bare_file_name_is_written_in_the_working_directory(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "scheme", "--bloch", "0,0,0", "--dirs", "z", "--out", "x.json")
+        assert code == 0 and out == ""
+        assert json.loads((tmp_path / "x.json").read_text())["classical"] is True
+
 
 class TestWireFormat:
     # the readers of --state and --dirs-file objects and the scheme writer

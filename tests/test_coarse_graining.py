@@ -1,8 +1,12 @@
 """Exact coarse-graining against independent partition searches: the
 Bell-number enumeration for up to 9 events, the 3^n subset DP for 10-12,
-a pinned 16-event Weyl scheme, and the candidate-block budget."""
+block sums added left to right, pinned Weyl schemes, and the candidate-block
+budget."""
 
+import hashlib
+import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -121,6 +125,32 @@ def test_larger_tables_match_subset_dp(n, kind):
     assert all(sum(values[i] for i in block) >= -eps for block in event_blocks(out))
 
 
+@pytest.mark.parametrize("seed, merges", [(3501, True), (3502, False)])
+def test_block_sums_run_left_to_right(seed, merges):
+    # event 0 needs two of the positives: 1 and 2, which with it sum to
+    # within rounding of zero, or a 0.25 with 2 or another 0.25. A seeded
+    # draw puts the left-to-right sum of (0, 1, 2) on one side of -eps and
+    # its exact sum on the other.
+    rng = np.random.default_rng(seed)
+    while True:
+        b, c = float(rng.uniform(0.005, 0.03)), float(rng.uniform(0.26, 0.29))
+        values = [-(b + c), b, c] + [0.25] * 4
+        by_loop = oracles.loop_sum(values[:3])
+        floor = by_loop if merges else math.nextafter(by_loop, math.inf)  # -eps
+        exact = sum(map(Fraction, values[:3]))
+        if floor <= 0.0 and (exact < floor <= by_loop if merges else by_loop < floor <= exact):
+            break
+    eps = 0.0 - floor
+    out = minimal_coarse_graining(table_scheme(values), eps=eps)
+    best, winners = oracles.best_partitions(values, eps=eps)
+    assert (out.block_count, out.num_maximizers) == (best, len(winners))
+    assert event_blocks(out) == winners[0]
+    assert ((0, 1, 2) in event_blocks(out)) == merges
+    # exact sums would give another answer
+    by_fractions = oracles.best_partitions(values, eps=eps, total=lambda xs: sum(map(Fraction, xs)))
+    assert by_fractions[1] != winners
+
+
 def test_search_states_of_a_classical_scheme():
     # nothing merges: the search walks one chain of singletons
     out = minimal_coarse_graining(table_scheme([0.25, 0.0, 0.5, 0.25]))
@@ -135,9 +165,11 @@ def test_golden_sixteen_event_weyl_scheme():
     scheme = build_scheme(density_from_bloch(p), [observable_from_direction(m) for m in dirs])
     assert int((scheme.values < -1e-10).sum()) == 3
     out = minimal_coarse_graining(scheme)
-    # pinned from the two-pass backtracking search this DP replaced
+    # pinned from the two-pass backtracking search this DP replaced; the
+    # effort from the DP before its block sums came from a subset-sum table
     assert out.block_count == 13
     assert out.num_maximizers == 922
+    assert out.search_states == 1797
     assert out.partition == (
         ((1, 1, 1, 1), (1, 1, 1, -1)),
         ((1, 1, -1, 1),),
@@ -155,6 +187,21 @@ def test_golden_sixteen_event_weyl_scheme():
     )
 
 
+def test_digest_of_seeded_weyl_triples():
+    # every field of 256 seeded qubit-triple Weyl schemes' coarse-grainings,
+    # pinned from the DP before its block sums came from a subset-sum table
+    rng = np.random.default_rng(4201)
+    rows = []
+    for _ in range(256):
+        p = oracles.rand_bloch(rng)
+        dirs = [oracles.rand_direction(rng) for _ in range(3)]
+        scheme = build_scheme(density_from_bloch(p), [observable_from_direction(m) for m in dirs])
+        out = minimal_coarse_graining(scheme)
+        rows.append((out.partition, out.block_count, out.num_maximizers, out.search_states))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "7865e3a0813da3175abe49dd995edc38796b921ee55fad3512008272289eba8f"
+
+
 def test_table_just_inside_candidate_budget_finishes_under_deadline():
     # any one of the 4 positives covers any set of the 12 negatives:
     # 4 (2^12 - 1) candidate blocks and 4 singletons, exactly the budget,
@@ -166,6 +213,7 @@ def test_table_just_inside_candidate_budget_finishes_under_deadline():
     # one block per positive, the negatives shared out in 4^12 ways
     assert out.block_count == 4
     assert out.num_maximizers == 4 ** 12
+    assert out.search_states == 16640
 
 
 def test_table_just_outside_candidate_budget_fails_fast():
