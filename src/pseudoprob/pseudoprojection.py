@@ -45,15 +45,19 @@ from .tolerances import RESIDUAL_ATOL, ROUNDING_ATOL
 # tuples) and ~40-46 ms over qutrits (6561 tuples), and a weights recipe over
 # all 20160 classes of 8 qubit observables ~0.33-0.37 s, on a 2-vCPU Xeon VM,
 # min of 3 (the VM's speed varies by run). Only unit_pseudo_projections
-# enumerates all N!/2 = 20160 classes at N = 8: ~0.8 s at d = 2 and ~1.2 s at
-# d = 14, the largest d within MAX_LATTICE_ENTRIES (at N = 7, d = 40: ~0.5 s).
+# enumerates all N!/2 = 20160 classes at N = 8: ~0.3-0.4 s at d = 2 and
+# ~0.7-0.9 s at d = 14, the largest d within MAX_LATTICE_ENTRIES (at N = 7,
+# d = 40: ~0.5-0.6 s), medians and mins of 5-7 runs on the same VM.
 # weyl_pseudo_projection at N = 8 takes ~0.33 s at its largest d, 128.
 MAX_GENERATORS = 8
 # The most d x d complex matrix entries one call builds, counted before
 # anything is built: build_scheme's outcome lattice (see schemes), 2^N d^2 for
 # weyl_pseudo_projection (its W(S) for every subset S, build_scheme's count for
-# single-outcome axes) and (N!/2) d^2 for unit_pseudo_projections (one unit
-# per reversal class).
+# single-outcome axes) and (N!/2 + N) d^2 for unit_pseudo_projections (one
+# unit per reversal class, and the stack of N generators they are made
+# from). At each N the largest accepted d then takes ~0.55-0.95 s: ~0.6 s at
+# N = 2, d = 1182, and the slowest, ~0.9 s, at N = 4, d = 512 and N = 8,
+# d = 14 (min and max of 3 on the same VM).
 MAX_LATTICE_ENTRIES = 1 << 22
 
 
@@ -87,10 +91,7 @@ class Recipe:
 
     @classmethod
     def convex(cls, weights) -> "Recipe":
-        ws = tuple(weights)
-        if not all(_is_number(w) for w in ws):
-            raise InvalidConvexWeights(f"weights must be real numbers, got {ws!r}")
-        ws = tuple(float(w) for w in ws)
+        ws = _real_weights(weights)
         _check_weights(ws, len(ws))
         return cls(kind="weights", weights=ws)
 
@@ -106,6 +107,15 @@ class Recipe:
             _check_weights(self.weights, len(classes))
             return [(w, c) for w, c in zip(self.weights, classes) if w]
         raise InvalidRecipe(f"unknown recipe kind {self.kind!r}")
+
+
+def _real_weights(weights) -> tuple:
+    """The weights as floats, once each is a real number (not a bool or a
+    string)."""
+    ws = tuple(weights)
+    if not all(_is_number(w) for w in ws):
+        raise InvalidConvexWeights(f"weights must be real numbers, got {ws!r}")
+    return tuple(float(w) for w in ws)
 
 
 def _check_weights(ws, expected_len: int) -> None:
@@ -176,48 +186,48 @@ def ordering_classes(n: int) -> tuple:
     return tuple(p for p in itertools.permutations(range(n)) if p <= p[::-1])
 
 
-def hermitized_product(mats, order) -> np.ndarray:
-    """(A_sigma + A_sigma^dag)/2 for the ordered product A_sigma of `mats`,
-    each a (d, d) matrix (or a stack of them, broadcast as numpy does). It
-    makes `distinct_unit_matrices`' units one at a time; `build_scheme`
-    evaluates recipes with `weighted_matrix` instead. The product is
-    hermitized in place."""
-    prod = mats[order[0]]
-    for k in order[1:]:
-        prod = prod @ mats[k]
-    if len(order) == 1:  # never write the caller's matrix
-        prod = prod.copy()
-    prod += prod.conj().swapaxes(-1, -2)
-    prod *= 0.5
-    return prod
-
-
 def distinct_unit_matrices(mats):
-    """(units, class_indices) of the `ordering_classes`, leaving out each
-    unit equal to an earlier kept one within RESIDUAL_ATOL in max-norm.
+    """(units, class_indices) of the `ordering_classes` of the (d, d)
+    matrices `mats`: a (k, d, d) stack of the hermitized class products and
+    the list of their k class indices, leaving out each unit equal to an
+    earlier kept one within RESIDUAL_ATOL in max-norm.
 
-    A new unit is compared only with the kept units whose key, a fixed
-    weighted sum of the real entries with absolute weights summing to 1,
-    lies within 2 RESIDUAL_ATOL of its own: a unit within RESIDUAL_ATOL in
-    max-norm moves the key by at most that (plus rounding), so no duplicate
-    is missed.
+    The products are made one prefix length at a time, each length one
+    stacked matmul: the classes are in lexicographic order, so those that
+    share a prefix are adjacent, and each distinct prefix of length j + 1 is
+    its prefix of length j times the generator at position j. Each unit is
+    thus the left to right chain product of its class, as in
+    `weighted_matrix`, and the whole stack is hermitized once, in place.
+
+    A unit is compared only with the kept units whose key, a fixed weighted
+    sum of the real entries with absolute weights summing to 1, lies within
+    2 RESIDUAL_ATOL of its own: a unit within RESIDUAL_ATOL in max-norm
+    moves the key by at most that (plus rounding), so no duplicate is
+    missed.
     """
     d = mats[0].shape[0]
+    classes = np.array(ordering_classes(len(mats)))
+    units = gens = np.stack(mats)
+    parents = classes[:, 0]  # each class's row of `units`
+    for j in range(1, len(mats)):
+        first = np.ones(len(classes), dtype=bool)  # first class of each prefix
+        first[1:] = (classes[1:, :j + 1] != classes[:-1, :j + 1]).any(axis=1)
+        units = units[parents[first]] @ gens[classes[first, j]]
+        parents = np.cumsum(first) - 1
+    units += units.conj().swapaxes(-1, -2)
+    units *= 0.5
     weights = np.cos(np.arange(d * d)).reshape(d, d)
     weights /= np.abs(weights).sum()
-    units: list[np.ndarray] = []
-    indices: list[int] = []
-    window: list[tuple] = []  # (key, position in units), sorted
-    for k, order in enumerate(ordering_classes(len(mats))):
-        h = hermitized_product(mats, order)
-        key = float((weights * h.real).sum())
+    keys = (weights * units.real).sum(axis=(1, 2)).tolist()
+    kept: list[int] = []
+    window: list[tuple] = []  # (key, class index), sorted
+    for k, key in enumerate(keys):
         lo = bisect.bisect_left(window, (key - 2 * RESIDUAL_ATOL,))
         hi = bisect.bisect_right(window, (key + 2 * RESIDUAL_ATOL, math.inf))
-        if all(np.abs(units[j] - h).max() > RESIDUAL_ATOL for _, j in window[lo:hi]):
-            bisect.insort(window, (key, len(units)))
-            units.append(h)
-            indices.append(k)
-    return units, indices
+        if all(np.abs(units[j] - units[k]).max() > RESIDUAL_ATOL for _, j in window[lo:hi]):
+            bisect.insort(window, (key, k))
+            kept.append(k)
+    return units[kept], kept
 
 
 @functools.lru_cache(maxsize=None)
@@ -358,7 +368,7 @@ def unit_pseudo_projections(projectors) -> list[PseudoProjection]:
     projection when all commute). Each is tagged Recipe.unit(k) with its
     class index k, so `build_scheme` with that recipe reproduces it.
     """
-    projs = _check_generators(projectors, lambda n: math.factorial(n) // 2)
+    projs = _check_generators(projectors, lambda n: math.factorial(n) // 2 + n)
     units, indices = distinct_unit_matrices([p.matrix for p in projs])
     gens = tuple(projs)
     return [
@@ -390,7 +400,7 @@ def combine(units, weights) -> PseudoProjection:
     the same order.
     """
     units = list(units)
-    ws = tuple(float(w) for w in weights)
+    ws = _real_weights(weights)
     _check_weights(ws, len(units))
     gens = units[0].generators
     class_weights = [0.0] * len(ordering_classes(len(gens)))

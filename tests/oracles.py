@@ -37,6 +37,16 @@ def weyl_oracle(mats):
     return 0.5 * (acc + acc.conj().T)
 
 
+def hermitized_chain(mats, order):
+    """(A + A^dag) * 0.5 for the product A of `mats` taken in `order`, formed
+    left to right: the unit of one ordering. Each matrix may be a (d, d)
+    matrix or a stack of them, broadcast as numpy does."""
+    prod = mats[order[0]]
+    for k in order[1:]:
+        prod = prod @ mats[k]
+    return (prod + prod.conj().swapaxes(-1, -2)) * 0.5
+
+
 def weyl_polarisation_oracle(mats):
     """Weyl average by inclusion-exclusion over subsets, the noncommutative
     analogue of Ryser's permanent formula:

@@ -1,6 +1,7 @@
 """Ordering classes: one meaning of a recipe index for every outcome tuple,
 and the subset-recursion Weyl average against an independent oracle."""
 
+import hashlib
 import itertools
 import math
 
@@ -20,7 +21,7 @@ from pseudoprob import (
     unit_pseudo_projections,
     weyl_pseudo_projection,
 )
-from pseudoprob.pseudoprojection import distinct_unit_matrices, hermitized_product, ordering_classes
+from pseudoprob.pseudoprojection import distinct_unit_matrices, ordering_classes
 
 import oracles
 
@@ -246,7 +247,7 @@ def test_coplanar_units_tagged_by_class():
     mats = projector_mats(obs, (1, 1, 1))
     for u in units:
         order = ordering_classes(3)[u.recipe.index]
-        assert np.array_equal(u.op.matrix, hermitized_product(mats, order))
+        assert np.array_equal(u.op.matrix, oracles.hermitized_chain(mats, order))
         scheme = build_scheme(rho, obs, u.recipe)
         expected = float(np.trace(rho.matrix @ u.op.matrix).real)
         assert abs(scheme.entry((1, 1, 1)) - expected) <= 1e-15
@@ -282,3 +283,38 @@ def test_distinct_units_match_pairwise_rule(case):
         assert indices == ref_indices
         for u, r in zip(units, ref_units):
             assert np.abs(u - r).max() <= 1e-15
+
+
+# (d, N) of seeded generic projector sets, from qubits at the generator cap
+# to d = 1024 at N = 2
+DIGEST_SIZES = (
+    [(2, n) for n in range(3, 9)] + [(3, n) for n in range(3, 8)] + [(4, n) for n in range(3, 6)]
+    + [(14, 8), (40, 7), (128, 4), (512, 3), (1024, 2)]
+)
+
+
+def digest_sets():
+    rng = np.random.default_rng(1601)
+    for d, n in DIGEST_SIZES:
+        yield [oracles.haar_projector(rng, d, max(1, d // 4)) for _ in range(n)]
+    # a repeated generator and one 1e-12 from another (81 of 360 units
+    # kept), and commuting generators (one unit)
+    p = [oracles.haar_projector(rng, 3, 1) for _ in range(4)]
+    yield p + [p[1], p[0] + 1e-12]
+    yield [np.diag(rng.integers(0, 2, 4)).astype(complex) for _ in range(6)]
+
+
+def test_digest_of_seeded_units():
+    # the units' bytes and class indices, pinned from the per-class chain
+    # products that the stacked prefix product replaced; up to N = 6, each
+    # kept unit is also the oracle's chain product of its class, bit for bit
+    digest = hashlib.sha256()
+    for mats in digest_sets():
+        units, indices = distinct_unit_matrices(mats)
+        classes = ordering_classes(len(mats))
+        if len(classes) <= 360:
+            expected = [oracles.hermitized_chain(mats, classes[k]) for k in indices]
+            assert np.array_equal(units, expected)
+        digest.update(repr(indices).encode())
+        digest.update(np.asarray(units).tobytes())
+    assert digest.hexdigest() == "1d772a77283aa0ece35584531f68514853b1768b932ddda1c4a0f9ad359590e8"

@@ -89,23 +89,27 @@ class TestUnitPseudoProjections:
 class TestWorkBound:
     # The largest projector dimension whose matrices fit MAX_LATTICE_ENTRIES
     # builds, and one more is rejected before anything is built: 2^N d^2
-    # entries for Weyl, (N!/2) d^2 for units.
+    # entries for Weyl, (N!/2 + N) d^2 for units (the units and the stack of
+    # N generators they are made from).
     EDGES = [
         (weyl_pseudo_projection, 8, 128, 2 ** 8),
-        (unit_pseudo_projections, 7, 40, math.factorial(7) // 2),
+        (unit_pseudo_projections, 7, 40, math.factorial(7) // 2 + 7),
+        (unit_pseudo_projections, 2, 1182, 1 + 2),
+        (unit_pseudo_projections, 8, 14, math.factorial(8) // 2 + 8),
     ]
+    IDS = ["weyl", "units", "units-N2", "units-N8"]
 
     @staticmethod
     def projectors(n, d):
         rng = np.random.default_rng(d)
         return [HermitianOperator(np.diag(rng.integers(0, 2, d))) for _ in range(n)]
 
-    @pytest.mark.parametrize("build, n, most, matrices", EDGES, ids=["weyl", "units"])
+    @pytest.mark.parametrize("build, n, most, matrices", EDGES, ids=IDS)
     def test_largest_dimension_inside_the_cap_builds(self, build, n, most, matrices):
         assert matrices * most ** 2 <= MAX_LATTICE_ENTRIES < matrices * (most + 1) ** 2
         build(self.projectors(n, most))
 
-    @pytest.mark.parametrize("build, n, most, matrices", EDGES, ids=["weyl", "units"])
+    @pytest.mark.parametrize("build, n, most, matrices", EDGES, ids=IDS)
     def test_one_dimension_more_is_rejected(self, build, n, most, matrices):
         entries = matrices * (most + 1) ** 2
         with pytest.raises(OrderingExplosion, match=f": {entries} matrix entries exceed the cap"):
@@ -188,7 +192,12 @@ class TestCombine:
         assert np.abs(out.op.matrix - mean).max() <= 1e-15
 
     @pytest.mark.parametrize(
-        "weights", [(0.5, 0.5), (0.5, 0.5, 0.5), (-0.1, 0.6, 0.5), (0.2, 0.2, 0.2)]
+        "weights",
+        [
+            (0.5, 0.5), (0.5, 0.5, 0.5), (-0.1, 0.6, 0.5), (0.2, 0.2, 0.2),
+            # convex once converted, but not real numbers, as Recipe.convex says
+            ("0.5", "0.5", "0"), (True, False, False),
+        ],
     )
     def test_rejects_bad_weights(self, weights):
         units = unit_pseudo_projections(coplanar_projectors())

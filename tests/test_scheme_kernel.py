@@ -1,7 +1,8 @@
-"""The scheme kernel: the real right factors, `weyl_matrix`,
-`weighted_matrix` and `hermitized_product` over stacks of outcome tuples,
-`build_scheme` on the outcome grid against per-tuple oracles and explicit
-products, its memory against the lattice size, and the lattice cap."""
+"""The scheme kernel: the real right factors, and `weyl_matrix` and
+`weighted_matrix` over stacks of outcome tuples; `build_scheme` on the
+outcome grid against per-tuple oracles (`oracles.hermitized_chain` for one
+ordering) and explicit products, its memory against the lattice size, and
+the lattice cap."""
 
 import itertools
 import math
@@ -23,7 +24,7 @@ from pseudoprob import (
     schemes,
 )
 from pseudoprob.pseudoprojection import (
-    hermitized_product, ordering_classes, right_factors, weighted_matrix, weyl_matrix,
+    ordering_classes, right_factors, weighted_matrix, weyl_matrix,
 )
 
 import oracles
@@ -94,15 +95,16 @@ class TestStackedKernel:
         assert np.array_equal(got, obs.projectors)
 
     @pytest.mark.parametrize("d, n", STACK_CASES)
-    def test_hermitized_product_stack_equals_per_tuple(self, d, n):
+    def test_unit_stack_equals_per_tuple(self, d, n):
         _, obs = random_case(20 * d + n, d, n)
         tuples, stack = stacked_mats(obs)
         classes = ordering_classes(n)
         for order in (classes[0], classes[len(classes) // 2], classes[-1]):
-            got = hermitized_product(stack, order)
+            got = weighted_matrix(stack, [(1.0, order)])
             assert got.shape == (len(tuples), d, d)
             for t, h in zip(tuples, got):
-                assert np.abs(h - hermitized_product(tuple_mats(obs, t), order)).max() <= 1e-15
+                expected = oracles.hermitized_chain(tuple_mats(obs, t), order)
+                assert np.abs(h - expected).max() <= 1e-15
 
 
 def random_complex(rng, shape):
@@ -161,7 +163,7 @@ class TestWeightedKernel:
         scheme = build_scheme(rho, obs, Recipe.convex(weights))
         for t in scheme.outcome_tuples:
             mats = tuple_mats(obs, t)
-            op = sum(w * hermitized_product(mats, c) for w, c in zip(weights, classes) if w)
+            op = sum(w * oracles.hermitized_chain(mats, c) for w, c in zip(weights, classes) if w)
             assert abs(scheme.entry(t) - trace_entry(rho, op)) <= 1e-14
 
     @pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
@@ -171,7 +173,8 @@ class TestWeightedKernel:
         _, obs = random_case(70 + n, d, n)
         mats = grid_mats(obs)
         for c in ordering_classes(n):
-            assert np.array_equal(weighted_matrix(mats, [(1.0, c)]), hermitized_product(mats, c))
+            assert np.array_equal(weighted_matrix(mats, [(1.0, c)]),
+                                  oracles.hermitized_chain(mats, c))
 
     def test_weighted_matrix_leaves_a_single_generator_alone(self):
         _, (obs,) = random_case(9, 3, 1)
@@ -240,7 +243,7 @@ class TestBuildSchemeEntries:
         scheme = build_scheme(rho, obs, Recipe.convex(weights))
         for t in scheme.outcome_tuples:
             mats = tuple_mats(obs, t)
-            expected = sum(w * trace_entry(rho, hermitized_product(mats, c))
+            expected = sum(w * trace_entry(rho, oracles.hermitized_chain(mats, c))
                            for w, c in zip(weights, ordering_classes(4)))
             assert abs(scheme.entry(t) - expected) <= 1e-14
 
@@ -258,14 +261,16 @@ class TestBlocks:
         order = ordering_classes(5)[7]
         for t in scheme.outcome_tuples:
             mats = tuple_mats(obs, t)
-            op = weyl_matrix(mats) if recipe.kind == "weyl" else hermitized_product(mats, order)
+            op = (weyl_matrix(mats) if recipe.kind == "weyl"
+                  else oracles.hermitized_chain(mats, order))
             assert abs(scheme.entry(t) - trace_entry(rho, op)) <= 1e-15
         tuples, stack = stacked_mats(obs)
         assert tuples == list(scheme.outcome_tuples)
         blocked = []
         for start in range(0, len(tuples), tuples_per_block):
             block = stack[:, start:start + tuples_per_block]
-            ops = weyl_matrix(block) if recipe.kind == "weyl" else hermitized_product(block, order)
+            ops = (weyl_matrix(block) if recipe.kind == "weyl"
+                   else oracles.hermitized_chain(block, order))
             assert ops.shape == (min(tuples_per_block, len(tuples) - start), 2, 2)
             blocked.extend(trace_entry(rho, op) for op in ops)
         assert np.abs(np.array(blocked) - scheme.values).max() <= 1e-15
@@ -337,12 +342,6 @@ class TestMemoryBound:
             tracemalloc.stop()
         assert peak <= bound
 
-    def test_unit_leaves_a_single_generator_alone(self):
-        _, (obs,) = random_case(9, 3, 1)
-        got = hermitized_product([obs.projectors], (0,))
-        assert not np.shares_memory(got, obs.projectors)
-        assert np.array_equal(got, obs.projectors)
-
 
 def grouped_observable(rng, d, k):
     """Observable with outcomes 0..k-1 whose projectors span near-equal
@@ -389,7 +388,7 @@ class TestLatticeCap:
         assert time.perf_counter() - t0 < 3.0
         t = scheme.outcome_tuples[-1]
         mats = tuple_mats(obs, t)
-        expected = sum(trace_entry(rho, hermitized_product(mats, c))
+        expected = sum(trace_entry(rho, oracles.hermitized_chain(mats, c))
                        for c in classes[:inside]) / inside
         assert abs(scheme.entry(t) - expected) <= 1e-13
         weights[:inside + 1] = 1.0 / (inside + 1)
