@@ -110,6 +110,11 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_integral(value) -> bool:
+    """A real number with an integral value, not a bool."""
+    return _is_number(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
+
+
 # the slots' own setters, bypassing the __setattr__ that keeps values immutable
 _set_matrix = HermitianOperator.matrix.__set__
 _set_residual = HermitianOperator.hermiticity_residual.__set__

@@ -17,7 +17,6 @@ import bisect
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from .errors import (
 from .operators import (
     HermitianOperator,
     _commutator_norms,
+    _is_integral,
     _is_number,
     eigenvalues_hermitian,
     idempotency_residual,
@@ -81,9 +81,7 @@ class Recipe:
 
     @classmethod
     def unit(cls, index: int) -> "Recipe":
-        if not _is_number(index) or not (
-            isinstance(index, numbers.Integral) or float(index).is_integer()
-        ):
+        if not _is_integral(index):
             raise InvalidRecipe(f"unit index must be an integer, got {index!r}")
         if index < 0:
             raise InvalidRecipe(f"unit index must be non-negative, got {index}")
@@ -372,7 +370,7 @@ def unit_pseudo_projections(projectors) -> list[PseudoProjection]:
     units, indices = distinct_unit_matrices([p.matrix for p in projs])
     gens = tuple(projs)
     return [
-        PseudoProjection(op=op, generators=gens, recipe=Recipe.unit(k))
+        PseudoProjection(op=op, generators=gens, recipe=Recipe(kind="unit", index=k))
         for k, op in zip(indices, HermitianOperator.from_stack(units))
     ]
 

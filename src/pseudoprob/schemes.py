@@ -22,6 +22,7 @@ from .errors import (
     OrderingExplosion,
     PartitionSearchTooLarge,
 )
+from .operators import _is_integral, _is_number
 from .pseudoprojection import (
     MAX_GENERATORS, MAX_LATTICE_ENTRIES, Recipe, ordering_classes, weighted_matrix, weyl_matrix,
 )
@@ -32,19 +33,24 @@ from .tolerances import ATOL_LOOSE, CLASSICALITY_EPS, RESIDUAL_ATOL
 # bound means the inputs were not a state and projectors.
 ENTRY_MIN, ENTRY_MAX = -1.0, 2.0
 # Coarse-graining cost grows with the candidate blocks (sets of negative
-# entries with the positives that cover them, and the non-negative
-# singletons), not with the Bell number of the events. A table with more than
-# MAX_CANDIDATE_BLOCKS = 2^14 of them raises PartitionSearchTooLarge once they
-# are listed, before the search; listing and rejecting the largest tables
-# found, 14 or 15 negative entries (32,768), takes ~0.1 s. On a 2-vCPU Xeon VM
-# (Python 3.11.7): 6,000 seeded random 16-event Weyl schemes (4 qubit
-# observables, up to 10 negative entries) had at most 12,230 candidate blocks
-# (0.65-0.95 s), median ~1,880; the slowest tables found within the budget,
-# 12 equal negative and 4 positive entries (16,384), take 1.3-2.1 s; 14
-# negative and 2 positive entries (32,768) took ~5.3 s with the budget lifted
-# and are rejected.
+# entries with the positives that cover them, and the non-negative singletons;
+# at most 2^16) and the sets of unplaced events the search visits, not with
+# the Bell number of the events; more than MAX_PARTITION_EVENTS events raise
+# PartitionSearchTooLarge. A visited set of k events tests at most max(16,
+# 2^k) listed blocks, or walks its 2^(k - 1) subsets that hold its lowest
+# event, two steps each, and looks up one child per block it keeps, so no
+# search takes more than 3^16 + 16 * 2^16 ~ 4.4e7 tests or walk steps. No
+# table found takes more than 1.1e7, and how long one near the bound would
+# take is not known. On a 2-vCPU Xeon VM (Python 3.11.7) the slowest found
+# take 1.0-1.7 s: 14 random negatives and 2 positives, the most steps (24,576
+# states; of 60 tables of 10-15 random negatives); 13 equal negative and 3
+# equal positive entries, any positive covering all the negatives (19,456
+# states; the slowest of 170 equal-value tables of n negatives and 16 - n
+# positives whose negatives together need 1 to (16 - n)/2 positives); 8 random
+# negatives and 8 positives (20,747 states; of 292 tables of 4-9 random
+# negatives, then a climb towards more steps). 400 seeded random 16-event Weyl
+# schemes (4 qubit observables, up to 10 negative entries) take at most 0.6 s.
 MAX_PARTITION_EVENTS = 16
-MAX_CANDIDATE_BLOCKS = 1 << 14
 # build_scheme's outcome lattice holds W(S) for every subset S of the
 # observables and every outcome of those in S: prod_i (1 + k_i) complex d x d
 # matrices for k_i outcomes each. A unit/weights recipe instead makes B(s)
@@ -64,7 +70,7 @@ MAX_CANDIDATE_BLOCKS = 1 << 14
 def check_eps(eps: float) -> float:
     """`eps` if it is a finite number >= 0, else ValueError: a NaN classicality
     tolerance would call every scheme classical."""
-    if not (math.isfinite(eps) and eps >= 0.0):
+    if not (_is_number(eps) and math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
     return eps
 
@@ -200,7 +206,10 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
 
 
 def marginal(scheme: Scheme, keep) -> Scheme:
-    """Sum out the observables not in `keep` (indices into the scheme)."""
+    """Sum out the observables not in `keep` (integer indices into the scheme)."""
+    keep = tuple(keep)
+    if not all(map(_is_integral, keep)):
+        raise ValueError(f"keep indices must be integers, got {keep!r}")
     keep = sorted(set(int(k) for k in keep))
     n = scheme.n_observables
     if not keep:
@@ -287,10 +296,12 @@ def minimal_coarse_graining(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> Co
     memoised pass over the sets of unplaced events puts the lowest one in
     each block it can open, in increasing block order (singleton first),
     and adds up the co-optimal counts instead of listing the partitions.
-    More than MAX_PARTITION_EVENTS events, or more than MAX_CANDIDATE_BLOCKS
-    candidate blocks and singletons, raise PartitionSearchTooLarge before
-    the search. `eps` must be a finite number >= 0; anything else raises
-    ValueError.
+    When the lowest event can open more than n blocks, and more than the set
+    has subsets, the set walks its subsets that hold that event instead, in
+    block order, and keeps those that are blocks. More than
+    MAX_PARTITION_EVENTS events raise PartitionSearchTooLarge before the
+    search; every smaller table is searched. `eps` must be a finite number
+    >= 0; anything else raises ValueError.
     """
     check_eps(eps)
     values = scheme.values.tolist()
@@ -331,10 +342,6 @@ def minimal_coarse_graining(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> Co
             for block, mask in zip(itertools.combinations(negatives, r), masks):
                 if sums[mask | tails[0]] >= floor:
                     cover(block, mask, 0)
-    if len(candidates) > MAX_CANDIDATE_BLOCKS:
-        raise PartitionSearchTooLarge(
-            f"{len(candidates)} candidate blocks exceed the budget {MAX_CANDIDATE_BLOCKS}"
-        )
     # the blocks the lowest unplaced event can open, by that event, in
     # increasing block order
     options = {1 << i: [] for i in range(n)}  # keyed by the lowest event's bit
@@ -343,10 +350,29 @@ def minimal_coarse_graining(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> Co
 
     memo = {0: (0, 1, 0)}
     get = memo.get
+    held = set()  # every block, made on the first walk
 
     def best(rest):  # unplaced events -> (most blocks, partitions reaching it, first block)
+        low = rest & -rest
+        choices = options[low]
+        # a list of more than n blocks, and more than rest has subsets, gives
+        # way to the subsets of rest that hold the lowest event and are
+        # blocks: a walked subset costs two steps (made, looked up), a listed
+        # block one test, and a list of at most n at most n tests a state.
+        # Blocks sort as their event tuples, a prefix first, so adding the
+        # free events highest first puts each one's sets right after the
+        # lowest event alone
+        if len(choices) > n and len(choices) > 1 << rest.bit_count():
+            if not held:
+                held.update(candidates.values())
+            subsets, free = [low], rest ^ low
+            while free:
+                bit = 1 << free.bit_length() - 1
+                subsets[1:1] = [s | bit for s in subsets]
+                free ^= bit
+            choices = filter(held.__contains__, subsets)
         most, count, first = -1, 0, 0  # over children rest ^ block: most blocks, ways, first block
-        for block in options[rest & -rest]:
+        for block in choices:
             if block & rest == block:
                 child = rest ^ block
                 blocks, ways, _ = get(child) or best(child)

@@ -1,7 +1,7 @@
 """Exact coarse-graining against independent partition searches: the
 Bell-number enumeration for up to 9 events, the 3^n subset DP for 10-12,
-block sums added left to right, pinned Weyl schemes, and the candidate-block
-budget."""
+block sums added left to right, pinned Weyl schemes, and the slowest tables
+found at the 16-event cap."""
 
 import hashlib
 import math
@@ -15,7 +15,6 @@ from pseudoprob import (
     DensityMatrix,
     HermitianOperator,
     Observable,
-    PartitionSearchTooLarge,
     Recipe,
     Scheme,
     build_scheme,
@@ -125,6 +124,19 @@ def test_larger_tables_match_subset_dp(n, kind):
     assert all(sum(values[i] for i in block) >= -eps for block in event_blocks(out))
 
 
+def test_blocks_found_through_subsets_keep_block_order():
+    # event 2 opens 147 blocks, more than n = 12, so the states that place
+    # it with at most 7 events unplaced (147 > 2^7) walk their subsets; its
+    # co-optimal blocks (2, 10, 11) and (2, 11) sort one way as event tuples
+    # and the other as bitmasks, or as sets made lowest event first. The
+    # partition is pinned from the search that scanned every block.
+    values = [k * GRID for k in (-29, -19, 38, 398, -38, -37, -4, -7, 11, -39, -4, -14)]
+    out = minimal_coarse_graining(table_scheme(values), eps=DYADIC_EPS)
+    assert (out.block_count, out.num_maximizers) == oracles.best_partition_count(values, eps=DYADIC_EPS)
+    assert out.search_states == 647
+    assert event_blocks(out) == ((0, 1, 3, 4, 5, 6, 7, 9), (2, 10, 11), (8,))
+
+
 @pytest.mark.parametrize("seed, merges", [(3501, True), (3502, False)])
 def test_block_sums_run_left_to_right(seed, merges):
     # event 0 needs two of the positives: 1 and 2, which with it sum to
@@ -202,25 +214,68 @@ def test_digest_of_seeded_weyl_triples():
     assert digest == "7865e3a0813da3175abe49dd995edc38796b921ee55fad3512008272289eba8f"
 
 
-def test_table_just_inside_candidate_budget_finishes_under_deadline():
-    # any one of the 4 positives covers any set of the 12 negatives:
-    # 4 (2^12 - 1) candidate blocks and 4 singletons, exactly the budget,
-    # and the slowest kind of table found within it
-    values = [-0.01] * 12 + [0.28] * 4
+def test_digest_of_seeded_sixteen_event_weyl_schemes():
+    # every field of 24 seeded 4-qubit-observable Weyl schemes' coarse-
+    # grainings (4 to 8 negative entries, up to 13,508 search states),
+    # pinned from the search that scanned every option of every state
+    rng = np.random.default_rng(4202)
+    rows = []
+    for _ in range(24):
+        p = oracles.rand_bloch(rng)
+        dirs = [oracles.rand_direction(rng) for _ in range(4)]
+        scheme = build_scheme(density_from_bloch(p), [observable_from_direction(m) for m in dirs])
+        out = minimal_coarse_graining(scheme)
+        rows.append((out.partition, out.block_count, out.num_maximizers, out.search_states))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "b35bee81560ebcda8758cd9847c807f51dde4cb70f71e45e18ddc9948327521b"
+
+
+# Slow 16-event tables, 13 + 3 the slowest equal-value one found: n equal
+# negative and m equal positive entries where any one positive covers any
+# set of the negatives (m^n co-optimal partitions, one block per positive),
+# and 12 + 4 where all 12 negatives need two positives (4^12 - 4: every way
+# of sharing the negatives out among the positives but the 4 that give them
+# all to one). 14 + 2 random takes the most search steps found (of 60 tables
+# of 10-15 random negatives; 29,992 candidate blocks), and 8 + 8 random is
+# the slowest table of 4-9 random negatives found, after a climb towards more
+# steps (24,274).
+# Answers pinned from the search that scanned every option of every state,
+# run without a limit on the blocks listed.
+SLOW_TABLES = [
+    # values, block count, co-optimal partitions, search states, partition
+    pytest.param(
+        [-0.01] * 12 + [0.28] * 4, 4, 4 ** 12, 16640, (tuple(range(13)), (13,), (14,), (15,)),
+        id="12neg-4pos",
+    ),
+    pytest.param(
+        [-0.03] * 12 + [0.34] * 4, 4, 4 ** 12 - 4, 16636,
+        ((*range(11), 12), (11, 13), (14,), (15,)),
+        id="12neg-4pos-covers-of-2",
+    ),
+    pytest.param([-0.01] * 14 + [0.57] * 2, 2, 2 ** 14, 20480, (tuple(range(15)), (15,)), id="14neg-2pos"),
+    pytest.param([-0.02] * 13 + [0.42] * 3, 3, 3 ** 13, 19456, (tuple(range(14)), (14,), (15,)), id="13neg-3pos"),
+    pytest.param([-0.01] * 15 + [1.15], 1, 1, 16384, (tuple(range(16)),), id="15neg-1pos"),
+    pytest.param(
+        [-0.023, 0.2996, 0.0128, 0.0004, -0.1915, -0.181, -0.1125, -0.0482,
+         0.0237, 0.0233, 0.1542, 0.508, -0.0024, 0.7122, -0.1293, -0.0463],
+        8, 45990, 20747, ((0, 1), (2,), (3,), (4, 5, 6, 7, 12, 13), (8,), (9,), (10,), (11, 14, 15)),
+        id="8neg-8pos-random",
+    ),
+    pytest.param(
+        [1.1314, -0.0234, -0.0546, -0.033, -0.0278, 0.2463, -0.0397, -0.0073,
+         -0.0247, -0.048, -0.0032, -0.0132, -0.0496, -0.0145, -0.0287, -0.01],
+        2, 13608, 24576, ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)),
+        id="14neg-2pos-random",
+    ),
+]
+
+
+@pytest.mark.parametrize("values, block_count, maximizers, states, partition", SLOW_TABLES)
+def test_slow_tables_finish_under_deadline(values, block_count, maximizers, states, partition):
     t0 = time.perf_counter()
     out = minimal_coarse_graining(table_scheme(values))
     assert time.perf_counter() - t0 < 3.0
-    # one block per positive, the negatives shared out in 4^12 ways
-    assert out.block_count == 4
-    assert out.num_maximizers == 4 ** 12
-    assert out.search_states == 16640
-
-
-def test_table_just_outside_candidate_budget_fails_fast():
-    # as above, but all 12 negatives need two positives: 6 covers instead
-    # of 4 for that one set, 2 over the budget
-    values = [-0.03] * 12 + [0.34] * 4
-    t0 = time.perf_counter()
-    with pytest.raises(PartitionSearchTooLarge, match="16386 candidate blocks"):
-        minimal_coarse_graining(table_scheme(values))
-    assert time.perf_counter() - t0 < 0.5
+    assert out.block_count == block_count
+    assert out.num_maximizers == maximizers
+    assert out.search_states == states
+    assert event_blocks(out) == partition

@@ -58,6 +58,8 @@ class TestUnitPseudoProjections:
     def test_coplanar_triple_has_three_units(self):
         units = unit_pseudo_projections(coplanar_projectors())
         assert len(units) == 3
+        assert [u.recipe for u in units] == [Recipe.unit(k) for k in range(3)]
+        assert all(type(u.recipe.index) is int for u in units)
         for i in range(3):
             for j in range(i + 1, 3):
                 diff = np.abs(units[i].op.matrix - units[j].op.matrix).max()

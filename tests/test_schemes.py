@@ -259,6 +259,17 @@ class TestMarginal:
         with pytest.raises(ValueError):
             marginal(scheme, [1])
 
+    @pytest.mark.parametrize("keep", [[0.7], [True], "01"], ids=repr)
+    def test_rejects_keep_indices_that_are_not_integers(self, keep):
+        scheme = build_scheme(mixed_state(), coplanar_observables())
+        with pytest.raises(ValueError, match="keep indices must be integers"):
+            marginal(scheme, keep)
+
+    def test_numpy_and_integral_float_indices_are_accepted(self):
+        scheme = build_scheme(mixed_state(), coplanar_observables())
+        marg = marginal(scheme, [np.int64(2), 0.0])
+        assert np.array_equal(marg.values, marginal(scheme, [0, 2]).values)
+
 
 class TestNegativity:
     def test_non_negative_scheme_has_zero(self):
@@ -342,7 +353,7 @@ class TestClassify:
                 assert abs(flipped.entry((a1, -a2)) - value) <= 1e-12
 
 
-BAD_EPS = [math.nan, math.inf, -math.inf, -1e-10]
+BAD_EPS = [math.nan, math.inf, -math.inf, -1e-10, True, "0.1"]
 
 
 class TestEps:
