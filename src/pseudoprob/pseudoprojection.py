@@ -41,23 +41,24 @@ from .tolerances import RESIDUAL_ATOL, ROUNDING_ATOL
 
 # A Weyl average takes 2^N N products; build_scheme makes each partial
 # product once per outcome of the observables it involves, within
-# MAX_LATTICE_ENTRIES: an N = 8 Weyl scheme takes ~6-8 ms over qubits (256
-# tuples) and ~40-46 ms over qutrits (6561 tuples), and a weights recipe over
-# all 20160 classes of 8 qubit observables ~0.33-0.37 s, on a 2-vCPU Xeon VM,
-# min of 3 (the VM's speed varies by run). Only unit_pseudo_projections
-# enumerates all N!/2 = 20160 classes at N = 8: ~0.3-0.4 s at d = 2 and
-# ~0.7-0.9 s at d = 14, the largest d within MAX_LATTICE_ENTRIES (at N = 7,
-# d = 40: ~0.5-0.6 s), medians and mins of 5-7 runs on the same VM.
-# weyl_pseudo_projection at N = 8 takes ~0.33 s at its largest d, 128.
+# MAX_LATTICE_ENTRIES: an N = 8 Weyl scheme takes ~4.6-8.6 ms over qubits (256
+# tuples) and ~26-29 ms over qutrits (6561 tuples), and a weights recipe over
+# all 20160 classes of 8 qubit observables ~0.20-0.22 s, on a 2-vCPU Xeon VM,
+# min of 3-5 (the VM's speed varies by run, up to 2x). Only
+# unit_pseudo_projections enumerates all N!/2 = 20160 classes at N = 8:
+# ~0.23 s at d = 2 and ~0.63 s at d = 14, the largest d within
+# MAX_LATTICE_ENTRIES (at N = 7, d = 40: ~0.49 s), min of 3 on the same VM.
+# weyl_pseudo_projection at N = 8 takes ~0.27-0.33 s at its largest d, 128.
 MAX_GENERATORS = 8
 # The most d x d complex matrix entries one call builds, counted before
 # anything is built: build_scheme's outcome lattice (see schemes), 2^N d^2 for
 # weyl_pseudo_projection (its W(S) for every subset S, build_scheme's count for
 # single-outcome axes) and (N!/2 + N) d^2 for unit_pseudo_projections (one
 # unit per reversal class, and the stack of N generators they are made
-# from). At each N the largest accepted d then takes ~0.55-0.95 s: ~0.6 s at
-# N = 2, d = 1182, and the slowest, ~0.9 s, at N = 4, d = 512 and N = 8,
-# d = 14 (min and max of 3 on the same VM).
+# from). At each N the largest accepted d then takes ~0.3-0.5 s for
+# weyl_pseudo_projection (~0.49 s at N = 2, d = 1024, ~0.27-0.33 s at N = 8,
+# d = 128) and ~0.5-0.8 s for unit_pseudo_projections (~0.62 s at N = 2,
+# d = 1182, the slowest ~0.8 s at N = 4, d = 512), min of 3-5 on the same VM.
 MAX_LATTICE_ENTRIES = 1 << 22
 
 
@@ -283,6 +284,69 @@ def _operands(mats, calls: int) -> tuple:
     return left, [right_factors(m) for m in mats], True
 
 
+# The most bytes a gathered subset size of `weyl_matrix` holds: the left
+# rows, right factors and results of its products, (16 + 32 + 16) d^2 bytes
+# a product. Every size of qubit Weyl up to N = 6 and of qutrit Weyl up to
+# N = 4 fits. Larger sizes make enough products per matmul call to pay for
+# it: gathering every size made qutrit Weyl at N = 6 2.2x slower and d = 4
+# at N = 5 3.2x, and qubit Weyl at N = 7-8 at most 1.3x faster while its
+# gathers held several times the lattice.
+GATHER_BYTES = 1 << 18
+
+
+def _rows(first: int, shape: tuple, target: tuple) -> np.ndarray:
+    """Row numbers first, first + 1, ... laid out in `shape`, broadcast to
+    `target` and flattened."""
+    rows = np.arange(first, first + math.prod(shape)).reshape(shape)
+    return np.broadcast_to(rows, target).ravel()
+
+
+@functools.lru_cache(maxsize=64)
+def _weyl_plan(shapes: tuple, d: int) -> tuple:
+    """(layouts, gathers): `weyl_matrix`'s plan for N generators of d x d
+    matrices whose stacks have leading shapes `shapes`.
+
+    layouts[k - 1] places the W(S) of size k in one array of rows, S in
+    `_subset_plan` order (for k = 1 the generators, in order): one
+    (S, first row, end row, leading shape of W(S)) each, that shape being
+    the members' shapes broadcast. gathers[k - 2] is None for a size made
+    per (S, i) pair, else the (k, R) row numbers (below, factor) of its
+    products: row r of the size is the sum over j of row below[j, r] of the
+    size below times row factor[j, r] of the generators' right factors, j
+    the place of i in S.
+    """
+    n = len(shapes)
+    starts = [0, *itertools.accumulate(math.prod(s) for s in shapes)]
+    layouts = [tuple(((i,), starts[i], starts[i + 1], s) for i, s in enumerate(shapes))]
+    gathers = []
+    for k, level in enumerate(_subset_plan(n), 2):
+        place = {s: (first, shape) for s, first, _, shape in layouts[-1]}
+        layout, rows = [], 0
+        for s, _ in level:
+            shape = np.broadcast_shapes(*(shapes[i] for i in s))
+            layout.append((s, rows, rows + math.prod(shape), shape))
+            rows += math.prod(shape)
+        layouts.append(tuple(layout))
+        if k * rows * 64 * d * d > GATHER_BYTES:
+            gathers.append(None)
+            continue
+        below, factor = [[] for _ in range(k)], [[] for _ in range(k)]
+        for (_, steps), (_, _, _, shape) in zip(level, layout):
+            for j, (i, rest) in enumerate(steps):
+                below[j].append(_rows(*place[rest], shape))
+                factor[j].append(_rows(starts[i], shapes[i], shape))
+        plan = tuple(np.array([np.concatenate(r) for r in x]) for x in (below, factor))
+        for x in plan:
+            x.setflags(write=False)
+        gathers.append(plan)
+    return tuple(layouts), tuple(gathers)
+
+
+def _views(rows, layout) -> dict:
+    """{S: W(S)} of an array of rows laid out as `layout` says."""
+    return {s: rows[a:b].reshape(shape + rows.shape[1:]) for s, a, b, shape in layout}
+
+
 def weyl_matrix(mats) -> np.ndarray:
     """Equal-weight average of all N! ordering products, hermitized.
 
@@ -293,24 +357,56 @@ def weyl_matrix(mats) -> np.ndarray:
     recursion right-multiplies, W(S) = sum_{i in S} W(S - {i}) A_i, one
     subset size at a time, each sum taken over i ascending; on a grid, W(S)
     spans only the axes in S, so it is made once for all the tuples that
-    share the outcomes of S. From N = 4 on (`_operands`), every W(S) is kept
-    as a float64 view and each product is a real matmul with A_i's
-    `right_factors`.
+    share the outcomes of S.
+
+    From N = 3 on, a size whose products fit GATHER_BYTES is one step
+    (`_weyl_plan`): the rows of W(S - {i}) and of A_i's right factors for
+    every (S, i) pair of the size are gathered into two stacks, one real
+    matmul makes every product, and `np.add.reduce` over the place of i in
+    S, which adds in that order, gives the size's W(S) as one array of
+    rows, bit for bit the sums made pair by pair. A larger size makes each
+    (S, i) product by broadcasting, one stacked matmul call and one
+    in-place add each. When some size is gathered, and from N = 4 on, where
+    the pairs make at least four matmul calls per generator (`_operands`),
+    every W(S) is kept as a float64 view and each product is a real matmul
+    with A_i's `right_factors`, made in one call for all the generators.
 
     Sums and the hermitization run in place on arrays made here, so the
-    peak holds about two copies of the result beside the level below it.
+    peak holds about two copies of the result beside the level below it,
+    and a gathered size at most GATHER_BYTES more.
     """
     n = len(mats)
-    left, right, real = _operands(mats, n * 2 ** (n - 1) - n)
-    w = {(i,): left[i] for i in range(n)}
-    for level in _subset_plan(n):
-        below, w = w, {}
-        for s, steps in level:
-            (i, rest), *more = steps
-            acc = below[rest] @ right[i]
-            for i, rest in more:
-                acc += below[rest] @ right[i]
-            w[s] = acc
+    rows = None  # the size's W(S) as one array of rows, when it was gathered
+    if n > 2:
+        d = mats[0].shape[-1]
+        layouts, gathers = _weyl_plan(tuple([m.shape[:-2] for m in mats]), d)
+        real = n > 3 or any(gathers)
+    else:  # at most one sum of two products: nothing to gather
+        layouts = gathers = (None,) * (n - 1)
+        real = False
+    if real:
+        gens = np.concatenate([m.reshape(-1, d, d) for m in mats], dtype=np.complex128)
+        factors, rows = right_factors(gens), gens.view(np.float64)
+        if not all(gathers):
+            right = list(_views(factors, layouts[0]).values())
+    else:
+        right, w = mats, {(i,): m for i, m in enumerate(mats)}
+    for level, layout, gather in zip(_subset_plan(n), layouts, gathers):
+        if gather is None:
+            below, rows, w = (w if rows is None else _views(rows, layout)), None, {}
+            for s, steps in level:
+                (i, rest), *more = steps
+                acc = below[rest] @ right[i]
+                for i, rest in more:
+                    acc += below[rest] @ right[i]
+                w[s] = acc
+            continue
+        if rows is None:
+            rows = np.concatenate([a.reshape(-1, d, 2 * d) for a in w.values()])
+        below, factor = gather
+        rows = np.add.reduce(rows[below] @ factors[factor], axis=0)
+    if rows is not None:
+        w = _views(rows, layouts[-1])
     acc = w.pop(tuple(range(n)))
     # a new array, also for N = 1, where w holds the caller's matrix; halving
     # is exact, so A + A^dag for A = W/(2 N!) is (W/N! + (W/N!)^dag)/2 bit for

@@ -37,34 +37,35 @@ ENTRY_MIN, ENTRY_MAX = -1.0, 2.0
 # at most 2^16) and the sets of unplaced events the search visits, not with
 # the Bell number of the events; more than MAX_PARTITION_EVENTS events raise
 # PartitionSearchTooLarge. A visited set of k events tests at most max(16,
-# 2^k) listed blocks, or walks its 2^(k - 1) subsets that hold its lowest
-# event, two steps each, and looks up one child per block it keeps, so no
-# search takes more than 3^16 + 16 * 2^16 ~ 4.4e7 tests or walk steps. No
-# table found takes more than 1.1e7, and how long one near the bound would
-# take is not known. On a 2-vCPU Xeon VM (Python 3.11.7) the slowest found
-# take 1.0-1.7 s: 14 random negatives and 2 positives, the most steps (24,576
-# states; of 60 tables of 10-15 random negatives); 13 equal negative and 3
-# equal positive entries, any positive covering all the negatives (19,456
-# states; the slowest of 170 equal-value tables of n negatives and 16 - n
-# positives whose negatives together need 1 to (16 - n)/2 positives); 8 random
-# negatives and 8 positives (20,747 states; of 292 tables of 4-9 random
-# negatives, then a climb towards more steps). 400 seeded random 16-event Weyl
-# schemes (4 qubit observables, up to 10 negative entries) take at most 0.6 s.
+# 2^k + 16 (k - 1)) listed blocks, or walks its 2^(k - 1) subsets that hold
+# its lowest event, two steps each, and looks up one child per block it
+# keeps, so no search takes more than 3^16 + 16^2 * 2^15 ~ 5.1e7 tests or
+# walk steps. No table found takes more than 1.1e7, and how long one near the
+# bound would take is not known. On a 2-vCPU Xeon VM (Python 3.11.7) the
+# slowest found take 1.0-1.7 s: 14 random negatives and 2 positives, the most
+# steps (24,576 states; of 60 tables of 10-15 random negatives); 13 equal
+# negative and 3 equal positive entries, any positive covering all the
+# negatives (19,456 states; the slowest of 170 equal-value tables of n
+# negatives and 16 - n positives whose negatives together need 1 to
+# (16 - n)/2 positives); 8 random negatives and 8 positives (20,747 states; of
+# 292 tables of 4-9 random negatives, then a climb towards more steps). 400
+# seeded random 16-event Weyl schemes (4 qubit observables, up to 10 negative
+# entries) take at most 0.6 s.
 MAX_PARTITION_EVENTS = 16
 # build_scheme's outcome lattice holds W(S) for every subset S of the
 # observables and every outcome of those in S: prod_i (1 + k_i) complex d x d
 # matrices for k_i outcomes each. A unit/weights recipe instead makes B(s)
 # for every distinct proper suffix s of its nonzero orderings, over the
 # outcomes of the observables outside s (_suffix_matrices). Inputs above
-# MAX_LATTICE_ENTRIES entries are rejected before anything is built. On a 2-vCPU Xeon
-# VM, min of 3: the slowest accepted inputs found take ~0.24 s (Weyl, d = 4,
-# outcome counts 4,4,4,4,4,4,3,3; 4.0M entries) and ~0.4 s (weights over
-# 11383 classes of 8 qutrit observables, or over all 20160 classes of 8
-# two-outcome observables at d = 4), and the largest tracemalloc peak found
-# is ~115 MiB (Weyl, d = 44, N = 2; 3.9M). Large d with few outcomes stays
-# cheap: single-outcome observables at d = 1024, N = 2 or d = 128, N = 8
-# take ~0.25-0.4 s (single runs), and a qutrit N = 8 Weyl scheme (0.59M)
-# ~40-46 ms.
+# MAX_LATTICE_ENTRIES entries are rejected before anything is built. On a
+# 2-vCPU Xeon VM, min of 3-5: the slowest accepted inputs found take
+# ~0.16-0.22 s (Weyl, d = 4, outcome counts 4,4,4,4,4,4,3,3; 4.0M entries)
+# and ~0.25-0.3 s (weights over 11383 classes of 8 qutrit observables, or
+# over all 20160 classes of 8 two-outcome observables at d = 4), and the
+# largest tracemalloc peak found is ~115 MiB (Weyl, d = 44, N = 2; 3.9M).
+# Large d with few outcomes stays cheap: single-outcome observables at
+# d = 1024, N = 2 or d = 128, N = 8 take ~0.19-0.32 s, and a qutrit N = 8
+# Weyl scheme (0.59M) ~26-29 ms.
 
 
 def check_eps(eps: float) -> float:
@@ -172,11 +173,13 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
             f"{n} observables exceed the ordering cap {MAX_GENERATORS}"
         )
     recipe = recipe or Recipe.weyl()
+    d = rho.op.matrix.shape[0]
+    counts = []
     for obs in observables:
-        if obs.dim != rho.dim:
-            raise DimensionMismatch(f"observable dim {obs.dim} vs state dim {rho.dim}")
-    d = rho.dim
-    counts = [len(obs.projectors) for obs in observables]
+        k, dim, _ = obs.projectors.shape
+        if dim != d:
+            raise DimensionMismatch(f"observable dim {dim} vs state dim {d}")
+        counts.append(k)
     if n == 1 or recipe.kind == "weyl":
         terms = None
         entries = math.prod(1 + k for k in counts) * d * d
@@ -296,12 +299,12 @@ def minimal_coarse_graining(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> Co
     memoised pass over the sets of unplaced events puts the lowest one in
     each block it can open, in increasing block order (singleton first),
     and adds up the co-optimal counts instead of listing the partitions.
-    When the lowest event can open more than n blocks, and more than the set
-    has subsets, the set walks its subsets that hold that event instead, in
-    block order, and keeps those that are blocks. More than
-    MAX_PARTITION_EVENTS events raise PartitionSearchTooLarge before the
-    search; every smaller table is searched. `eps` must be a finite number
-    >= 0; anything else raises ValueError.
+    When the lowest event can open more than n blocks, and more than a walk
+    of the set's subsets would cost, the set walks its subsets that hold
+    that event instead, in block order, and keeps those that are blocks.
+    More than MAX_PARTITION_EVENTS events raise PartitionSearchTooLarge
+    before the search; every smaller table is searched. `eps` must be a
+    finite number >= 0; anything else raises ValueError.
     """
     check_eps(eps)
     values = scheme.values.tolist()
@@ -355,14 +358,16 @@ def minimal_coarse_graining(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> Co
     def best(rest):  # unplaced events -> (most blocks, partitions reaching it, first block)
         low = rest & -rest
         choices = options[low]
-        # a list of more than n blocks, and more than rest has subsets, gives
-        # way to the subsets of rest that hold the lowest event and are
-        # blocks: a walked subset costs two steps (made, looked up), a listed
-        # block one test, and a list of at most n at most n tests a state.
-        # Blocks sort as their event tuples, a prefix first, so adding the
-        # free events highest first puts each one's sets right after the
-        # lowest event alone
-        if len(choices) > n and len(choices) > 1 << rest.bit_count():
+        # a list of more than n blocks, and longer than a walk of the k
+        # events of rest costs, gives way to the subsets of rest that hold
+        # the lowest event and are blocks. A listed block costs one test, and
+        # a list of at most n at most n tests a state; a walked subset costs
+        # two steps (made, looked up), and each of the k - 1 free events one
+        # list insertion, counted as n tests (in CPython one takes 0.5-1 us,
+        # a test ~0.05 us). Blocks sort as their event tuples, a prefix
+        # first, so adding the free events highest first puts each one's
+        # sets right after the lowest event alone
+        if len(choices) > n and len(choices) > (1 << (k := rest.bit_count())) + n * (k - 1):
             if not held:
                 held.update(candidates.values())
             subsets, free = [low], rest ^ low

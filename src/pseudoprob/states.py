@@ -228,9 +228,9 @@ class Observable:
     and whose outcome labels are distinct finite real numbers that recompose
     the operator. `projectors` holds those projectors' matrices as one
     read-only (k, d, d) stack in resolution order: the form every check here
-    and `build_scheme` read. `axis` carries the generating unit vector for
-    qubit observables built from a direction (used for JSON output); it is
-    None otherwise.
+    and `build_scheme` read. `outcomes` holds the labels in the same order.
+    `axis` carries the generating unit vector for qubit observables built
+    from a direction (used for JSON output); it is None otherwise.
 
     Validation is one pass: every check's residual is computed once over
     that stack and reduced to one maximum per check. The checks are then read
@@ -243,6 +243,7 @@ class Observable:
     resolution: tuple
     axis: np.ndarray | None = field(default=None)
     projectors: np.ndarray = field(init=False, repr=False)
+    outcomes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         res = tuple((a, p) for a, p in self.resolution)
@@ -250,14 +251,11 @@ class Observable:
         stack = _validated_stack(res, self.op)
         stack.setflags(write=False)
         object.__setattr__(self, "projectors", stack)
+        object.__setattr__(self, "outcomes", tuple(a for a, _ in res))
 
     @property
     def dim(self) -> int:
         return self.op.dim
-
-    @property
-    def outcomes(self) -> tuple:
-        return tuple(a for a, _ in self.resolution)
 
     def projector(self, outcome) -> HermitianOperator:
         for a, p in self.resolution:

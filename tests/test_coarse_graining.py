@@ -126,10 +126,11 @@ def test_larger_tables_match_subset_dp(n, kind):
 
 def test_blocks_found_through_subsets_keep_block_order():
     # event 2 opens 147 blocks, more than n = 12, so the states that place
-    # it with at most 7 events unplaced (147 > 2^7) walk their subsets; its
-    # co-optimal blocks (2, 10, 11) and (2, 11) sort one way as event tuples
-    # and the other as bitmasks, or as sets made lowest event first. The
-    # partition is pinned from the search that scanned every block.
+    # it with at most 6 events unplaced (147 > 2^6 + 12 * 5) walk their
+    # subsets; its co-optimal blocks (2, 10, 11) and (2, 11) sort one way as
+    # event tuples and the other as bitmasks, or as sets made lowest event
+    # first. The partition is pinned from the search that scanned every
+    # block.
     values = [k * GRID for k in (-29, -19, 38, 398, -38, -37, -4, -7, 11, -39, -4, -14)]
     out = minimal_coarse_graining(table_scheme(values), eps=DYADIC_EPS)
     assert (out.block_count, out.num_maximizers) == oracles.best_partition_count(values, eps=DYADIC_EPS)

@@ -4,6 +4,7 @@ outcome grid against per-tuple oracles (`oracles.hermitized_chain` for one
 ordering) and explicit products, its memory against the lattice size, and
 the lattice cap."""
 
+import hashlib
 import itertools
 import math
 import time
@@ -24,7 +25,7 @@ from pseudoprob import (
     schemes,
 )
 from pseudoprob.pseudoprojection import (
-    ordering_classes, right_factors, weighted_matrix, weyl_matrix,
+    _weyl_plan, ordering_classes, right_factors, weighted_matrix, weyl_matrix,
 )
 
 import oracles
@@ -201,6 +202,87 @@ class TestUnequalOutcomeCounts:
         assert abs(scheme.values.sum() - 1.0) <= 1e-14
 
 
+def grouped_grid(seed, d, counts):
+    """The outcome grid of observables of the given outcome counts over
+    C^d, each grouping a Haar-random basis (`grouped_observable`)."""
+    rng = np.random.default_rng(seed)
+    return grid_mats([grouped_observable(rng, d, k) for k in counts])
+
+
+def gathered_sizes(mats):
+    """The subset sizes that `weyl_matrix` makes in one gathered step."""
+    if len(mats) < 3:
+        return []
+    _, gathers = _weyl_plan(tuple(m.shape[:-2] for m in mats), mats[0].shape[-1])
+    return [k for k, g in enumerate(gathers, 2) if g is not None]
+
+
+# grids whose products are made in the same arithmetic as before sizes were
+# gathered: qubits at N = 2 (complex, nothing to gather) and N = 4..8, outcome
+# counts 4, 3, 3, 2 at d = 4 (real), and d = 6 at N = 3 (complex, every size
+# over the budget); with the sizes gathered in each
+KEPT_ROUTE_GRIDS = [
+    ((2, (2,) * n), sizes) for n, sizes in [
+        (2, []), (4, [2, 3, 4]), (5, [2, 3, 4, 5]), (6, [2, 3, 4, 5, 6]), (7, [2, 3, 7]), (8, [2]),
+    ]
+] + [((4, (4, 3, 3, 2)), [2]), ((6, (6, 6, 6)), [])]
+# grids that now gather at N = 3 and so run real, not complex, products
+NEW_ROUTE_GRIDS = [((2, (2, 2, 2)), [2, 3]), ((3, (3, 3, 3)), [2, 3]), ((3, (3, 2, 1)), [2, 3])]
+
+
+def grid_id(case):
+    d, counts = case
+    return f"d{d}-" + ",".join(map(str, counts))
+
+
+class TestGatheredSizes:
+    # sizes fitting the gather budget are one stacked matmul each, summed
+    # over the place of i in S; where the products were real before they
+    # are the same bits, and where they were complex (N = 3) they agree
+    # with the N!-term oracle per outcome tuple
+
+    @pytest.mark.parametrize("case, sizes", KEPT_ROUTE_GRIDS + NEW_ROUTE_GRIDS,
+                             ids=[grid_id(c) for c, _ in KEPT_ROUTE_GRIDS + NEW_ROUTE_GRIDS])
+    def test_sizes_gathered(self, case, sizes):
+        d, counts = case
+        assert gathered_sizes(grouped_grid(1811, d, counts)) == sizes
+
+    def test_digest_of_kept_routes(self):
+        # the grids' results, and those of each grid's first outcome tuple
+        # on its own but at N = 3 (as single matrices every size from N = 3
+        # on gathers), pinned from the pair by pair recursion that the
+        # gathered sizes replaced
+        digest = hashlib.sha256()
+        for (d, counts), _ in KEPT_ROUTE_GRIDS:
+            mats = grouped_grid(1811, d, counts)
+            digest.update(weyl_matrix(mats).tobytes())
+            if len(mats) != 3:
+                digest.update(weyl_matrix([g.reshape(-1, d, d)[0] for g in mats]).tobytes())
+        assert digest.hexdigest() == "6a9d31e696564ce27f3744fc97b4e608fb56330dcfc1876afd2c55f311c65923"
+
+    @pytest.mark.parametrize("case, _", NEW_ROUTE_GRIDS, ids=[grid_id(c) for c, _ in NEW_ROUTE_GRIDS])
+    def test_new_route_matches_oracle_per_tuple(self, case, _):
+        d, counts = case
+        mats = grouped_grid(1811, d, counts)
+        got = weyl_matrix(mats)
+        assert got.shape == (*counts, d, d)
+        for t in itertools.product(*map(range, counts)):
+            tuple_mats = [m.reshape(-1, d, d)[a] for m, a in zip(mats, t)]
+            assert np.abs(got[t] - oracles.weyl_oracle(tuple_mats)).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_qubit_schemes_match_oracles(self, n):
+        # four outcome tuples each; the N!-term oracle up to N = 7
+        rho, obs = random_case(1900 + n, 2, n)
+        scheme = build_scheme(rho, obs)
+        for t in scheme.outcome_tuples[:: 2 ** n // 4]:
+            mats = tuple_mats(obs, t)
+            polar = trace_entry(rho, oracles.weyl_polarisation_oracle(mats))
+            assert abs(scheme.entry(t) - polar) <= 1e-13
+            if n <= 7:
+                assert abs(scheme.entry(t) - trace_entry(rho, oracles.weyl_oracle(mats))) <= 1e-14
+
+
 class TestBuildSchemeEntries:
     @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
     def test_weyl_entries_match_both_oracles(self, d, n):
@@ -307,6 +389,25 @@ class TestMemoryBound:
         # the scheme itself (entries, outcome tuples, their index) is not
         # part of the kernel: allow 1 KiB per tuple for it
         assert peak <= bound + 1024 * tuples
+
+    @pytest.mark.parametrize("d, counts", [(2, (2,) * 6), (2, (2,) * 7), (4, (4, 3, 3, 2))],
+                             ids=["d2-N6", "d2-N7", "d4-4,3,3,2"])
+    def test_gathered_peak_stays_under_lattice_plus_budget(self, d, counts):
+        # qubit N = 6 gathers every size, so its peak holds the largest
+        # gathered size (240 KiB); qubit N = 7 and the d = 4 grid have sizes
+        # a little over the budget (306 KiB at d = 4), which would
+        # gather, and overrun this bound, under a larger one
+        mats = grouped_grid(1811, d, counts)
+        assert gathered_sizes(mats)
+        bound = 16 * math.prod(1 + k for k in counts) * d * d + (1 << 18)
+        weyl_matrix(mats)  # plan cached beforehand
+        tracemalloc.start()
+        try:
+            weyl_matrix(mats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_weyl_sums_in_place(self):
         # d = 12, N = 4 over 12 outcomes each: the last level is 12^4 of the

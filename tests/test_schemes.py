@@ -5,6 +5,8 @@ import pytest
 
 from pseudoprob import (
     DensityMatrix,
+    DimensionMismatch,
+    HermitianOperator,
     InvalidRecipe,
     InvalidState,
     Observable,
@@ -50,6 +52,13 @@ class TestBuildScheme:
         scheme = build_scheme(mixed_state(), [observable_from_direction((0, 0, 1))])
         assert scheme.outcome_tuples == ((1,), (-1,))
         assert np.allclose(scheme.values, [0.5, 0.5], atol=1e-15)
+
+    def test_rejects_observable_of_another_dimension(self):
+        qutrit = Observable(op=HermitianOperator(np.diag([1.0, 0.0, -1.0])), resolution=tuple(
+            (a, HermitianOperator(np.diag(np.eye(3)[i]))) for i, a in enumerate((1, 0, -1))
+        ))
+        with pytest.raises(DimensionMismatch, match=": observable dim 3 vs state dim 2$"):
+            build_scheme(mixed_state(), [observable_from_direction((0, 0, 1)), qutrit])
 
     def test_orthogonal_pair_on_mixed_state(self):
         obs = [observable_from_direction((0, 0, 1)), observable_from_direction((1, 0, 0))]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -190,6 +191,18 @@ class TestObservable:
             for _, p in obs.resolution:
                 assert p.hermiticity_residual == 0.0
                 assert not p.matrix.flags.writeable
+
+    def test_outcomes_made_once(self):
+        # one tuple of the labels in resolution order, kept on the instance
+        # and left out of its repr
+        obs = Observable(op=HermitianOperator(np.diag([2.0, -0.5, 0.0])), resolution=tuple(
+            (a, HermitianOperator(np.diag(np.eye(3)[i]))) for i, a in enumerate((2.0, -0.5, 0))
+        ))
+        assert obs.outcomes == (2.0, -0.5, 0)
+        assert obs.outcomes is obs.outcomes
+        assert "outcomes" not in repr(obs)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obs.outcomes = (1, -1)
 
     def test_projector_lookup(self):
         obs = observable_from_direction((0, 0, 1))
