@@ -107,7 +107,10 @@ class HermitianOperator:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number, not a bool; exact floats and ints are answered before
+    the much slower `numbers.Real` check."""
+    kind = type(value)
+    return kind is float or kind is int or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
 def _is_integral(value) -> bool:

@@ -8,6 +8,7 @@ be negative; that negativity is the non-classicality witness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -32,25 +33,27 @@ from .tolerances import ATOL_LOOSE, CLASSICALITY_EPS, RESIDUAL_ATOL
 # Entries live in a narrow band around [0, 1]; anything outside this sanity
 # bound means the inputs were not a state and projectors.
 ENTRY_MIN, ENTRY_MAX = -1.0, 2.0
-# Coarse-graining cost grows with the candidate blocks (sets of negative
-# entries with the positives that cover them, and the non-negative singletons;
-# at most 2^16) and the sets of unplaced events the search visits, not with
-# the Bell number of the events; more than MAX_PARTITION_EVENTS events raise
+# Coarse-graining lists its candidate blocks (sets of negative and positive
+# entries that reach -eps only with their highest positive entry; with the
+# non-negative singletons at most 2^16) in one vectorised pass over all 2^n
+# event masks, 1.5-6 ms at n = 16. Past that its cost grows with the blocks
+# and the sets of unplaced events the search visits, not with the Bell number
+# of the events; more than MAX_PARTITION_EVENTS events raise
 # PartitionSearchTooLarge. A visited set of k events tests at most max(16,
 # 2^k + 16 (k - 1)) listed blocks, or walks its 2^(k - 1) subsets that hold
 # its lowest event, two steps each, and looks up one child per block it
 # keeps, so no search takes more than 3^16 + 16^2 * 2^15 ~ 5.1e7 tests or
 # walk steps. No table found takes more than 1.1e7, and how long one near the
-# bound would take is not known. On a 2-vCPU Xeon VM (Python 3.11.7) the
-# slowest found take 1.0-1.7 s: 14 random negatives and 2 positives, the most
-# steps (24,576 states; of 60 tables of 10-15 random negatives); 13 equal
-# negative and 3 equal positive entries, any positive covering all the
-# negatives (19,456 states; the slowest of 170 equal-value tables of n
-# negatives and 16 - n positives whose negatives together need 1 to
-# (16 - n)/2 positives); 8 random negatives and 8 positives (20,747 states; of
-# 292 tables of 4-9 random negatives, then a climb towards more steps). 400
-# seeded random 16-event Weyl schemes (4 qubit observables, up to 10 negative
-# entries) take at most 0.6 s.
+# bound would take is not known. On a 2-vCPU Xeon VM (Python 3.11.7, numpy
+# 2.4.6, min of 3) the slowest found take 0.5-0.8 s: 14 random negatives and
+# 2 positives, the most steps (24,576 states; of 60 tables of 10-15 random
+# negatives); 13 equal negative and 3 equal positive entries, any positive
+# covering all the negatives (19,456 states; the slowest of 170 equal-value
+# tables of n negatives and 16 - n positives whose negatives together need 1
+# to (16 - n)/2 positives); 8 random negatives and 8 positives (20,747
+# states; of 292 tables of 4-9 random negatives, then a climb towards more
+# steps). 400 seeded random 16-event Weyl schemes (4 qubit observables, up to
+# 10 negative entries) take at most 0.6 s.
 MAX_PARTITION_EVENTS = 16
 # build_scheme's outcome lattice holds W(S) for every subset S of the
 # observables and every outcome of those in S: prod_i (1 + k_i) complex d x d
@@ -275,6 +278,23 @@ class CoarseGraining:
     search_states: int
 
 
+@functools.lru_cache(maxsize=None)
+def _block_order(n: int):
+    """Every nonempty mask of n events in block order, as sorted() orders
+    their event tuples, and the highest event's bit of every mask (0 for the
+    empty one). The sets whose lowest event is e are e alone, then e joined
+    to each set of the higher events in their order, and they come before
+    the sets of the higher events."""
+    order = np.empty(0, dtype=np.int64)
+    for bit in 1 << np.arange(n - 1, -1, -1):
+        order = np.concatenate(([bit], order | bit, order))
+    bits = 1 << np.arange(n)
+    high = np.concatenate(([0], np.repeat(bits, bits)))
+    order.setflags(write=False)
+    high.setflags(write=False)
+    return order, high
+
+
 def minimal_coarse_graining(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> CoarseGraining:
     """Partition the event space into the largest number of blocks with
     non-negative sums: each block's entries, added left to right in
@@ -286,25 +306,32 @@ def minimal_coarse_graining(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> Co
     reported alongside. A scheme with no negative entries yields all
     singleton blocks.
 
-    A negative entry is one below -eps. In an optimal partition every block
-    of two or more events holds a negative entry and needs each of its
-    positive entries, or it could be split into more blocks. So the only
-    blocks tried besides singletons are candidate blocks: one or more
-    negative entries plus positive entries taken in canonical order until
-    the sum first reaches -eps. A block is a bitmask over the events, and
-    its sum one lookup in a table of all 2^n subset sums, built by doubling
-    when some entry is negative: the sums over the first b events, each
-    plus entry b. So every block sum is the same plain float sum on every
-    Python version (sum() of floats is compensated from 3.12 on). One
-    memoised pass over the sets of unplaced events puts the lowest one in
-    each block it can open, in increasing block order (singleton first),
-    and adds up the co-optimal counts instead of listing the partitions.
-    When the lowest event can open more than n blocks, and more than a walk
-    of the set's subsets would cost, the set walks its subsets that hold
-    that event instead, in block order, and keeps those that are blocks.
-    More than MAX_PARTITION_EVENTS events raise PartitionSearchTooLarge
-    before the search; every smaller table is searched. `eps` must be a
-    finite number >= 0; anything else raises ValueError.
+    A negative entry is one below -eps and a positive entry one above 0. In
+    an optimal partition every block of two or more events holds a negative
+    entry, no entry that is neither, and needs each of its positive entries,
+    or it could be split into more blocks. So the only blocks tried besides
+    the non-negative singletons are candidate blocks: sets of negative and
+    positive entries whose sum reaches -eps and falls below it without
+    their highest positive entry. Adding a positive entry never lowers a
+    left-to-right float sum, so these are one or more negative entries plus
+    positive entries taken in canonical order until the sum first reaches
+    -eps. A block is a bitmask over the events, and its sum one lookup in a
+    table of all 2^n subset sums, built by doubling when some entry is
+    negative: the sums over the first b events, each plus entry b. So every
+    block sum is the same plain float sum on every Python version (sum() of
+    floats is compensated from 3.12 on). The candidate blocks are one
+    vectorised pass over the 2^n masks, taken in block order from an order
+    of all masks made once per n: O(2^n) array work, whatever the number of
+    blocks. One memoised pass over the sets of unplaced events puts the
+    lowest one in each block it can open, in increasing block order
+    (singleton first), and adds up the co-optimal counts instead of listing
+    the partitions. When the lowest event can open more than n blocks, and
+    more than a walk of the set's subsets would cost, the set walks its
+    subsets that hold that event instead, in block order, and keeps those
+    that are blocks. More than MAX_PARTITION_EVENTS events raise
+    PartitionSearchTooLarge before the search; every smaller table is
+    searched. `eps` must be a finite number >= 0; anything else raises
+    ValueError.
     """
     check_eps(eps)
     values = scheme.values.tolist()
@@ -312,44 +339,22 @@ def minimal_coarse_graining(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> Co
     if n > MAX_PARTITION_EVENTS:
         raise PartitionSearchTooLarge(f"{n} events exceeds cap {MAX_PARTITION_EVENTS}")
     floor = -eps
-    negatives = [i for i in range(n) if values[i] < floor]
-    positives = tuple(i for i in range(n) if values[i] > 0.0)
-    # the singletons and candidate blocks: events in canonical order, as
-    # bytes (which sort like tuples of them, and faster) -> mask
-    candidates = {bytes((i,)): 1 << i for i in range(n) if values[i] >= floor}
-    if negatives:
-        # sums[mask]: the events in mask summed left to right
-        sums = [0.0]
-        for v in values:
-            sums += [t + v for t in sums]
-        # tails[k]: the mask of positives[k:]
-        tails = [0] * (len(positives) + 1)
-        for k in range(len(positives) - 1, -1, -1):
-            tails[k] = tails[k + 1] | 1 << positives[k]
-
-        def cover(block, mask, start):
-            # block + positives[start:] is feasible; block alone is not
-            for k in range(start, len(positives)):
-                grown = block + positives[k:k + 1]
-                grown_mask = mask | 1 << positives[k]
-                if sums[grown_mask] >= floor:
-                    candidates[bytes(sorted(grown))] = grown_mask
-                else:
-                    cover(grown, grown_mask, k + 1)
-                if sums[mask | tails[k + 1]] < floor:
-                    return
-
-        bits = [1 << i for i in negatives]
-        for r in range(1, len(negatives) + 1):
-            masks = map(sum, itertools.combinations(bits, r))
-            for block, mask in zip(itertools.combinations(negatives, r), masks):
-                if sums[mask | tails[0]] >= floor:
-                    cover(block, mask, 0)
-    # the blocks the lowest unplaced event can open, by that event, in
-    # increasing block order
-    options = {1 << i: [] for i in range(n)}  # keyed by the lowest event's bit
-    for events in sorted(candidates):
-        options[1 << events[0]].append(candidates[events])
+    # the blocks the lowest unplaced event can open, by that event's bit, in
+    # increasing block order: the event alone if it is non-negative, then the
+    # candidate blocks
+    options = {1 << i: [1 << i] if v >= floor else [] for i, v in enumerate(values)}
+    if min(values) < floor:
+        order, high = _block_order(n)
+        # sums[mask]: the events in mask summed left to right; an event that
+        # is neither negative nor positive joins no candidate block, so it
+        # adds -inf
+        sums = np.zeros(1 << n)
+        for b, v in enumerate(values):
+            np.add(sums[:1 << b], v if v < floor or v > 0.0 else -math.inf, out=sums[1 << b:2 << b])
+        positives = sum(1 << i for i, v in enumerate(values) if v > 0.0)
+        merged = order[(sums[order] >= floor) & (sums[order ^ high[order & positives]] < floor)]
+        for block in merged.tolist():
+            options[block & -block].append(block)
 
     memo = {0: (0, 1, 0)}
     get = memo.get
@@ -369,7 +374,7 @@ def minimal_coarse_graining(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> Co
         # sets right after the lowest event alone
         if len(choices) > n and len(choices) > (1 << (k := rest.bit_count())) + n * (k - 1):
             if not held:
-                held.update(candidates.values())
+                held.update(*options.values())
             subsets, free = [low], rest ^ low
             while free:
                 bit = 1 << free.bit_length() - 1

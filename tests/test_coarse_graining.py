@@ -22,6 +22,7 @@ from pseudoprob import (
     minimal_coarse_graining,
     observable_from_direction,
 )
+from pseudoprob.schemes import _block_order
 
 import oracles
 
@@ -122,6 +123,90 @@ def test_larger_tables_match_subset_dp(n, kind):
     assert (out.block_count, out.num_maximizers) == oracles.best_partition_count(values, eps=eps)
     assert sorted(i for block in event_blocks(out) for i in block) == list(range(n))
     assert all(sum(values[i] for i in block) >= -eps for block in event_blocks(out))
+
+
+def neutral_values(rng, n, eps):
+    """n grid values summing to 1, about half of them neither negative nor
+    positive: 0.0, -0.0, and when eps > 0 one or two grid steps below zero."""
+    neutral = [0.0, -0.0] + ([-GRID, -DYADIC_EPS] if eps else [])
+    while True:
+        values = [
+            float(rng.choice(neutral)) if rng.random() < 0.5 else int(rng.integers(-48, 81)) * GRID
+            for _ in range(n - 1)
+        ]
+        last = 1.0 - sum(values)
+        if 0.0 < last <= 2.0:
+            return values + [last]
+
+
+@pytest.mark.parametrize("eps", [DYADIC_EPS, 0.0], ids=["eps-2-steps", "eps-0"])
+def test_neutral_entries_stay_singletons(eps):
+    # an entry that is neither below -eps nor above 0 joins no block of an
+    # optimal partition: without it the block's left-to-right sum is no lower
+    rng = np.random.default_rng(3601 if eps else 3602)
+    merged = 0
+    for n in range(1, 10):
+        for _ in range(8 if n < 8 else 3):
+            values = neutral_values(rng, n, eps)
+            out = minimal_coarse_graining(table_scheme(values), eps=eps)
+            best, winners = oracles.best_partitions(values, eps=eps)
+            assert (out.block_count, out.num_maximizers) == (best, len(winners)), values
+            assert event_blocks(out) == winners[0], values
+            for block in event_blocks(out):
+                assert len(block) == 1 or all(values[i] < -eps or values[i] > 0.0 for i in block), values
+            merged += best < n
+    assert merged >= 10
+
+
+def test_one_event():
+    out = minimal_coarse_graining(table_scheme([1.0]), eps=0.0)
+    assert (event_blocks(out), out.block_count, out.num_maximizers, out.search_states) == (((0,),), 1, 1, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_block_order_sorts_masks_as_event_tuples(n):
+    order, high = _block_order(n)
+    assert order.tolist() == sorted(range(1, 1 << n), key=lambda mask: [i for i in range(n) if mask >> i & 1])
+    assert high.tolist() == [0] + [1 << mask.bit_length() - 1 for mask in range(1, 1 << n)]
+
+
+# 16-event tables at the two extremes of the candidate blocks: one negative
+# entry among 15 positives, and 15 negatives any of whose sets the one
+# positive covers (2^15 - 1 blocks); and one with exact zeros and entries in
+# [-eps, 0), at eps = 2 grid steps and at 0. Block count and co-optimal
+# partitions agree with oracles.best_partition_count, which takes 2.5-4 s a
+# table here; search states and partitions are pinned from the search that
+# listed its blocks by recursion over the positive entries.
+ONE_NEGATIVE = [k / 16 for k in (1, 1, 4, 1, 1, 1, -6, 3, 1, 1, 1, 3, 1, 1, 1, 1)]
+FIFTEEN_NEGATIVES = [k * GRID for k in (-3, -17, -1, -9, -30, -4, -12, -8, -21, 0, -5, -2, -26, -11, -7, -6)]
+FIFTEEN_NEGATIVES[9] = 1.0 - sum(FIFTEEN_NEGATIVES)
+WITH_ZEROS = [k * GRID for k in (-40, 0, 90, -1, -2, 30, 0, -25, 70, -3, 0, 45, -60, 80, -2, 74)]
+SIXTEEN_EVENT_TABLES = [
+    # values, eps, block count, co-optimal partitions, search states, partition
+    pytest.param(
+        ONE_NEGATIVE, DYADIC_EPS, 14, 3, 2333, tuple((i,) for i in range(6)) + ((6, 7, 11),)
+        + tuple((i,) for i in (8, 9, 10, 12, 13, 14, 15)),
+        id="1neg-15pos",
+    ),
+    pytest.param(FIFTEEN_NEGATIVES, 1e-10, 1, 1, 16384, (tuple(range(16)),), id="15neg-1pos"),
+    pytest.param(
+        WITH_ZEROS, DYADIC_EPS, 12, 480, 688,
+        ((0, 2), (1,), (3,), (4,), (5,), (6,), (7, 8), (9, 11), (10,), (12, 13), (14,), (15,)),
+        id="zeros-eps-2-steps",
+    ),
+    pytest.param(
+        WITH_ZEROS, 0.0, 9, 103040, 3286,
+        ((0, 2), (1,), (3, 4, 5), (6,), (7, 8), (9, 11), (10,), (12, 13), (14, 15)),
+        id="zeros-eps-0",
+    ),
+]
+
+
+@pytest.mark.parametrize("values, eps, block_count, maximizers, states, partition", SIXTEEN_EVENT_TABLES)
+def test_sixteen_event_tables(values, eps, block_count, maximizers, states, partition):
+    out = minimal_coarse_graining(table_scheme(values), eps=eps)
+    assert (out.block_count, out.num_maximizers, out.search_states) == (block_count, maximizers, states)
+    assert event_blocks(out) == partition
 
 
 def test_blocks_found_through_subsets_keep_block_order():

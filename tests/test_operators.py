@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from pseudoprob import (
     tensor,
     trace_with,
 )
+from pseudoprob.operators import _is_number
 
 import oracles
 
@@ -266,3 +268,24 @@ class TestHelpers:
     def test_commutator_norm_pauli(self):
         # [sx, sy] = 2i sz: entrywise max-norm 2
         assert commutator_norm(SIGMA_X, SIGMA_Y) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (0.5, True),
+        (3, True),
+        (True, False),
+        (np.float64(0.5), True),
+        (np.int64(3), True),
+        (np.bool_(True), False),
+        (Fraction(1, 3), True),
+        (1 + 2j, False),
+        ("0.5", False),
+        (None, False),
+        (math.nan, True),
+    ],
+    ids=["float", "int", "bool", "np.float64", "np.int64", "np.bool_", "Fraction", "complex", "str", "None", "nan"],
+)
+def test_is_number(value, expected):
+    assert _is_number(value) is expected
