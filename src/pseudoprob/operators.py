@@ -74,14 +74,7 @@ class HermitianOperator:
     @classmethod
     def from_stack(cls, matrices) -> tuple:
         """One validated operator per matrix of a (k, d, d) stack."""
-        herm, residuals = _hermitian_parts(np.asarray(matrices, dtype=complex))
-        ops = []
-        for h, residual in zip(herm, residuals):
-            op = object.__new__(cls)
-            _set_matrix(op, h)
-            _set_residual(op, residual)
-            ops.append(op)
-        return tuple(ops)
+        return _operators(*_hermitian_parts(np.asarray(matrices, dtype=complex)))
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianOperator is immutable")
@@ -121,6 +114,18 @@ def _is_integral(value) -> bool:
 # the slots' own setters, bypassing the __setattr__ that keeps values immutable
 _set_matrix = HermitianOperator.matrix.__set__
 _set_residual = HermitianOperator.hermiticity_residual.__set__
+
+
+def _operators(herm: np.ndarray, residuals) -> tuple:
+    """One operator per row of a read-only stack that `_hermitian_parts`
+    made, with its residual; each operator's matrix is a view of that row."""
+    ops = []
+    for h, residual in zip(herm, residuals):
+        op = object.__new__(HermitianOperator)
+        _set_matrix(op, h)
+        _set_residual(op, residual)
+        ops.append(op)
+    return tuple(ops)
 
 
 def identity(dim: int) -> HermitianOperator:

@@ -70,6 +70,9 @@ MAX_PARTITION_EVENTS = 16
 # d = 1024, N = 2 or d = 128, N = 8 take ~0.19-0.32 s, and a qutrit N = 8
 # Weyl scheme (0.59M) ~26-29 ms.
 
+# the recipe of every build_scheme call that passes none
+_WEYL = Recipe.weyl()
+
 
 def check_eps(eps: float) -> float:
     """`eps` if it is a finite number >= 0, else ValueError: a NaN classicality
@@ -175,7 +178,7 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
         raise OrderingExplosion(
             f"{n} observables exceed the ordering cap {MAX_GENERATORS}"
         )
-    recipe = recipe or Recipe.weyl()
+    recipe = recipe or _WEYL
     d = rho.op.matrix.shape[0]
     counts = []
     for obs in observables:

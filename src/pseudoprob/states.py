@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidState, NotAProjector, UnphysicalBloch
-from .operators import HermitianOperator, eigenvalues_hermitian
+from .operators import HermitianOperator, _hermitian_parts, _operators, eigenvalues_hermitian
 from .tolerances import ATOL_LOOSE, RESIDUAL_ATOL, ROUNDING_ATOL
 
 # Directions must be normalisable without drama; anything outside this norm
@@ -17,8 +17,8 @@ from .tolerances import ATOL_LOOSE, RESIDUAL_ATOL, ROUNDING_ATOL
 _NORM_MIN = 1e-6
 _NORM_MAX = 1e6
 
-# 1/2 times the qubit identity, the constant term of (1 + sigma . v)/2
-_HALF_I2 = 0.5 * np.eye(2)
+# the constant term of (1 + sigma . v)/2, complex (as a cast would make it) to add uncast
+_HALF_I2 = np.eye(2, dtype=complex) / 2
 _HALF_I2.setflags(write=False)
 
 
@@ -30,18 +30,17 @@ def _identity(dim: int) -> np.ndarray:
     return eye
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a real vector: np.linalg.norm's sqrt(v . v) as a
-    Python float, without its dispatch."""
-    return math.sqrt(v.dot(v))
+def _vector3(v, what: str):
+    """`v` as a real 3-vector, and its norm sqrt(v . v) as a Python float."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"{what} needs a 3-vector, got shape {v.shape}")
+    return v, math.sqrt(v.dot(v))
 
 
 def direction(v) -> np.ndarray:
     """Unit 3-vector from any nonzero 3-vector (normalised here)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"direction needs a 3-vector, got shape {v.shape}")
-    n = _norm(v)
+    v, n = _vector3(v, "direction")
     if not (_NORM_MIN <= n <= _NORM_MAX):
         raise ValueError(f"direction norm {n:.3e} outside [{_NORM_MIN}, {_NORM_MAX}]")
     u = v / n
@@ -51,10 +50,7 @@ def direction(v) -> np.ndarray:
 
 def bloch_vector(p) -> np.ndarray:
     """Validated polarisation vector, |p| <= 1 (plus rounding slack)."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (3,):
-        raise ValueError(f"Bloch vector needs a 3-vector, got shape {p.shape}")
-    n = _norm(p)
+    p, n = _vector3(p, "Bloch vector")
     if not n <= 1.0 + ROUNDING_ATOL:  # NaN fails too
         raise UnphysicalBloch(f"|P| = {n} exceeds 1")
     p = p.copy()
@@ -147,9 +143,7 @@ def bloch_from_density(rho) -> np.ndarray:
     m = rho.matrix if isinstance(rho, (DensityMatrix, HermitianOperator)) else np.asarray(rho)
     if m.shape != (2, 2):
         raise ValueError("Bloch extraction is defined for 2x2 states only")
-    return np.array(
-        [2.0 * m[1, 0].real, 2.0 * m[1, 0].imag, (m[0, 0] - m[1, 1]).real]
-    )
+    return np.array([2.0 * m[1, 0].real, 2.0 * m[1, 0].imag, (m[0, 0] - m[1, 1]).real])
 
 
 def projector_from_direction(m, outcome: int) -> HermitianOperator:
@@ -175,25 +169,24 @@ def _label_value(a) -> float:
     return value if math.isfinite(value) else math.nan
 
 
-def _validated_stack(res, op: HermitianOperator) -> np.ndarray:
-    """The resolution's (k, d, d) projector stack after the checks of
-    `Observable`, in its order. P_i^2 - P_i, P_0 P_j (j > 0), the sum less
-    the identity and the recomposition less the operator are reduced in one
-    call; each later row P_i P_j (j > i > 0) takes one more, so nothing k^2 d^2
-    in size is held. Projectors before the first of another dimension are
-    checked for idempotency before it is reported, as a walk would."""
-    dim, k = op.dim, len(res)
-    m = next((i for i, (_, p) in enumerate(res) if p.dim != dim), k)
-    stack = np.array([p.matrix for _, p in res[:m]]).reshape(m, dim, dim)
+def _validated_outcomes(res, stack: np.ndarray, op: HermitianOperator) -> tuple:
+    """The labels of `res` after the checks of `Observable`, in its order; `stack`
+    holds its projector matrices up to the first of another dimension. Every
+    residual but the products P_i P_j (j > i > 0), one call each, goes into
+    one buffer reduced in one call, so nothing k^2 d^2 in size is held."""
+    dim, k, m = op.dim, len(res), len(stack)
     labels = [_label_value(a) for a, _ in res]
-    parts = [stack @ stack - stack]
+    buf = np.empty((m if m < k else k + max(k - 1, 0) + 2, dim, dim), dtype=complex)
+    np.matmul(stack, stack, out=buf[:m])
+    buf[:m] -= stack
     if m == k:
-        parts += [
-            stack[:1] @ stack[1:],
-            (stack.sum(axis=0) - _identity(dim))[None],
-            ((np.array(labels).reshape(k, 1, 1) * stack).sum(axis=0) - op.matrix)[None],
-        ]
-    worst = np.abs(np.concatenate(parts)).max(axis=(1, 2)).tolist()
+        np.matmul(stack[:1], stack[1:], out=buf[k:-2])
+        np.add.reduce(stack, axis=0, out=buf[-2])
+        buf[-2] -= _identity(dim)
+        flat = buf[-1].reshape(-1).view(float)  # (re, im) pairs, as the labels are real
+        np.matmul(labels, stack.reshape(k, dim * dim).view(float), out=flat)
+        buf[-1] -= op.matrix
+    worst = np.abs(buf).max(axis=(1, 2)).tolist()
     for (a, _), r in zip(res, worst):
         if r > RESIDUAL_ATOL:
             raise NotAProjector(f"resolution entry for outcome {a} is not idempotent")
@@ -212,11 +205,11 @@ def _validated_stack(res, op: HermitianOperator) -> np.ndarray:
     if worst[-1] > RESIDUAL_ATOL:
         raise InvalidState("resolution does not recompose the observable")
     # outcome tuples name projectors by label, so labels must differ
-    outcomes = [a for a, _ in res]
+    outcomes = tuple([a for a, _ in res])
     repeated = [a for a in outcomes if outcomes.count(a) > 1]
     if repeated:
         raise InvalidState(f"outcome {repeated[0]!r} repeated in resolution")
-    return stack
+    return outcomes
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,11 +225,8 @@ class Observable:
     `axis` carries the generating unit vector for qubit observables built
     from a direction (used for JSON output); it is None otherwise.
 
-    Validation is one pass: every check's residual is computed once over
-    that stack and reduced to one maximum per check. The checks are then read
-    in a fixed order (idempotency, dimension, orthogonality, sum to the
-    identity, labels, recomposition, then repeated labels), and the first
-    whose maximum exceeds RESIDUAL_ATOL raises.
+    The checks run in a fixed order (idempotency, dimension, orthogonality, sum
+    to the identity, labels, recomposition, repeated labels); the first to fail raises.
     """
 
     op: HermitianOperator
@@ -247,11 +237,20 @@ class Observable:
 
     def __post_init__(self):
         res = tuple((a, p) for a, p in self.resolution)
-        object.__setattr__(self, "resolution", res)
-        stack = _validated_stack(res, self.op)
+        dim, k = self.op.dim, len(res)
+        m = next((i for i, (_, p) in enumerate(res) if p.dim != dim), k)
+        stack = np.array([p.matrix for _, p in res[:m]], dtype=complex).reshape(m, dim, dim)
         stack.setflags(write=False)
-        object.__setattr__(self, "projectors", stack)
-        object.__setattr__(self, "outcomes", tuple(a for a, _ in res))
+        outcomes = _validated_outcomes(res, stack, self.op)
+        vars(self).update(resolution=res, projectors=stack, outcomes=outcomes)
+
+    @classmethod
+    def _from_stack(cls, op, res: tuple, stack: np.ndarray, axis) -> "Observable":
+        """The Observable of `res` whose projector matrices are the read-only `stack`."""
+        outcomes = _validated_outcomes(res, stack, op)
+        obs = object.__new__(cls)
+        vars(obs).update(op=op, resolution=res, axis=axis, projectors=stack, outcomes=outcomes)
+        return obs
 
     @property
     def dim(self) -> int:
@@ -273,5 +272,6 @@ def observable_from_direction(m) -> Observable:
     mhat = direction(m)
     sigma = pauli_matrix(mhat)
     half = 0.5 * sigma
-    op, up, down = HermitianOperator.from_stack([sigma, _HALF_I2 + half, _HALF_I2 - half])
-    return Observable(op=op, resolution=((1, up), (-1, down)), axis=mhat)
+    herm, residuals = _hermitian_parts(np.array([sigma, _HALF_I2 + half, _HALF_I2 - half]))
+    op, up, down = _operators(herm, residuals)
+    return Observable._from_stack(op, ((1, up), (-1, down)), herm[1:], mhat)

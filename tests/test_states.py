@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -277,6 +278,8 @@ class TestObservable:
         ((0, 1, 2), ("e0", "e1", "e1+e2"), InvalidState, "not orthogonal"),
         # the first projector is of another dimension
         ((1, -1), ("qutrit", "down"), InvalidState, "projector dimension differs"),
+        # an empty resolution sums to zero, not the identity
+        ((), (), InvalidState, "do not sum to identity"),
     ])
     def test_first_failing_check_is_reported(self, labels, projectors, error, message):
         mats = {
@@ -316,3 +319,31 @@ class TestObservable:
             resolution=((2.0, p1), (-1.0, p2), (3.0, p3)),
         )
         assert obs.outcomes == (2.0, -1.0, 3.0)
+
+
+# axis-aligned inputs whose entries hold signed zeros
+SIGNED_ZEROS = [
+    (0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -0.0, -1.0), (-1.0, -0.0, -0.0),
+    (1.0, 0.0, -0.0), (-0.0, 1.0, 0.0), (0.0, -1.0, -0.0), (-0.0, -0.0, -1.0),
+]
+
+
+def test_digest_of_seeded_qubit_constructors():
+    # every array and residual of seeded qubit observables and states, and of
+    # the signed-zero cases as directions and as pure or half-mixed states,
+    # pinned before observable_from_direction reused its hermitized stack
+    rng = np.random.default_rng(4203)
+    digest = hashlib.sha256()
+    for m in [*SIGNED_ZEROS, *(oracles.rand_direction(rng) for _ in range(500))]:
+        obs = observable_from_direction(m)
+        ops = [obs.op, *(p for _, p in obs.resolution)]
+        for array in (obs.projectors, obs.axis, *(op.matrix for op in ops)):
+            digest.update(repr((array.dtype, array.shape)).encode())
+            digest.update(array.tobytes())
+        digest.update(repr((obs.outcomes, [op.hermiticity_residual for op in ops])).encode())
+    halves = [tuple(0.5 * x for x in v) for v in SIGNED_ZEROS]
+    for p in [*SIGNED_ZEROS, *halves, *(oracles.rand_bloch(rng) for _ in range(500))]:
+        rho = density_from_bloch(p)
+        digest.update(rho.matrix.tobytes())
+        digest.update(repr(rho.op.hermiticity_residual).encode())
+    assert digest.hexdigest() == "39185b5e7c2b3c3f091c8f464edb43dea5afb18a38c8bfd3f39e8ff10eb6dc3e"
