@@ -55,10 +55,11 @@ MAX_GENERATORS = 8
 # weyl_pseudo_projection (its W(S) for every subset S, build_scheme's count for
 # single-outcome axes) and (N!/2 + N) d^2 for unit_pseudo_projections (one
 # unit per reversal class, and the stack of N generators they are made
-# from). At each N the largest accepted d then takes ~0.3-0.5 s for
-# weyl_pseudo_projection (~0.49 s at N = 2, d = 1024, ~0.27-0.33 s at N = 8,
-# d = 128) and ~0.5-0.8 s for unit_pseudo_projections (~0.62 s at N = 2,
-# d = 1182, the slowest ~0.8 s at N = 4, d = 512), min of 3-5 on the same VM.
+# from). At each N the largest accepted d then takes ~0.3-0.6 s for
+# weyl_pseudo_projection (~0.41-0.56 s at N = 2, d = 1024, ~0.43-0.54 s at
+# N = 3, d = 724, ~0.27-0.36 s at N = 8, d = 128) and ~0.5-0.8 s for
+# unit_pseudo_projections (~0.62 s at N = 2, d = 1182, the slowest ~0.8 s at
+# N = 4, d = 512), min of 3-5 on the same VM.
 MAX_LATTICE_ENTRIES = 1 << 22
 
 
@@ -263,25 +264,20 @@ def right_factors(a) -> np.ndarray:
     return (a[..., None, :] * _ONE_I).view(np.float64).reshape(*lead, 2 * d, 2 * d)
 
 
-# stacked matmul calls per generator from which the real route pays
-_REAL_FROM_CALLS = 4
+def _operands(mats) -> tuple:
+    """(left, right): each generator as a real left operand, viewed as
+    (..., d, 2d) interleaved floats, and as its `right_factors`.
 
-
-def _operands(mats, calls: int) -> tuple:
-    """(left, right, real): each generator as a left operand and as a right
-    factor of a recursion that makes `calls` stacked matmul calls.
-
-    A real stacked matmul costs about half a complex one per call and an
-    eighth per small product, but a generator's `right_factors` cost about
-    what three calls save, and whole builds gain only from about four calls
-    per generator on (qubit Weyl at N = 4, not N = 3). From there on the
-    operands are real: the generator viewed as (..., d, 2d) interleaved
-    floats, and its factors. Below that they are the generators themselves.
+    One rule picks the arithmetic of both recursions: a sum of two or more
+    orderings of N >= 3 generators (every Weyl average from N = 3 on, a
+    weights recipe of several orderings) runs real, each product a float64
+    view times a right factor, at about half the time of a complex matmul
+    call and an eighth per small product. A single ordering (a unit
+    recipe), or N <= 2, stays complex: its few products would not pay for
+    the factors, and it stays the plain chain product.
     """
-    if calls < _REAL_FROM_CALLS * len(mats):
-        return mats, mats, False
     left = [np.ascontiguousarray(m, dtype=np.complex128).view(np.float64) for m in mats]
-    return left, [right_factors(m) for m in mats], True
+    return left, [right_factors(m) for m in mats]
 
 
 # The most bytes a gathered subset size of `weyl_matrix` holds: the left
@@ -359,59 +355,58 @@ def weyl_matrix(mats) -> np.ndarray:
     spans only the axes in S, so it is made once for all the tuples that
     share the outcomes of S.
 
-    From N = 3 on, a size whose products fit GATHER_BYTES is one step
+    N <= 2 is A_0, or A_1 A_0 + A_0 A_1, in complex arithmetic. From N = 3
+    on the sum runs real, as `_operands` says of every sum of two or more
+    orderings: each W(S) is kept as a float64 view and each product is a
+    real matmul with A_i's `right_factors`, made in one call for all the
+    generators. A size whose products fit GATHER_BYTES is one step
     (`_weyl_plan`): the rows of W(S - {i}) and of A_i's right factors for
-    every (S, i) pair of the size are gathered into two stacks, one real
-    matmul makes every product, and `np.add.reduce` over the place of i in
-    S, which adds in that order, gives the size's W(S) as one array of
-    rows, bit for bit the sums made pair by pair. A larger size makes each
-    (S, i) product by broadcasting, one stacked matmul call and one
-    in-place add each. When some size is gathered, and from N = 4 on, where
-    the pairs make at least four matmul calls per generator (`_operands`),
-    every W(S) is kept as a float64 view and each product is a real matmul
-    with A_i's `right_factors`, made in one call for all the generators.
+    every (S, i) pair of the size are gathered into two stacks, one matmul
+    makes every product, and `np.add.reduce` over the place of i in S,
+    which adds in that order, gives the size's W(S) as one array of rows,
+    bit for bit the sums made pair by pair. A larger size makes each (S, i)
+    product by broadcasting, one stacked matmul call and one in-place add
+    each.
 
-    Sums and the hermitization run in place on arrays made here, so the
-    peak holds about two copies of the result beside the level below it,
-    and a gathered size at most GATHER_BYTES more.
+    Sums, the division by 2 N! and the hermitization run in place on
+    arrays made here, so the peak holds about two copies of the result
+    beside the level below it, and a gathered size at most GATHER_BYTES
+    more.
     """
     n = len(mats)
-    rows = None  # the size's W(S) as one array of rows, when it was gathered
-    if n > 2:
+    if n < 3:
+        acc = mats[0].copy() if n == 1 else mats[1] @ mats[0]
+        if n == 2:
+            acc += mats[0] @ mats[1]
+    else:
         d = mats[0].shape[-1]
         layouts, gathers = _weyl_plan(tuple([m.shape[:-2] for m in mats]), d)
-        real = n > 3 or any(gathers)
-    else:  # at most one sum of two products: nothing to gather
-        layouts = gathers = (None,) * (n - 1)
-        real = False
-    if real:
         gens = np.concatenate([m.reshape(-1, d, d) for m in mats], dtype=np.complex128)
+        # rows: the size below as one array of rows; None where that size
+        # was made pair by pair, into the dict w
         factors, rows = right_factors(gens), gens.view(np.float64)
         if not all(gathers):
             right = list(_views(factors, layouts[0]).values())
-    else:
-        right, w = mats, {(i,): m for i, m in enumerate(mats)}
-    for level, layout, gather in zip(_subset_plan(n), layouts, gathers):
-        if gather is None:
-            below, rows, w = (w if rows is None else _views(rows, layout)), None, {}
-            for s, steps in level:
-                (i, rest), *more = steps
-                acc = below[rest] @ right[i]
-                for i, rest in more:
-                    acc += below[rest] @ right[i]
-                w[s] = acc
-            continue
-        if rows is None:
-            rows = np.concatenate([a.reshape(-1, d, 2 * d) for a in w.values()])
-        below, factor = gather
-        rows = np.add.reduce(rows[below] @ factors[factor], axis=0)
-    if rows is not None:
-        w = _views(rows, layouts[-1])
-    acc = w.pop(tuple(range(n)))
-    # a new array, also for N = 1, where w holds the caller's matrix; halving
-    # is exact, so A + A^dag for A = W/(2 N!) is (W/N! + (W/N!)^dag)/2 bit for
-    # bit
-    acc = (acc.view(np.complex128) if real else acc) / (2 * math.factorial(n))
+        for level, layout, gather in zip(_subset_plan(n), layouts, gathers):
+            if gather is None:
+                below, rows, w = (w if rows is None else _views(rows, layout)), None, {}
+                for s, steps in level:
+                    (i, rest), *more = steps
+                    acc = below[rest] @ right[i]
+                    for i, rest in more:
+                        acc += below[rest] @ right[i]
+                    w[s] = acc
+                continue
+            if rows is None:
+                rows = np.concatenate([a.reshape(-1, d, 2 * d) for a in w.values()])
+            below, factor = gather
+            rows = np.add.reduce(rows[below] @ factors[factor], axis=0)
+        if rows is not None:
+            w = _views(rows, layouts[-1])
+        acc = w[tuple(range(n))].view(np.complex128)
+    # halving is exact, so A + A^dag for A = W/(2 N!) is (W/N! + (W/N!)^dag)/2
+    # bit for bit
+    acc /= 2 * math.factorial(n)
     acc += acc.conj().swapaxes(-1, -2)
     return acc
 
@@ -428,13 +423,12 @@ def weighted_matrix(mats, terms) -> np.ndarray:
     B(s) = sum_{i not in s} B((i,) + s) A_i, down to B(()). On a grid B(s)
     spans only the axes outside s, so at most N products cover the whole
     grid. Products are formed left to right, so a single ordering (a unit
-    recipe) is the plain chain product, and once the orderings make 4
-    calls per generator (`_operands`) they are real matmuls on float64
-    views, as in `weyl_matrix`.
+    recipe) is the plain complex chain product, and two or more orderings
+    are real matmuls on float64 views (`_operands`), as in `weyl_matrix`.
     """
     n = len(mats)
-    # N - 1 calls per ordering, before orderings share suffixes
-    left, right, real = _operands(mats, len(terms) * (n - 1))
+    real = len(terms) > 1
+    left, right = _operands(mats) if real else (mats, mats)
     # each ordering starts at a new array w_c/2 A_c[0]; halving is exact, so
     # A + A^dag for A = B(())/2 is the hermitized sum bit for bit
     level = {}

@@ -66,9 +66,13 @@ MAX_PARTITION_EVENTS = 16
 # and ~0.25-0.3 s (weights over 11383 classes of 8 qutrit observables, or
 # over all 20160 classes of 8 two-outcome observables at d = 4), and the
 # largest tracemalloc peak found is ~115 MiB (Weyl, d = 44, N = 2; 3.9M).
-# Large d with few outcomes stays cheap: single-outcome observables at
-# d = 1024, N = 2 or d = 128, N = 8 take ~0.19-0.32 s, and a qutrit N = 8
-# Weyl scheme (0.59M) ~26-29 ms.
+# From N = 3 on Weyl runs real, against right factors of twice the
+# generators' bytes: a full-rank d = 20, N = 3 Weyl scheme (3.7M) takes
+# ~0.15-0.19 s and peaks at ~106 MiB, and single-outcome observables at
+# d = 724, N = 3 (4.19M) ~0.3-0.4 s at a peak of ~112 MiB. Large d with few
+# outcomes stays cheap: single-outcome observables at d = 1024, N = 2 or
+# d = 128, N = 8 take ~0.19-0.32 s, and a qutrit N = 8 Weyl scheme (0.59M)
+# ~26-29 ms.
 
 # the recipe of every build_scheme call that passes none
 _WEYL = Recipe.weyl()
@@ -166,8 +170,9 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
     over all tuples at once and each sub-product is made once for the
     tuples sharing its outcomes. Weyl runs `weyl_matrix`'s subset recursion
     and unit/weights `weighted_matrix`'s suffix recursion, both multiplying
-    on the right, as real matmuls on float64 views wherever they make enough
-    matmul calls to pay for the right factors. Inputs whose lattice exceeds
+    on the right: a sum of two or more orderings of N >= 3 observables as
+    real matmuls on float64 views, a single ordering or N <= 2 in complex
+    arithmetic (`pseudoprojection._operands`). Inputs whose lattice exceeds
     MAX_LATTICE_ENTRIES raise OrderingExplosion before any of it is built.
     """
     observables = tuple(observables)

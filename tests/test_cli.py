@@ -205,6 +205,17 @@ class TestSchemeErrors:
         )
         assert code == 3 and "ordering-explosion" in err
 
+    def test_bloch_of_two_components_is_usage_error(self, capsys):
+        err = usage_error(capsys, "scheme", "--bloch", "1,2", "--dirs", "z")
+        assert err.endswith("error: argument --bloch: expected 3 components, got 2\n")
+
+    def test_unit_index_that_is_not_an_integer_is_usage_error(self, capsys):
+        err = usage_error(capsys, "scheme", "--bloch", "0,0,0", "--dirs", "z", "--recipe", "unit:x")
+        assert err.endswith(
+            "error: argument --recipe: expected 'weyl', 'unit:K' or comma-separated weights,"
+            " got 'unit:x'\n"
+        )
+
     def test_bad_direction_token(self, capsys):
         usage_error(capsys, "scheme", "--bloch", "0,0,0", "--dirs", "north")
 

@@ -88,6 +88,20 @@ class TestUnitPseudoProjections:
         assert 1 <= len(units) <= 12
 
 
+PI_QUTRIT = HermitianOperator(np.diag([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("build", [weyl_pseudo_projection, unit_pseudo_projections])
+class TestGeneratorChecks:
+    def test_rejects_a_single_projector(self, build):
+        with pytest.raises(ValueError, match="^need at least two projectors$"):
+            build([PI_Z])
+
+    def test_rejects_projectors_of_mixed_dimension(self, build):
+        with pytest.raises(DimensionMismatch, match=": projectors of mixed dimension$"):
+            build([PI_Z, PI_QUTRIT])
+
+
 class TestWorkBound:
     # The largest projector dimension whose matrices fit MAX_LATTICE_ENTRIES
     # builds, and one more is rejected before anything is built: 2^N d^2
@@ -323,6 +337,10 @@ class TestDisjunction:
     def test_rejects_non_projector(self):
         with pytest.raises(NotAProjector):
             disjunction_operator(PI_Z, HermitianOperator(0.5 * np.eye(2)))
+
+    def test_rejects_mixed_dimension(self):
+        with pytest.raises(DimensionMismatch, match=": 2 vs 3$"):
+            disjunction_operator(PI_Z, PI_QUTRIT)
 
 
 class TestNegation:

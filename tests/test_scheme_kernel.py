@@ -153,6 +153,14 @@ class TestRightFactors:
         assert np.array_equal(e[:, 1::2], (1j * a).view(np.float64))
 
 
+# outcome grids of `weighted_matrix` whose arithmetic did not change when one
+# rule replaced the matmul call count: every ordering on its own runs
+# complex, and weights over all the classes real
+UNIT_ROUTE_GRIDS = [(2, (2,) * n) for n in range(3, 7)] + [(3, (3, 3, 3)), (3, (3,) * 4),
+                                                            (4, (4, 3, 3, 2))]
+WEIGHTS_ROUTE_GRIDS = [(2, (2,) * 4), (2, (2,) * 5), (3, (3,) * 4)]
+
+
 class TestWeightedKernel:
     @pytest.mark.parametrize("n", [5, 6])
     def test_weights_with_zeros_match_per_class_sum(self, n):
@@ -169,13 +177,29 @@ class TestWeightedKernel:
 
     @pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
     def test_unit_is_the_chain_product_bit_for_bit(self, d, n):
-        # a single ordering makes N - 1 matmul calls, too few to pay for
-        # real factors, so it stays the complex chain product
+        # only sums of two or more orderings run real (`_operands`), so a
+        # single ordering stays the complex chain product
         _, obs = random_case(70 + n, d, n)
         mats = grid_mats(obs)
         for c in ordering_classes(n):
             assert np.array_equal(weighted_matrix(mats, [(1.0, c)]),
                                   oracles.hermitized_chain(mats, c))
+
+    def test_digest_of_weighted_routes(self):
+        # every ordering on its own (complex chain products) and weights over
+        # all classes from N = 4 on (real), pinned from the recursion as it
+        # stood when a matmul call count chose between them
+        digest = hashlib.sha256()
+        for d, counts in UNIT_ROUTE_GRIDS:
+            mats = grouped_grid(1812, d, counts)
+            for c in ordering_classes(len(counts)):
+                digest.update(weighted_matrix(mats, [(1.0, c)]).tobytes())
+        for d, counts in WEIGHTS_ROUTE_GRIDS:
+            mats = grouped_grid(1813, d, counts)
+            classes = ordering_classes(len(counts))
+            weights = np.random.default_rng(len(counts)).dirichlet(np.ones(len(classes)))
+            digest.update(weighted_matrix(mats, list(zip(weights.tolist(), classes))).tobytes())
+        assert digest.hexdigest() == "ba186eb6065e526b8bc3f5d354c5f0f7d586e54da9b6a2a6aeaaf4cdae03ab71"
 
     def test_weighted_matrix_leaves_a_single_generator_alone(self):
         _, (obs,) = random_case(9, 3, 1)
@@ -218,16 +242,18 @@ def gathered_sizes(mats):
 
 
 # grids whose products are made in the same arithmetic as before sizes were
-# gathered: qubits at N = 2 (complex, nothing to gather) and N = 4..8, outcome
-# counts 4, 3, 3, 2 at d = 4 (real), and d = 6 at N = 3 (complex, every size
-# over the budget); with the sizes gathered in each
-KEPT_ROUTE_GRIDS = [
+# gathered: qubits at N = 1 and 2 and qutrits at N = 2 (complex, nothing to
+# gather), qubits at N = 4..8 and outcome counts 4, 3, 3, 2 at d = 4 (real);
+# with the sizes gathered in each
+KEPT_ROUTE_GRIDS = [((2, (2,)), []), ((3, (3, 3)), [])] + [
     ((2, (2,) * n), sizes) for n, sizes in [
         (2, []), (4, [2, 3, 4]), (5, [2, 3, 4, 5]), (6, [2, 3, 4, 5, 6]), (7, [2, 3, 7]), (8, [2]),
     ]
-] + [((4, (4, 3, 3, 2)), [2]), ((6, (6, 6, 6)), [])]
-# grids that now gather at N = 3 and so run real, not complex, products
-NEW_ROUTE_GRIDS = [((2, (2, 2, 2)), [2, 3]), ((3, (3, 3, 3)), [2, 3]), ((3, (3, 2, 1)), [2, 3])]
+] + [((4, (4, 3, 3, 2)), [2])]
+# N = 3 grids, which run real products, not the complex ones of before sizes
+# were gathered, also where no size is gathered (d = 6)
+NEW_ROUTE_GRIDS = [((2, (2, 2, 2)), [2, 3]), ((3, (3, 3, 3)), [2, 3]), ((3, (3, 2, 1)), [2, 3]),
+                   ((6, (6, 6, 6)), [])]
 
 
 def grid_id(case):
@@ -249,16 +275,14 @@ class TestGatheredSizes:
 
     def test_digest_of_kept_routes(self):
         # the grids' results, and those of each grid's first outcome tuple
-        # on its own but at N = 3 (as single matrices every size from N = 3
-        # on gathers), pinned from the pair by pair recursion that the
-        # gathered sizes replaced
+        # on its own, pinned from the recursion as it stood before N = 3
+        # always ran real, when N <= 2 went through the subset plan's loop
         digest = hashlib.sha256()
         for (d, counts), _ in KEPT_ROUTE_GRIDS:
             mats = grouped_grid(1811, d, counts)
             digest.update(weyl_matrix(mats).tobytes())
-            if len(mats) != 3:
-                digest.update(weyl_matrix([g.reshape(-1, d, d)[0] for g in mats]).tobytes())
-        assert digest.hexdigest() == "6a9d31e696564ce27f3744fc97b4e608fb56330dcfc1876afd2c55f311c65923"
+            digest.update(weyl_matrix([g.reshape(-1, d, d)[0] for g in mats]).tobytes())
+        assert digest.hexdigest() == "8811b2c01e1dc4a37ccd81c332c9b121b3a59a5ea59bcf2bf3ed90ee1988e75b"
 
     @pytest.mark.parametrize("case, _", NEW_ROUTE_GRIDS, ids=[grid_id(c) for c, _ in NEW_ROUTE_GRIDS])
     def test_new_route_matches_oracle_per_tuple(self, case, _):

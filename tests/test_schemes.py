@@ -115,6 +115,19 @@ class TestBuildScheme:
                 scheme = build_scheme(rho, obs, recipe)
                 assert abs(scheme.values.sum() - 1.0) <= 1e-10
 
+    def test_rejects_no_observables(self):
+        with pytest.raises(ValueError, match="^need at least one observable$"):
+            build_scheme(mixed_state(), [])
+
+    def test_rejects_unknown_recipe_kind(self):
+        with pytest.raises(InvalidRecipe, match=": unknown recipe kind 'bogus'$"):
+            build_scheme(mixed_state(), coplanar_observables()[:2], Recipe(kind="bogus"))
+
+    def test_constructor_rejects_wrong_entry_count(self):
+        obs = coplanar_observables()[:1]
+        with pytest.raises(ValueError, match="^expected 2 entries, got 3$"):
+            Scheme(obs, Recipe.weyl(), mixed_state(), [0.2, 0.3, 0.5])
+
     def test_constructor_rejects_bad_sum(self):
         obs = (observable_from_direction((0, 0, 1)),)
         with pytest.raises(InvalidState):

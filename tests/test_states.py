@@ -87,6 +87,10 @@ class TestDensityFromBloch:
             back = bloch_from_density(density_from_bloch(p))
             assert np.abs(back - p).max() <= 1e-12
 
+    def test_rejects_a_state_that_is_not_a_qubit(self):
+        with pytest.raises(ValueError, match="^Bloch extraction is defined for 2x2 states only$"):
+            bloch_from_density(DensityMatrix.maximally_mixed(3))
+
 
 class TestProjectorFromDirection:
     def test_z_plus(self):
