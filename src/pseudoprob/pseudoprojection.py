@@ -385,6 +385,8 @@ def weyl_matrix(mats) -> np.ndarray:
         # rows: the size below as one array of rows; None where that size
         # was made pair by pair, into the dict w
         factors, rows = right_factors(gens), gens.view(np.float64)
+        # the generators are freed once the level that reads their rows is done
+        del gens
         if not all(gathers):
             right = list(_views(factors, layouts[0]).values())
         for level, layout, gather in zip(_subset_plan(n), layouts, gathers):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,14 +19,6 @@ _NORM_MAX = 1e6
 # the constant term of (1 + sigma . v)/2, complex (as a cast would make it) to add uncast
 _HALF_I2 = np.eye(2, dtype=complex) / 2
 _HALF_I2.setflags(write=False)
-
-
-@functools.lru_cache(maxsize=64)
-def _identity(dim: int) -> np.ndarray:
-    """Read-only complex dim x dim identity, made once per dimension."""
-    eye = np.eye(dim, dtype=complex)
-    eye.setflags(write=False)
-    return eye
 
 
 def _vector3(v, what: str):
@@ -98,7 +89,15 @@ def validate_density(op) -> DensityDiagnostics:
 
 
 class DensityMatrix:
-    """Positive semidefinite unit-trace Hermitian operator."""
+    """Positive semidefinite unit-trace Hermitian operator.
+
+    The constructor takes a HermitianOperator, or a matrix that it makes
+    one of with that class's checks, and runs every check of
+    `validate_density` (the trace, and the minimum eigenvalue by
+    `eigvalsh`); a failure raises InvalidState. `density_from_bloch` makes
+    a qubit state without them, as its matrix is valid by construction;
+    see there.
+    """
 
     __slots__ = ("op",)
 
@@ -133,9 +132,23 @@ class DensityMatrix:
 
 
 def density_from_bloch(p) -> DensityMatrix:
-    """Qubit state (1 + sigma . P)/2 for polarisation P, |P| <= 1."""
+    """Qubit state (1 + sigma . P)/2 for polarisation P, |P| <= 1.
+
+    `bloch_vector` checks P and `HermitianOperator` the matrix, but
+    `DensityMatrix`'s trace and eigenvalue checks are not run, as they hold
+    by construction: the trace is 1 up to rounding and the eigenvalues are
+    (1 +- |P|)/2. Only the minimum eigenvalue's closed form is checked,
+    against the same threshold; should it fail, the full checks run and
+    raise what they raise. `tests/test_states.py` runs the full checks on
+    fuzzed inputs and pins their margins.
+    """
     p = bloch_vector(p)
-    return DensityMatrix(HermitianOperator(_HALF_I2 + 0.5 * pauli_matrix(p)))
+    op = HermitianOperator(_HALF_I2 + 0.5 * pauli_matrix(p))
+    if (1.0 - math.sqrt(p.dot(p))) / 2 < -RESIDUAL_ATOL:
+        return DensityMatrix(op)
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "op", op)
+    return rho
 
 
 def bloch_from_density(rho) -> np.ndarray:
@@ -182,7 +195,7 @@ def _validated_outcomes(res, stack: np.ndarray, op: HermitianOperator) -> tuple:
     if m == k:
         np.matmul(stack[:1], stack[1:], out=buf[k:-2])
         np.add.reduce(stack, axis=0, out=buf[-2])
-        buf[-2] -= _identity(dim)
+        buf[-2] -= np.eye(dim)
         flat = buf[-1].reshape(-1).view(float)  # (re, im) pairs, as the labels are real
         np.matmul(labels, stack.reshape(k, dim * dim).view(float), out=flat)
         buf[-1] -= op.matrix
@@ -225,8 +238,11 @@ class Observable:
     `axis` carries the generating unit vector for qubit observables built
     from a direction (used for JSON output); it is None otherwise.
 
-    The checks run in a fixed order (idempotency, dimension, orthogonality, sum
-    to the identity, labels, recomposition, repeated labels); the first to fail raises.
+    The constructor runs every check, in a fixed order (idempotency,
+    dimension, orthogonality, sum to the identity, labels, recomposition,
+    repeated labels); the first to fail raises. `observable_from_direction`
+    makes a qubit observable without them, as its resolution is valid by
+    construction; see there.
     """
 
     op: HermitianOperator
@@ -244,14 +260,6 @@ class Observable:
         outcomes = _validated_outcomes(res, stack, self.op)
         vars(self).update(resolution=res, projectors=stack, outcomes=outcomes)
 
-    @classmethod
-    def _from_stack(cls, op, res: tuple, stack: np.ndarray, axis) -> "Observable":
-        """The Observable of `res` whose projector matrices are the read-only `stack`."""
-        outcomes = _validated_outcomes(res, stack, op)
-        obs = object.__new__(cls)
-        vars(obs).update(op=op, resolution=res, axis=axis, projectors=stack, outcomes=outcomes)
-        return obs
-
     @property
     def dim(self) -> int:
         return self.op.dim
@@ -267,11 +275,23 @@ def observable_from_direction(m) -> Observable:
     """Dichotomic qubit observable sigma . m with outcomes +1, -1.
 
     Both projectors (1 +- sigma . m)/2 come from the same unit vector as
-    the operator and `axis`.
+    the operator and `axis`. `direction` checks m and `_hermitian_parts`
+    the three matrices, but `Observable`'s resolution checks are not run,
+    as they hold by construction: the projectors sum to the identity and
+    recompose sigma . m up to rounding, P^2 - P and P_+ P_- are
+    (m . m - 1)/4 times the identity, and the labels are distinct numbers.
+    Only |m . m - 1| <= RESIDUAL_ATOL is checked; should it fail, the full
+    checks run and raise what they raise. `tests/test_states.py` runs the
+    full checks on fuzzed directions and pins their margins.
     """
     mhat = direction(m)
     sigma = pauli_matrix(mhat)
     half = 0.5 * sigma
     herm, residuals = _hermitian_parts(np.array([sigma, _HALF_I2 + half, _HALF_I2 - half]))
     op, up, down = _operators(herm, residuals)
-    return Observable._from_stack(op, ((1, up), (-1, down)), herm[1:], mhat)
+    res = ((1, up), (-1, down))
+    if abs(mhat.dot(mhat) - 1.0) > RESIDUAL_ATOL:
+        return Observable(op=op, resolution=res, axis=mhat)
+    obs = object.__new__(Observable)
+    vars(obs).update(op=op, resolution=res, axis=mhat, projectors=herm[1:], outcomes=(1, -1))
+    return obs

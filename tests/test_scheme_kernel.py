@@ -433,6 +433,25 @@ class TestMemoryBound:
             tracemalloc.stop()
         assert peak <= bound
 
+    def test_generators_freed_after_the_level_that_reads_them(self):
+        # three rank-1 projectors at d = 128 gather no size; in units of one
+        # complex d x d matrix, the size-2 level holds the right factors (6),
+        # the generators (3), two sums and a product with its addend (4), and
+        # the last level would hold 14 if the generators outlived the level
+        # that reads them
+        rng = np.random.default_rng(9)
+        vs = rng.normal(size=(3, 128)) + 1j * rng.normal(size=(3, 128))
+        mats = [np.outer(v, v.conj()) / np.vdot(v, v).real for v in vs]
+        assert not gathered_sizes(mats)
+        weyl_matrix(mats)  # plan cached beforehand
+        tracemalloc.start()
+        try:
+            weyl_matrix(mats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13.5 * 16 * 128 ** 2
+
     def test_weyl_sums_in_place(self):
         # d = 12, N = 4 over 12 outcomes each: the last level is 12^4 of the
         # lattice's 13^4 d x d matrices, so the peak cannot stay under the

@@ -21,7 +21,9 @@ from pseudoprob import (
     trace_with,
     validate_density,
 )
+from pseudoprob import states
 from pseudoprob.states import pauli_matrix
+from pseudoprob.tolerances import ROUNDING_ATOL
 
 import oracles
 
@@ -351,3 +353,76 @@ def test_digest_of_seeded_qubit_constructors():
         digest.update(rho.matrix.tobytes())
         digest.update(repr(rho.op.hermiticity_residual).encode())
     assert digest.hexdigest() == "39185b5e7c2b3c3f091c8f464edb43dea5afb18a38c8bfd3f39e8ff10eb6dc3e"
+
+
+def _fuzzed_directions(rng):
+    """Accepted direction inputs: random ones with norms log-uniform over
+    [1e-6, 1e6] and at both ends, and ones with signed-zero and subnormal
+    components, also at those norms."""
+    scales = [*10.0 ** rng.uniform(-6, 6, size=4000), *(1e-6 * (1 + 1e-9), 1e6 * (1 - 1e-9)) * 50]
+    u = rng.normal(size=(len(scales), 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    vs = [v * s for v, s in zip(u, scales)]
+    tiny = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310)
+    for s in (1e-6 * (1 + 1e-9), 1e-3, 1.0, 1e3, 1e6 * (1 - 1e-9)):
+        for a, b in zip(tiny, tiny[::-1]):
+            vs += [(s, a, b), (a, -s, b), (a, b, s), (0.6 * s, a, -0.8 * s), (-0.8 * s, 0.6 * s, b)]
+    for v in rng.normal(size=(1000, 3)):
+        v[rng.integers(3)] = rng.choice(tiny)
+        vs.append(v / np.linalg.norm(v) * 10.0 ** rng.uniform(-6, 6))
+    return vs
+
+
+def _fuzzed_bloch_vectors(rng):
+    """Accepted Bloch vectors: uniform in the ball, on the sphere, and up to
+    |P| = 1 + 1e-12, and ones with signed-zero and subnormal components."""
+    u = rng.normal(size=(6000, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    radii = [*rng.random(2000) ** (1 / 3), *np.ones(2000), *(1 + ROUNDING_ATOL * rng.random(2000))]
+    ps = [v * r for v, r in zip(u, radii)]
+    tiny = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308)
+    ps += [(r, a, b) for r in (0.0, 0.5, -1.0, 1 + 0.5 * ROUNDING_ATOL) for a in tiny for b in tiny]
+    return ps
+
+
+def test_closed_form_constructors_pass_the_full_checks_with_margin():
+    # the closed-form constructors skip Observable's resolution checks and
+    # DensityMatrix's trace and eigenvalue checks; here those checks run on
+    # what they make, and the residuals stay far inside RESIDUAL_ATOL = 1e-10
+    rng = np.random.default_rng(2206)
+    obs = [observable_from_direction(m) for m in _fuzzed_directions(rng)]
+    for o in obs:
+        full = Observable(op=o.op, resolution=o.resolution, axis=o.axis)
+        assert full.outcomes == o.outcomes == (1, -1)
+        assert np.array_equal(full.projectors, o.projectors)
+    ops = np.array([o.op.matrix for o in obs])
+    up, down = np.array([o.projectors for o in obs]).swapaxes(0, 1)
+    residuals = [
+        up @ up - up, down @ down - down, up @ down,
+        up + down - np.eye(2), up - down - ops,
+    ]
+    assert max(np.abs(r).max() for r in residuals) <= 1e-14
+    diags = [validate_density(density_from_bloch(p).op) for p in _fuzzed_bloch_vectors(rng)]
+    assert all(diag.ok for diag in diags)
+    assert min(diag.min_eigenvalue for diag in diags) >= -1e-12 - ROUNDING_ATOL
+    assert max(diag.trace_residual for diag in diags) <= 1e-14
+    assert max(diag.hermiticity_residual for diag in diags) == 0.0
+
+
+def test_direction_off_the_unit_sphere_gets_the_full_checks(monkeypatch):
+    # |m . m - 1| > RESIDUAL_ATOL cannot come out of direction(), so the
+    # full resolution checks are reached only through a patched one; they
+    # keep their own thresholds and errors
+    monkeypatch.setattr(states, "direction", lambda m: np.asarray(m, dtype=float))
+    with pytest.raises(NotAProjector, match="outcome 1 is not idempotent"):
+        observable_from_direction((0.0, 0.0, 1.5))
+    # P^2 - P is (m . m - 1)/4 times the identity: inside the full checks
+    obs = observable_from_direction((0.0, 0.0, 1 + 1.5e-10))
+    assert obs.outcomes == (1, -1) and obs.axis[2] == 1 + 1.5e-10
+
+
+def test_bloch_vector_past_the_closed_form_gets_the_full_checks(monkeypatch):
+    # likewise for a Bloch vector that bloch_vector() would have refused
+    monkeypatch.setattr(states, "bloch_vector", lambda p: np.asarray(p, dtype=float))
+    with pytest.raises(InvalidState, match="not a density matrix"):
+        density_from_bloch((0.0, 0.0, 1 + 1e-9))
