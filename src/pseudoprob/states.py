@@ -8,7 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidState, NotAProjector, UnphysicalBloch
-from .operators import HermitianOperator, _hermitian_parts, _operators, eigenvalues_hermitian
+from .operators import (
+    HermitianOperator, _hermitian_parts, _is_number, _operators, eigenvalues_hermitian, idempotency_residual,
+)
 from .tolerances import ATOL_LOOSE, RESIDUAL_ATOL, ROUNDING_ATOL
 
 # Directions must be normalisable without drama; anything outside this norm
@@ -171,60 +173,6 @@ def projector_from_direction(m, outcome: int) -> HermitianOperator:
     return HermitianOperator(_HALF_I2 + 0.5 * pauli_matrix(outcome * mhat))
 
 
-def _label_value(a) -> float:
-    """Outcome label `a` as the real number it weighs its projector with, or
-    NaN if it is not a finite real number (NaN, unlike inf, weighs a zero
-    entry without a warning)."""
-    try:
-        value = float(a)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
-    return value if math.isfinite(value) else math.nan
-
-
-def _validated_outcomes(res, stack: np.ndarray, op: HermitianOperator) -> tuple:
-    """The labels of `res` after the checks of `Observable`, in its order; `stack`
-    holds its projector matrices up to the first of another dimension. Every
-    residual but the products P_i P_j (j > i > 0), one call each, goes into
-    one buffer reduced in one call, so nothing k^2 d^2 in size is held."""
-    dim, k, m = op.dim, len(res), len(stack)
-    labels = [_label_value(a) for a, _ in res]
-    buf = np.empty((m if m < k else k + max(k - 1, 0) + 2, dim, dim), dtype=complex)
-    np.matmul(stack, stack, out=buf[:m])
-    buf[:m] -= stack
-    if m == k:
-        np.matmul(stack[:1], stack[1:], out=buf[k:-2])
-        np.add.reduce(stack, axis=0, out=buf[-2])
-        buf[-2] -= np.eye(dim)
-        flat = buf[-1].reshape(-1).view(float)  # (re, im) pairs, as the labels are real
-        np.matmul(labels, stack.reshape(k, dim * dim).view(float), out=flat)
-        buf[-1] -= op.matrix
-    worst = np.abs(buf).max(axis=(1, 2)).tolist()
-    for (a, _), r in zip(res, worst):
-        if r > RESIDUAL_ATOL:
-            raise NotAProjector(f"resolution entry for outcome {a} is not idempotent")
-    if m < k:
-        raise InvalidState("projector dimension differs from observable")
-    orthogonality = max(worst[k:-2], default=0.0)
-    for i in range(1, k - 1):
-        orthogonality = max(orthogonality, np.abs(stack[i] @ stack[i + 1:]).max())
-    if orthogonality > RESIDUAL_ATOL:
-        raise InvalidState("resolution projectors are not orthogonal")
-    if worst[-2] > RESIDUAL_ATOL:
-        raise InvalidState("resolution projectors do not sum to identity")
-    for (a, _), value in zip(res, labels):
-        if math.isnan(value):
-            raise InvalidState(f"outcome label {a!r} is not a finite real number")
-    if worst[-1] > RESIDUAL_ATOL:
-        raise InvalidState("resolution does not recompose the observable")
-    # outcome tuples name projectors by label, so labels must differ
-    outcomes = tuple([a for a, _ in res])
-    repeated = [a for a in outcomes if outcomes.count(a) > 1]
-    if repeated:
-        raise InvalidState(f"outcome {repeated[0]!r} repeated in resolution")
-    return outcomes
-
-
 @dataclass(frozen=True, eq=False)
 class Observable:
     """Hermitian operator with its eigen-resolution sum_i a_i pi_i.
@@ -233,16 +181,24 @@ class Observable:
     projectors are idempotent, mutually orthogonal and sum to the identity,
     and whose outcome labels are distinct finite real numbers that recompose
     the operator. `projectors` holds those projectors' matrices as one
-    read-only (k, d, d) stack in resolution order: the form every check here
-    and `build_scheme` read. `outcomes` holds the labels in the same order.
-    `axis` carries the generating unit vector for qubit observables built
-    from a direction (used for JSON output); it is None otherwise.
+    read-only (k, d, d) stack in resolution order: the form that
+    `build_scheme` and every check after the per-projector ones read.
+    `outcomes` holds the labels in the same order. `axis` carries the
+    generating unit vector for qubit observables built from a direction
+    (used for JSON output); it is None otherwise.
 
-    The constructor runs every check, in a fixed order (idempotency,
-    dimension, orthogonality, sum to the identity, labels, recomposition,
-    repeated labels); the first to fail raises. `observable_from_direction`
-    makes a qubit observable without them, as its resolution is valid by
-    construction; see there.
+    The constructor checks the resolution in one walk and raises at the
+    first check that fails:
+    1. each projector in resolution order, its dimension and then its
+       idempotency residual;
+    2. orthogonality, P_i P_j for j > i, one row i at a time;
+    3. the sum to the identity;
+    4. each label, which must be a finite real number by `_is_number`, so
+       strings and bools are refused;
+    5. the recomposition sum_i a_i pi_i, computed once the labels pass;
+    6. repeated labels.
+    `observable_from_direction` makes a qubit observable without these
+    checks, as its resolution is valid by construction; see there.
     """
 
     op: HermitianOperator
@@ -254,10 +210,29 @@ class Observable:
     def __post_init__(self):
         res = tuple((a, p) for a, p in self.resolution)
         dim, k = self.op.dim, len(res)
-        m = next((i for i, (_, p) in enumerate(res) if p.dim != dim), k)
-        stack = np.array([p.matrix for _, p in res[:m]], dtype=complex).reshape(m, dim, dim)
+        for a, p in res:
+            if p.dim != dim:
+                raise InvalidState("projector dimension differs from observable")
+            if idempotency_residual(p) > RESIDUAL_ATOL:
+                raise NotAProjector(f"resolution entry for outcome {a} is not idempotent")
+        stack = np.array([p.matrix for _, p in res], dtype=complex).reshape(k, dim, dim)
         stack.setflags(write=False)
-        outcomes = _validated_outcomes(res, stack, self.op)
+        for i in range(k - 1):
+            if np.abs(stack[i] @ stack[i + 1:]).max() > RESIDUAL_ATOL:
+                raise InvalidState("resolution projectors are not orthogonal")
+        if np.abs(stack.sum(axis=0) - np.eye(dim)).max() > RESIDUAL_ATOL:
+            raise InvalidState("resolution projectors do not sum to identity")
+        outcomes = tuple([a for a, _ in res])
+        for a in outcomes:
+            if not (_is_number(a) and math.isfinite(a)):
+                raise InvalidState(f"outcome label {a!r} is not a finite real number")
+        recomposed = np.tensordot(np.array(outcomes, dtype=float), stack, 1)
+        if np.abs(recomposed - self.op.matrix).max() > RESIDUAL_ATOL:
+            raise InvalidState("resolution does not recompose the observable")
+        # outcome tuples name projectors by label, so labels must differ
+        repeated = [a for a in outcomes if outcomes.count(a) > 1]
+        if repeated:
+            raise InvalidState(f"outcome {repeated[0]!r} repeated in resolution")
         vars(self).update(resolution=res, projectors=stack, outcomes=outcomes)
 
     @property

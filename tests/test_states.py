@@ -284,6 +284,11 @@ class TestObservable:
         ((0, 1, 2), ("e0", "e1", "e1+e2"), InvalidState, "not orthogonal"),
         # the first projector is of another dimension
         ((1, -1), ("qutrit", "down"), InvalidState, "projector dimension differs"),
+        # the walk stops at the first projector of another dimension and
+        # never reaches the non-projector after it ...
+        ((0, 1, 2), ("up", "qutrit", "half"), InvalidState, "projector dimension differs"),
+        # ... and stops at a non-projector before one of another dimension
+        ((0, 1, 2), ("up", "half", "qutrit"), NotAProjector, "outcome 1 is not idempotent"),
         # an empty resolution sums to zero, not the identity
         ((), (), InvalidState, "do not sum to identity"),
     ])
@@ -301,7 +306,8 @@ class TestObservable:
         with pytest.raises(error, match=message):
             Observable(op=op, resolution=res)
 
-    @pytest.mark.parametrize("label", ["a", None, 1 + 2j, math.nan, math.inf])
+    # a string or a bool is no label either, although float() takes it
+    @pytest.mark.parametrize("label", ["a", None, 1 + 2j, math.nan, math.inf, "1", True, np.True_])
     def test_rejects_label_that_is_not_a_finite_real(self, label):
         up = projector_from_direction((0, 0, 1), 1)
         down = projector_from_direction((0, 0, 1), -1)
