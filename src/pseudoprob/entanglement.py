@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import InvalidState
-from .operators import HermitianOperator, eigenvalues_hermitian
+from .operators import HermitianOperator, _is_finite_real, eigenvalues_hermitian
 from .qubit import negativity_max
 from .states import DensityMatrix
 from .tolerances import NORM_ATOL, ROUNDING_ATOL
@@ -39,7 +39,7 @@ class TwoQubitPureState:
     @classmethod
     def from_schmidt(cls, alpha: float) -> "TwoQubitPureState":
         """cos(alpha)|00> + sin(alpha)|11>, for a finite angle alpha."""
-        if not math.isfinite(alpha):
+        if not _is_finite_real(alpha):
             raise InvalidState(f"Schmidt angle {alpha!r} is not a finite number")
         return cls([math.cos(alpha), 0.0, 0.0, math.sin(alpha)])
 

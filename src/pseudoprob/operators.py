@@ -106,6 +106,17 @@ def _is_number(value) -> bool:
     return kind is float or kind is int or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
+def _is_finite_real(value) -> bool:
+    """`math.isfinite(value)`, but False rather than OverflowError for a
+    number past float range, such as the int 10**400, which no float holds.
+    Like `math.isfinite`, it raises TypeError on a value that is no real
+    number; check `_is_number` first to refuse bools and strings too."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _is_integral(value) -> bool:
     """A real number with an integral value, not a bool."""
     return _is_number(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())

@@ -31,6 +31,7 @@ from .errors import (
 from .operators import (
     HermitianOperator,
     _commutator_norms,
+    _is_finite_real,
     _is_integral,
     _is_number,
     eigenvalues_hermitian,
@@ -41,8 +42,9 @@ from .tolerances import RESIDUAL_ATOL, ROUNDING_ATOL
 
 # A Weyl average takes 2^N N products; build_scheme makes each partial
 # product once per outcome of the observables it involves, within
-# MAX_LATTICE_ENTRIES: an N = 8 Weyl scheme takes ~4.6-8.6 ms over qubits (256
-# tuples) and ~26-29 ms over qutrits (6561 tuples), and a weights recipe over
+# MAX_LATTICE_ENTRIES: an N = 8 Weyl scheme takes ~2.5-2.7 ms over qubits (256
+# tuples; ~4.1-4.2 ms in the same run with sizes 3-6 made pair by pair) and
+# ~26-29 ms over qutrits (6561 tuples), and a weights recipe over
 # all 20160 classes of 8 qubit observables ~0.20-0.22 s, on a 2-vCPU Xeon VM,
 # min of 3-5 (the VM's speed varies by run, up to 2x). Only
 # unit_pseudo_projections enumerates all N!/2 = 20160 classes at N = 8:
@@ -111,10 +113,14 @@ class Recipe:
 
 def _real_weights(weights) -> tuple:
     """The weights as floats, once each is a real number (not a bool or a
-    string)."""
+    string) within float range: a float, whose NaN and ±inf
+    `_check_weights` refuses, or a finite number (not an int past float
+    range, which float() cannot take)."""
     ws = tuple(weights)
     if not all(_is_number(w) for w in ws):
         raise InvalidConvexWeights(f"weights must be real numbers, got {ws!r}")
+    if not all(isinstance(w, float) or _is_finite_real(w) for w in ws):
+        raise InvalidConvexWeights("weights must be finite real numbers")
     return tuple(float(w) for w in ws)
 
 
@@ -280,67 +286,95 @@ def _operands(mats) -> tuple:
     return left, [right_factors(m) for m in mats]
 
 
-# The most bytes a gathered subset size of `weyl_matrix` holds: the left
-# rows, right factors and results of its products, (16 + 32 + 16) d^2 bytes
-# a product. Every size of qubit Weyl up to N = 6 and of qutrit Weyl up to
-# N = 4 fits. Larger sizes make enough products per matmul call to pay for
-# it: gathering every size made qutrit Weyl at N = 6 2.2x slower and d = 4
-# at N = 5 3.2x, and qubit Weyl at N = 7-8 at most 1.3x faster while its
-# gathers held several times the lattice.
+# The most bytes one gathered step of `weyl_matrix` holds: the left rows,
+# right factors and results of its products, (16 + 32 + 16) d^2 bytes a
+# product. A subset size is gathered when its products fit one step, or in
+# steps of whole subsets, each as long as this lets it be, when those of
+# its largest subset fit half a step; so every step but a size's last
+# holds two subsets or more. Other sizes are made pair by pair: copying
+# few, large subsets into steps costs more than the calls it saves
+# (steps sized by this budget alone made qutrit Weyl at N = 6 0.7x as
+# fast, d = 4 at N = 5 0.55x and d = 128 at N = 8 0.65x). Every size of
+# qubit Weyl up to N = 6 and of qutrit Weyl up to N = 4 is one step; qubit
+# sizes 4-6 at N = 7 and 3-6 at N = 8 take 2-14 steps, which made qubit
+# Weyl at N = 7 ~1.9x and at N = 8 ~1.6-1.8x faster than pair by pair.
 GATHER_BYTES = 1 << 18
 
 
-def _rows(first: int, shape: tuple, target: tuple) -> np.ndarray:
-    """Row numbers first, first + 1, ... laid out in `shape`, broadcast to
-    `target` and flattened."""
-    rows = np.arange(first, first + math.prod(shape)).reshape(shape)
-    return np.broadcast_to(rows, target).ravel()
+def _rows(first: int, end: int, shape: tuple, target: tuple) -> np.ndarray:
+    """Row numbers first..end - 1 laid out in `shape`, broadcast to `target`
+    and flattened."""
+    return np.broadcast_to(np.arange(first, end).reshape(shape), target).ravel()
 
 
 @functools.lru_cache(maxsize=64)
 def _weyl_plan(shapes: tuple, d: int) -> tuple:
-    """(layouts, gathers): `weyl_matrix`'s plan for N generators of d x d
-    matrices whose stacks have leading shapes `shapes`.
+    """(levels, shape): `weyl_matrix`'s plan for N generators of d x d
+    matrices whose stacks have leading shapes `shapes`, and the shape of
+    the last level's rows as the result's (..., d, 2d) floats.
 
-    layouts[k - 1] places the W(S) of size k in one array of rows, S in
-    `_subset_plan` order (for k = 1 the generators, in order): one
-    (S, first row, end row, leading shape of W(S)) each, that shape being
-    the members' shapes broadcast. gathers[k - 2] is None for a size made
-    per (S, i) pair, else the (k, R) row numbers (below, factor) of its
-    products: row r of the size is the sum over j of row below[j, r] of the
-    size below times row factor[j, r] of the generators' right factors, j
-    the place of i in S.
+    Each subset size is one array of float64 (d, 2d) rows, its W(S) in
+    `_subset_plan` order, each (first, end, shape): its rows first..end - 1
+    laid out in the members' shapes broadcast. The generators are size 1,
+    and their right factors have the same row numbers. The entry of size k
+    is (rows, gathers, pairs), one of the last two empty:
+    - a gather (first, end, below, factor) makes the rows of a run of
+      whole subsets: row first + r is the sum over j of row below[j, r] of
+      the size below times row factor[j, r] of the right factors, j the
+      place of i in S. Runs are as long as GATHER_BYTES lets them be.
+    - a pair step (first, end, shape, pairs) makes one W(S), its rows
+      viewed as `shape`, as the sum over its (S, i) pairs, i ascending, of
+      W(S - {i}) times A_i's right factors, each a (first, end, shape) view
+      of its rows.
     """
-    n = len(shapes)
     starts = [0, *itertools.accumulate(math.prod(s) for s in shapes)]
-    layouts = [tuple(((i,), starts[i], starts[i + 1], s) for i, s in enumerate(shapes))]
-    gathers = []
-    for k, level in enumerate(_subset_plan(n), 2):
-        place = {s: (first, shape) for s, first, _, shape in layouts[-1]}
-        layout, rows = [], 0
+    gens = [(starts[i], starts[i + 1], s) for i, s in enumerate(shapes)]
+    place, levels = {(i,): g for i, g in enumerate(gens)}, []
+    for k, level in enumerate(_subset_plan(len(shapes)), 2):
+        below, place, size = place, {}, 0
         for s, _ in level:
             shape = np.broadcast_shapes(*(shapes[i] for i in s))
-            layout.append((s, rows, rows + math.prod(shape), shape))
-            rows += math.prod(shape)
-        layouts.append(tuple(layout))
-        if k * rows * 64 * d * d > GATHER_BYTES:
-            gathers.append(None)
-            continue
-        below, factor = [[] for _ in range(k)], [[] for _ in range(k)]
-        for (_, steps), (_, _, _, shape) in zip(level, layout):
-            for j, (i, rest) in enumerate(steps):
-                below[j].append(_rows(*place[rest], shape))
-                factor[j].append(_rows(starts[i], shapes[i], shape))
-        plan = tuple(np.array([np.concatenate(r) for r in x]) for x in (below, factor))
-        for x in plan:
-            x.setflags(write=False)
-        gathers.append(plan)
-    return tuple(layouts), tuple(gathers)
+            place[s] = (size, size + math.prod(shape), shape)
+            size += math.prod(shape)
+        cost = k * 64 * d * d  # bytes of one row's products
+        gathers, pairs = [], []
+        if min(size, 2 * max(b - a for a, b, _ in place.values())) * cost <= GATHER_BYTES:
+            for s, steps in level:
+                first, end, shape = place[s]
+                if not gathers or (end - gathers[-1][0]) * cost > GATHER_BYTES:
+                    gathers.append([first, []])
+                gathers[-1][1].append([[_rows(*below[rest], shape) for _, rest in steps],
+                                       [_rows(*gens[i], shape) for i, _ in steps]])
+            for step in gathers:
+                numbers = np.concatenate(step[1], axis=2)
+                numbers.setflags(write=False)
+                step[1:] = step[0] + numbers.shape[2], *numbers  # end, below, factor
+        else:
+            pairs = [(*place[s][:2], (*place[s][2], d, 2 * d), tuple(
+                (*below[rest][:2], (*below[rest][2], d, 2 * d), *gens[i][:2], (*shapes[i], 2 * d, 2 * d))
+                for i, rest in steps)) for s, steps in level]
+        levels.append((size, tuple(map(tuple, gathers)), tuple(pairs)))
+    return tuple(levels), (*np.broadcast_shapes(*shapes), d, 2 * d)
 
 
-def _views(rows, layout) -> dict:
-    """{S: W(S)} of an array of rows laid out as `layout` says."""
-    return {s: rows[a:b].reshape(shape + rows.shape[1:]) for s, a, b, shape in layout}
+def _weyl_level(rows, factors, size, gathers, pairs) -> np.ndarray:
+    """One subset size of `weyl_matrix` as one array of rows, from `rows`,
+    the size below, and the generators' right `factors`, by its
+    `_weyl_plan` entry. A size of one gathered step is that step's sum.
+    The views made here end with the call, so none of them keeps a size
+    alive while the next one is allocated."""
+    if len(gathers) == 1:
+        (_, _, below, factor), = gathers
+        return np.add.reduce(rows[below] @ factors[factor], axis=0)
+    level = np.empty((size, *rows.shape[1:]))
+    for first, end, below, factor in gathers:
+        np.add.reduce(rows[below] @ factors[factor], axis=0, out=level[first:end])
+    for first, end, shape, ((a, b, left, c, e, right), *more) in pairs:
+        out = level[first:end].reshape(shape)
+        np.matmul(rows[a:b].reshape(left), factors[c:e].reshape(right), out=out)
+        for a, b, left, c, e, right in more:
+            out += rows[a:b].reshape(left) @ factors[c:e].reshape(right)
+    return level
 
 
 def weyl_matrix(mats) -> np.ndarray:
@@ -357,21 +391,22 @@ def weyl_matrix(mats) -> np.ndarray:
 
     N <= 2 is A_0, or A_1 A_0 + A_0 A_1, in complex arithmetic. From N = 3
     on the sum runs real, as `_operands` says of every sum of two or more
-    orderings: each W(S) is kept as a float64 view and each product is a
-    real matmul with A_i's `right_factors`, made in one call for all the
-    generators. A size whose products fit GATHER_BYTES is one step
-    (`_weyl_plan`): the rows of W(S - {i}) and of A_i's right factors for
-    every (S, i) pair of the size are gathered into two stacks, one matmul
-    makes every product, and `np.add.reduce` over the place of i in S,
-    which adds in that order, gives the size's W(S) as one array of rows,
-    bit for bit the sums made pair by pair. A larger size makes each (S, i)
-    product by broadcasting, one stacked matmul call and one in-place add
-    each.
+    orderings: every subset size is one array of float64 rows, the W(S) of
+    its subsets in turn, and each product is a real matmul with A_i's
+    `right_factors`, made once for all the generators. `_weyl_plan` makes
+    each size in one of two ways. Gathered steps, each a run of whole
+    subsets whose products fit GATHER_BYTES: the rows of W(S - {i}) and of
+    A_i's right factors for every (S, i) pair of the run are gathered into
+    two stacks, one matmul makes every product, and `np.add.reduce` over
+    the place of i in S, which adds in that order, sums them. Or pair by
+    pair: each (S, i) product by broadcasting, one stacked matmul into the
+    size's rows, then one in-place add each. Both are bit for bit the same
+    sums.
 
     Sums, the division by 2 N! and the hermitization run in place on
-    arrays made here, so the peak holds about two copies of the result
-    beside the level below it, and a gathered size at most GATHER_BYTES
-    more.
+    arrays made here, and no view of a size outlives the next, so the peak
+    holds about two copies of the result beside the level below it, and a
+    gathered step at most GATHER_BYTES more.
     """
     n = len(mats)
     if n < 3:
@@ -380,32 +415,14 @@ def weyl_matrix(mats) -> np.ndarray:
             acc += mats[0] @ mats[1]
     else:
         d = mats[0].shape[-1]
-        layouts, gathers = _weyl_plan(tuple([m.shape[:-2] for m in mats]), d)
+        levels, shape = _weyl_plan(tuple([m.shape[:-2] for m in mats]), d)
         gens = np.concatenate([m.reshape(-1, d, d) for m in mats], dtype=np.complex128)
-        # rows: the size below as one array of rows; None where that size
-        # was made pair by pair, into the dict w
         factors, rows = right_factors(gens), gens.view(np.float64)
         # the generators are freed once the level that reads their rows is done
         del gens
-        if not all(gathers):
-            right = list(_views(factors, layouts[0]).values())
-        for level, layout, gather in zip(_subset_plan(n), layouts, gathers):
-            if gather is None:
-                below, rows, w = (w if rows is None else _views(rows, layout)), None, {}
-                for s, steps in level:
-                    (i, rest), *more = steps
-                    acc = below[rest] @ right[i]
-                    for i, rest in more:
-                        acc += below[rest] @ right[i]
-                    w[s] = acc
-                continue
-            if rows is None:
-                rows = np.concatenate([a.reshape(-1, d, 2 * d) for a in w.values()])
-            below, factor = gather
-            rows = np.add.reduce(rows[below] @ factors[factor], axis=0)
-        if rows is not None:
-            w = _views(rows, layouts[-1])
-        acc = w[tuple(range(n))].view(np.complex128)
+        for level in levels:
+            rows = _weyl_level(rows, factors, *level)
+        acc = rows.reshape(shape).view(np.complex128)
     # halving is exact, so A + A^dag for A = W/(2 N!) is (W/N! + (W/N!)^dag)/2
     # bit for bit
     acc /= 2 * math.factorial(n)

@@ -23,7 +23,7 @@ from .errors import (
     OrderingExplosion,
     PartitionSearchTooLarge,
 )
-from .operators import _is_integral, _is_number
+from .operators import _is_finite_real, _is_integral, _is_number
 from .pseudoprojection import (
     MAX_GENERATORS, MAX_LATTICE_ENTRIES, Recipe, ordering_classes, weighted_matrix, weyl_matrix,
 )
@@ -81,7 +81,7 @@ _WEYL = Recipe.weyl()
 def check_eps(eps: float) -> float:
     """`eps` if it is a finite number >= 0, else ValueError: a NaN classicality
     tolerance would call every scheme classical."""
-    if not (_is_number(eps) and math.isfinite(eps) and eps >= 0.0):
+    if not (_is_number(eps) and _is_finite_real(eps) and eps >= 0.0):
         raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
     return eps
 

@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import InvalidState, NotAProjector, UnphysicalBloch
 from .operators import (
-    HermitianOperator, _hermitian_parts, _is_number, _operators, eigenvalues_hermitian, idempotency_residual,
+    HermitianOperator, _hermitian_parts, _is_finite_real, _is_number, _operators, eigenvalues_hermitian,
+    idempotency_residual,
 )
 from .tolerances import ATOL_LOOSE, RESIDUAL_ATOL, ROUNDING_ATOL
 
@@ -193,8 +194,9 @@ class Observable:
        idempotency residual;
     2. orthogonality, P_i P_j for j > i, one row i at a time;
     3. the sum to the identity;
-    4. each label, which must be a finite real number by `_is_number`, so
-       strings and bools are refused;
+    4. each label, which must be a real number by `_is_number`, so strings
+       and bools are refused, and finite by `_is_finite_real`, so an int
+       past float range is refused too;
     5. the recomposition sum_i a_i pi_i, computed once the labels pass;
     6. repeated labels.
     `observable_from_direction` makes a qubit observable without these
@@ -224,7 +226,7 @@ class Observable:
             raise InvalidState("resolution projectors do not sum to identity")
         outcomes = tuple([a for a, _ in res])
         for a in outcomes:
-            if not (_is_number(a) and math.isfinite(a)):
+            if not (_is_number(a) and _is_finite_real(a)):
                 raise InvalidState(f"outcome label {a!r} is not a finite real number")
         recomposed = np.tensordot(np.array(outcomes, dtype=float), stack, 1)
         if np.abs(recomposed - self.op.matrix).max() > RESIDUAL_ATOL:

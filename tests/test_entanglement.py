@@ -35,7 +35,8 @@ class TestStateConstruction:
         with pytest.raises(InvalidState):
             TwoQubitPureState.from_schmidt(math.nan)
 
-    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400"),
+                                       pytest.param(-10**400, id="-10**400")])
     def test_rejects_non_finite_schmidt_angle(self, alpha):
         with pytest.raises(InvalidState, match="Schmidt angle .* is not a finite number"):
             TwoQubitPureState.from_schmidt(alpha)

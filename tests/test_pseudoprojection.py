@@ -213,6 +213,8 @@ class TestCombine:
             (0.5, 0.5), (0.5, 0.5, 0.5), (-0.1, 0.6, 0.5), (0.2, 0.2, 0.2),
             # convex once converted, but not real numbers, as Recipe.convex says
             ("0.5", "0.5", "0"), (True, False, False),
+            # ints past float range, which float() cannot take
+            (10**400, 0, 0), (-10**400, 1, 0),
         ],
     )
     def test_rejects_bad_weights(self, weights):
@@ -227,6 +229,7 @@ class TestRecipeValidation:
         [
             (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan),
             (math.inf, 0.0), (-math.inf, 1.0), (math.inf, -math.inf),
+            (10**400, 1), (-10**400, 1),
         ],
     )
     def test_weights_that_are_not_finite_are_rejected(self, weights):

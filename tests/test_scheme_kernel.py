@@ -25,7 +25,7 @@ from pseudoprob import (
     schemes,
 )
 from pseudoprob.pseudoprojection import (
-    _weyl_plan, ordering_classes, right_factors, weighted_matrix, weyl_matrix,
+    GATHER_BYTES, _weyl_plan, ordering_classes, right_factors, weighted_matrix, weyl_matrix,
 )
 
 import oracles
@@ -234,22 +234,24 @@ def grouped_grid(seed, d, counts):
 
 
 def gathered_sizes(mats):
-    """The subset sizes that `weyl_matrix` makes in one gathered step."""
+    """The subset sizes that `weyl_matrix` makes in gathered steps."""
     if len(mats) < 3:
         return []
-    _, gathers = _weyl_plan(tuple(m.shape[:-2] for m in mats), mats[0].shape[-1])
-    return [k for k, g in enumerate(gathers, 2) if g is not None]
+    levels, _ = _weyl_plan(tuple(m.shape[:-2] for m in mats), mats[0].shape[-1])
+    return [k for k, (_, gathers, _) in enumerate(levels, 2) if gathers]
 
 
 # grids whose products are made in the same arithmetic as before sizes were
 # gathered: qubits at N = 1 and 2 and qutrits at N = 2 (complex, nothing to
 # gather), qubits at N = 4..8 and outcome counts 4, 3, 3, 2 at d = 4 (real);
-# with the sizes gathered in each
+# with the sizes gathered in each (qubit sizes 4-6 at N = 7, 3-6 at N = 8
+# and size 3 at d = 4 in several steps)
 KEPT_ROUTE_GRIDS = [((2, (2,)), []), ((3, (3, 3)), [])] + [
     ((2, (2,) * n), sizes) for n, sizes in [
-        (2, []), (4, [2, 3, 4]), (5, [2, 3, 4, 5]), (6, [2, 3, 4, 5, 6]), (7, [2, 3, 7]), (8, [2]),
+        (2, []), (4, [2, 3, 4]), (5, [2, 3, 4, 5]), (6, [2, 3, 4, 5, 6]), (7, [2, 3, 4, 5, 6, 7]),
+        (8, [2, 3, 4, 5, 6]),
     ]
-] + [((4, (4, 3, 3, 2)), [2])]
+] + [((4, (4, 3, 3, 2)), [2, 3])]
 # N = 3 grids, which run real products, not the complex ones of before sizes
 # were gathered, also where no size is gathered (d = 6)
 NEW_ROUTE_GRIDS = [((2, (2, 2, 2)), [2, 3]), ((3, (3, 3, 3)), [2, 3]), ((3, (3, 2, 1)), [2, 3]),
@@ -261,17 +263,74 @@ def grid_id(case):
     return f"d{d}-" + ",".join(map(str, counts))
 
 
+def grid_shapes(counts):
+    """Leading shapes of an outcome grid's generators: observable i's
+    outcomes on axis i."""
+    n = len(counts)
+    return tuple((1,) * i + (k,) + (1,) * (n - 1 - i) for i, k in enumerate(counts))
+
+
+# (d, leading shapes of the generators) of the plans whose rule is checked:
+# the stacks of outcome tuples, the route grids, qutrit grids up to N = 6,
+# larger grids at d = 4, 16 and 20 (at d = 4 the slowest accepted Weyl
+# scheme), and single-outcome generators at d = 44 and d = 128
+PLAN_CASES = (
+    [(d, ((d ** n,),) * n) for d, n in STACK_CASES]
+    + [(d, grid_shapes(counts)) for (d, counts), _ in KEPT_ROUTE_GRIDS + NEW_ROUTE_GRIDS]
+    + [(3, grid_shapes((3,) * n)) for n in (4, 5, 6)]
+    + [(4, grid_shapes((4,) * 5)), (16, grid_shapes((16,) * 4)), (20, grid_shapes((20,) * 3)),
+       (4, grid_shapes((4,) * 6 + (3, 3)))]
+    + [(44, ((),) * 3), (128, ((),) * 8)]
+)
+
+
 class TestGatheredSizes:
-    # sizes fitting the gather budget are one stacked matmul each, summed
-    # over the place of i in S; where the products were real before they
-    # are the same bits, and where they were complex (N = 3) they agree
-    # with the N!-term oracle per outcome tuple
+    # a gathered size is one stacked matmul per step (the whole size where
+    # it fits the gather budget, else runs of whole subsets), summed over
+    # the place of i in S; where the products were real before they are the
+    # same bits, and where they were complex (N = 3) they agree with the
+    # N!-term oracle per outcome tuple
 
     @pytest.mark.parametrize("case, sizes", KEPT_ROUTE_GRIDS + NEW_ROUTE_GRIDS,
                              ids=[grid_id(c) for c, _ in KEPT_ROUTE_GRIDS + NEW_ROUTE_GRIDS])
     def test_sizes_gathered(self, case, sizes):
         d, counts = case
         assert gathered_sizes(grouped_grid(1811, d, counts)) == sizes
+
+    @pytest.mark.parametrize("d, shapes", PLAN_CASES,
+                             ids=[f"d{d}-" + "x".join(str(math.prod(s)) for s in shapes)
+                                  for d, shapes in PLAN_CASES])
+    def test_plan_rule(self, d, shapes):
+        # a size is gathered when it fits one step, or in steps of whole
+        # subsets when its largest subset fits half a step; each step is as
+        # long as GATHER_BYTES lets it be, so every step but a size's last
+        # holds at least two subsets
+        n = len(shapes)
+        levels, _ = _weyl_plan(shapes, d)
+        assert len(levels) == max(n - 1, 0)
+        for k, (size, gathers, pairs) in enumerate(levels, 2):
+            rows = [math.prod(np.broadcast_shapes(*(shapes[i] for i in s)))
+                    for s in itertools.combinations(range(n), k)]
+            ends = list(itertools.accumulate(rows))
+            row_bytes = k * 64 * d * d  # of one row's products
+            assert size == ends[-1] and not (gathers and pairs)
+            if pairs:
+                assert len(pairs) == len(rows)
+                assert size * row_bytes > GATHER_BYTES
+                assert 2 * max(rows) * row_bytes > GATHER_BYTES
+                continue
+            firsts = [first for first, _, _, _ in gathers]
+            lasts = [end for _, end, _, _ in gathers]
+            assert firsts == [0, *lasts[:-1]] and lasts[-1] == size
+            assert set(lasts) <= set(ends)
+            for first, end, below, factor in gathers:
+                assert below.shape == factor.shape == (k, end - first)
+                assert (end - first) * row_bytes <= GATHER_BYTES
+            if len(gathers) > 1:
+                assert 2 * max(rows) * row_bytes <= GATHER_BYTES
+                for first, end, _, _ in gathers[:-1]:
+                    assert sum(first < e <= end for e in ends) >= 2
+                    assert (ends[ends.index(end) + 1] - first) * row_bytes > GATHER_BYTES
 
     def test_digest_of_kept_routes(self):
         # the grids' results, and those of each grid's first outcome tuple
@@ -414,13 +473,15 @@ class TestMemoryBound:
         # part of the kernel: allow 1 KiB per tuple for it
         assert peak <= bound + 1024 * tuples
 
-    @pytest.mark.parametrize("d, counts", [(2, (2,) * 6), (2, (2,) * 7), (4, (4, 3, 3, 2))],
-                             ids=["d2-N6", "d2-N7", "d4-4,3,3,2"])
+    @pytest.mark.parametrize("d, counts", [(2, (2,) * 6), (2, (2,) * 7), (2, (2,) * 8),
+                                           (4, (4, 3, 3, 2))],
+                             ids=["d2-N6", "d2-N7", "d2-N8", "d4-4,3,3,2"])
     def test_gathered_peak_stays_under_lattice_plus_budget(self, d, counts):
-        # qubit N = 6 gathers every size, so its peak holds the largest
-        # gathered size (240 KiB); qubit N = 7 and the d = 4 grid have sizes
-        # a little over the budget (306 KiB at d = 4), which would
-        # gather, and overrun this bound, under a larger one
+        # qubit N = 6 gathers every size in one step, so its peak holds the
+        # largest one (240 KiB); qubit N = 7-8 and the d = 4 grid have sizes
+        # over the budget (306 KiB for size 3 at d = 4, 1.4 MiB for size 5
+        # at N = 8), cut into steps of whole subsets that each fit it, so a
+        # step sized by anything but GATHER_BYTES overruns this bound
         mats = grouped_grid(1811, d, counts)
         assert gathered_sizes(mats)
         bound = 16 * math.prod(1 + k for k in counts) * d * d + (1 << 18)
@@ -436,9 +497,9 @@ class TestMemoryBound:
     def test_generators_freed_after_the_level_that_reads_them(self):
         # three rank-1 projectors at d = 128 gather no size; in units of one
         # complex d x d matrix, the size-2 level holds the right factors (6),
-        # the generators (3), two sums and a product with its addend (4), and
-        # the last level would hold 14 if the generators outlived the level
-        # that reads them
+        # the generators (3), its three rows and one product being added (4),
+        # and the last level would hold 14 if the generators outlived the
+        # level that reads them
         rng = np.random.default_rng(9)
         vs = rng.normal(size=(3, 128)) + 1j * rng.normal(size=(3, 128))
         mats = [np.outer(v, v.conj()) / np.vdot(v, v).real for v in vs]
@@ -451,6 +512,25 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
         assert peak <= 13.5 * 16 * 128 ** 2
+
+    def test_sizes_made_pair_by_pair_hold_two_sizes_and_the_factors(self):
+        # eight rank-1 projectors at d = 128 make every size pair by pair;
+        # in units of one complex d x d matrix, the peak holds the two
+        # largest adjacent sizes (70 and 56 subsets), the right factors (16)
+        # and one product before it is added (1). A view of a size that
+        # outlived the next size's allocation would add that whole size
+        rng = np.random.default_rng(8)
+        vs = rng.normal(size=(8, 128)) + 1j * rng.normal(size=(8, 128))
+        mats = [np.outer(v, v.conj()) / np.vdot(v, v).real for v in vs]
+        assert not gathered_sizes(mats)
+        weyl_matrix(mats)  # plan cached beforehand
+        tracemalloc.start()
+        try:
+            weyl_matrix(mats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (70 + 56 + 16 + 2) * 16 * 128 ** 2
 
     def test_weyl_sums_in_place(self):
         # d = 12, N = 4 over 12 outcomes each: the last level is 12^4 of the

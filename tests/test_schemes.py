@@ -375,7 +375,8 @@ class TestClassify:
                 assert abs(flipped.entry((a1, -a2)) - value) <= 1e-12
 
 
-BAD_EPS = [math.nan, math.inf, -math.inf, -1e-10, True, "0.1"]
+BAD_EPS = [math.nan, math.inf, -math.inf, -1e-10, True, "0.1",
+           pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400")]
 
 
 class TestEps:

@@ -307,7 +307,9 @@ class TestObservable:
             Observable(op=op, resolution=res)
 
     # a string or a bool is no label either, although float() takes it
-    @pytest.mark.parametrize("label", ["a", None, 1 + 2j, math.nan, math.inf, "1", True, np.True_])
+    @pytest.mark.parametrize("label", ["a", None, 1 + 2j, math.nan, math.inf, "1", True, np.True_,
+                                       pytest.param(10**400, id="10**400"),
+                                       pytest.param(-10**400, id="-10**400")])
     def test_rejects_label_that_is_not_a_finite_real(self, label):
         up = projector_from_direction((0, 0, 1), 1)
         down = projector_from_direction((0, 0, 1), -1)
