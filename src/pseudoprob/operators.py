@@ -43,11 +43,14 @@ def _hermitian_parts(m: np.ndarray):
     residuals = np.abs(m - herm).max(axis=(1, 2)).tolist()
     for residual in residuals:
         if residual > ATOL_LOOSE:
-            raise NonHermitianInput(
-                f"anti-Hermitian residual {residual:.3e} exceeds {ATOL_LOOSE:.1e}"
-            )
+            raise _non_hermitian(residual)
     herm.setflags(write=False)
     return herm, residuals
+
+
+def _non_hermitian(residual: float) -> NonHermitianInput:
+    """The error for an anti-Hermitian residual above ATOL_LOOSE."""
+    return NonHermitianInput(f"anti-Hermitian residual {residual:.3e} exceeds {ATOL_LOOSE:.1e}")
 
 
 class HermitianOperator:
@@ -61,7 +64,10 @@ class HermitianOperator:
     whatever k: a finiteness screen, the hermitization, and every matrix's
     residual in one reduction. The constructor is that pass with k = 1;
     `from_stack` validates k matrices in it at once and raises what the
-    first failing one would raise on its own.
+    first failing one would raise on its own. The qubit constructors of
+    `states` validate their matrices on scalars instead: `_pauli_parts`
+    forms the same Hermitian parts and residuals from a 3-vector's three
+    floats and makes the same checks, whatever k.
     """
 
     __slots__ = ("matrix", "hermiticity_residual")
@@ -115,6 +121,24 @@ def _is_finite_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _as_float(value) -> float:
+    """`float(value)`, but the infinity of its sign rather than OverflowError
+    for a number past float range, such as the int 10**400."""
+    try:
+        return float(value)
+    except OverflowError:
+        return -math.inf if value < 0 else math.inf
+
+
+def _floats(values) -> np.ndarray:
+    """`np.asarray(values, dtype=float)`, reading each number past float
+    range as `_as_float` does."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        return np.vectorize(_as_float, otypes=[float])(values)
 
 
 def _is_integral(value) -> bool:

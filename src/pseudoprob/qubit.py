@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import _as_float, _floats
 from .pseudoprojection import Recipe
 from .schemes import Scheme
 from .states import (
@@ -50,7 +51,7 @@ def _check_pnorm(pnorm: float) -> None:
 def _check_theta(theta) -> None:
     """Every angle of `theta` (a number or an array) in (0, pi); the first
     one that is not, NaN included, is named."""
-    theta = np.asarray(theta, dtype=float)
+    theta = _floats(theta)
     outside = ~((0.0 < theta) & (theta < math.pi))
     if outside.any():
         raise ValueError(f"theta must lie in (0, pi), got {float(theta[outside][0])}")
@@ -159,12 +160,12 @@ class TripleGeometry:
     @classmethod
     def coplanar120(cls, p=(0.0, 0.0, 0.0)) -> "TripleGeometry":
         m1, m2, m3 = coplanar_triple_directions()
-        return cls(p=np.asarray(p, dtype=float), m1=m1, m2=m2, m3=m3)
+        return cls(p=p, m1=m1, m2=m2, m3=m3)
 
     @classmethod
     def orthogonal_diagonal(cls, pnorm: float) -> "TripleGeometry":
         """Coordinate axes with P along their diagonal (worst case)."""
-        p = float(pnorm) * np.ones(3) / math.sqrt(3.0)
+        p = _as_float(pnorm) * np.ones(3) / math.sqrt(3.0)
         return cls(p=p, m1=np.eye(3)[0], m2=np.eye(3)[1], m3=np.eye(3)[2])
 
 
@@ -200,7 +201,7 @@ def negativity_special(pnorm: float, theta):
     Broadcasts over theta like `pair_entries`: a float for a number, an
     array of theta's shape for an array.
     """
-    pnorm = float(pnorm)
+    pnorm = _as_float(pnorm)
     _check_pnorm(pnorm)
     _check_theta(theta)
     c = np.cos(0.5 * np.asarray(theta, dtype=float))
@@ -217,7 +218,7 @@ class NegativityMax:
 def negativity_max(pnorm: float) -> NegativityMax:
     """Maximum aligned-pair negativity over theta: |P|^2/8 at
     theta* = 2 arccos(|P|/2)."""
-    pnorm = float(pnorm)
+    pnorm = _as_float(pnorm)
     _check_pnorm(pnorm)
     return NegativityMax(value=pnorm * pnorm / 8.0, theta_star=2.0 * math.acos(0.5 * pnorm))
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidState, NotAProjector, UnphysicalBloch
 from .operators import (
-    HermitianOperator, _hermitian_parts, _is_finite_real, _is_number, _operators, eigenvalues_hermitian,
+    HermitianOperator, _floats, _is_finite_real, _is_number, _non_hermitian, _operators, eigenvalues_hermitian,
     idempotency_residual,
 )
 from .tolerances import ATOL_LOOSE, RESIDUAL_ATOL, ROUNDING_ATOL
@@ -19,14 +19,15 @@ from .tolerances import ATOL_LOOSE, RESIDUAL_ATOL, ROUNDING_ATOL
 _NORM_MIN = 1e-6
 _NORM_MAX = 1e6
 
-# the constant term of (1 + sigma . v)/2, complex (as a cast would make it) to add uncast
-_HALF_I2 = np.eye(2, dtype=complex) / 2
-_HALF_I2.setflags(write=False)
+# 1/2 as numpy casts it to multiply or add a complex array: a product by it
+# is the full complex product, whose signed zeros the results' bytes keep
+_HALF = 0.5 + 0j
 
 
 def _vector3(v, what: str):
-    """`v` as a real 3-vector, and its norm sqrt(v . v) as a Python float."""
-    v = np.asarray(v, dtype=float)
+    """`v` as a real 3-vector, and its norm sqrt(v . v) as a Python float; a
+    component past float range reads as infinite, so the norm is."""
+    v = _floats(v)
     if v.shape != (3,):
         raise ValueError(f"{what} needs a 3-vector, got shape {v.shape}")
     return v, math.sqrt(v.dot(v))
@@ -56,6 +57,45 @@ def pauli_matrix(v) -> np.ndarray:
     """sigma . v as a 2x2 complex array (v need not be normalised)."""
     x, y, z = np.asarray(v, dtype=float).tolist()
     return np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
+
+
+def _pauli_parts(v, signs) -> tuple:
+    """The read-only (k, 2, 2) stack of Hermitian parts and the k residuals
+    that `_hermitian_parts` returns for M_s, s in `signs`, where M_0 is
+    sigma . v and M_s, s = +-1, is (1 + s sigma . v)/2; byte for byte.
+
+    Each entry is formed in Python complex arithmetic by the operations
+    numpy applies to `pauli_matrix(v)`, the identity's half and the stack,
+    in the same order, and checked as that pass checks it: a non-finite
+    entry first, then each matrix's residual max|M - H| against
+    ATOL_LOOSE, in stack order; a NaN fails both checks.
+    """
+    x, y, z = v.tolist()
+    # every M_s has a non-finite entry exactly when v has one
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError("matrix entries must be finite")
+    sigma = (complex(z), x - 1j * y, x + 1j * y, complex(-z))
+    half = [_HALF * e for e in sigma]
+    herm, residuals = [], []
+    for s in signs:
+        if s == 0:
+            a, b, c, d = sigma
+        elif s > 0:
+            a, b, c, d = _HALF + half[0], 0j + half[1], 0j + half[2], _HALF + half[3]
+        else:
+            a, b, c, d = _HALF - half[0], 0j - half[1], 0j - half[2], _HALF - half[3]
+        h = ((a + a.conjugate()) * _HALF, (b + c.conjugate()) * _HALF,
+             (c + b.conjugate()) * _HALF, (d + d.conjugate()) * _HALF)
+        # max() keeps a NaN only as its first argument; an overflowing sum
+        # makes NaN residuals in the two off-diagonal entries only, together
+        residual = max(abs(b - h[1]), abs(a - h[0]), abs(c - h[2]), abs(d - h[3]))
+        if not residual <= ATOL_LOOSE:
+            raise _non_hermitian(residual)
+        herm += h
+        residuals.append(residual)
+    herm = np.array(herm, dtype=complex)
+    herm.setflags(write=False)
+    return herm.reshape(len(residuals), 2, 2), residuals
 
 
 @dataclass(frozen=True)
@@ -137,16 +177,17 @@ class DensityMatrix:
 def density_from_bloch(p) -> DensityMatrix:
     """Qubit state (1 + sigma . P)/2 for polarisation P, |P| <= 1.
 
-    `bloch_vector` checks P and `HermitianOperator` the matrix, but
-    `DensityMatrix`'s trace and eigenvalue checks are not run, as they hold
-    by construction: the trace is 1 up to rounding and the eigenvalues are
-    (1 +- |P|)/2. Only the minimum eigenvalue's closed form is checked,
-    against the same threshold; should it fail, the full checks run and
-    raise what they raise. `tests/test_states.py` runs the full checks on
-    fuzzed inputs and pins their margins.
+    `bloch_vector` checks P, and `_pauli_parts` forms the matrix and runs
+    `HermitianOperator`'s checks on it from P's three floats. `DensityMatrix`'s
+    trace and eigenvalue checks are not run, as they hold by construction:
+    the trace is 1 up to rounding and the eigenvalues are (1 +- |P|)/2.
+    Only the minimum eigenvalue's closed form is checked, against the same
+    threshold; should it fail, the full checks run and raise what they
+    raise. `tests/test_states.py` runs the full checks on fuzzed inputs and
+    pins their margins, and pins the matrix's bytes to the dense formula.
     """
     p = bloch_vector(p)
-    op = HermitianOperator(_HALF_I2 + 0.5 * pauli_matrix(p))
+    (op,) = _operators(*_pauli_parts(p, (1,)))
     if (1.0 - math.sqrt(p.dot(p))) / 2 < -RESIDUAL_ATOL:
         return DensityMatrix(op)
     rho = object.__new__(DensityMatrix)
@@ -167,11 +208,12 @@ def projector_from_direction(m, outcome: int) -> HermitianOperator:
 
     Constructed so that the two outcomes sum to the identity exactly and
     flipping the direction equals flipping the outcome, entry for entry.
+    `direction` checks m, and `_pauli_parts` forms the matrix and runs
+    `HermitianOperator`'s checks on it from m's three floats.
     """
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-    mhat = direction(m)
-    return HermitianOperator(_HALF_I2 + 0.5 * pauli_matrix(outcome * mhat))
+    return _operators(*_pauli_parts(outcome * direction(m), (1,)))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,19 +294,19 @@ def observable_from_direction(m) -> Observable:
     """Dichotomic qubit observable sigma . m with outcomes +1, -1.
 
     Both projectors (1 +- sigma . m)/2 come from the same unit vector as
-    the operator and `axis`. `direction` checks m and `_hermitian_parts`
-    the three matrices, but `Observable`'s resolution checks are not run,
+    the operator and `axis`. `direction` checks m, and `_pauli_parts` forms
+    the three matrices and runs `HermitianOperator`'s checks on them from
+    m's three floats. `Observable`'s resolution checks are not run,
     as they hold by construction: the projectors sum to the identity and
     recompose sigma . m up to rounding, P^2 - P and P_+ P_- are
     (m . m - 1)/4 times the identity, and the labels are distinct numbers.
     Only |m . m - 1| <= RESIDUAL_ATOL is checked; should it fail, the full
     checks run and raise what they raise. `tests/test_states.py` runs the
-    full checks on fuzzed directions and pins their margins.
+    full checks on fuzzed directions and pins their margins, and pins the
+    matrices' bytes to the dense formula.
     """
     mhat = direction(m)
-    sigma = pauli_matrix(mhat)
-    half = 0.5 * sigma
-    herm, residuals = _hermitian_parts(np.array([sigma, _HALF_I2 + half, _HALF_I2 - half]))
+    herm, residuals = _pauli_parts(mhat, (0, 1, -1))
     op, up, down = _operators(herm, residuals)
     res = ((1, up), (-1, down))
     if abs(mhat.dot(mhat) - 1.0) > RESIDUAL_ATOL:

@@ -6,6 +6,7 @@ import pytest
 from pseudoprob import (
     PairGeometry,
     TripleGeometry,
+    UnphysicalBloch,
     build_scheme,
     coplanar_triple_directions,
     critical_radius_bisection,
@@ -197,6 +198,17 @@ class TestNegativitySpecial:
         assert str(array.value) == str(scalar.value)
         assert str(scalar.value) == f"theta must lie in (0, pi), got {bad}"
 
+    @pytest.mark.parametrize("pnorm, theta, message", [
+        (10**400, 1.0, "pnorm must lie in [0, 1], got inf"),
+        (0.5, 10**400, "theta must lie in (0, pi), got inf"),
+        (0.5, [10**400], "theta must lie in (0, pi), got inf"),
+        (0.5, [[1.0], [-10**400]], "theta must lie in (0, pi), got -inf"),
+    ], ids=["pnorm=10**400", "theta=10**400", "theta=[10**400]", "theta=[[1.0],[-10**400]]"])
+    def test_a_number_past_float_range_reads_as_infinite(self, pnorm, theta, message):
+        with pytest.raises(ValueError) as error:
+            negativity_special(pnorm, theta)
+        assert str(error.value) == message
+
     def test_monotone_in_polarisation(self):
         theta = 1.9
         grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
@@ -230,6 +242,13 @@ class TestNegativityMax:
 
     def test_half(self):
         assert negativity_max(0.5).value == pytest.approx(0.03125, abs=1e-15)
+
+    @pytest.mark.parametrize("pnorm, shown", [(math.inf, "inf"), (10**400, "inf"), (-10**400, "-inf")],
+                             ids=["inf", "10**400", "-10**400"])
+    def test_a_pnorm_past_float_range_reads_as_infinite(self, pnorm, shown):
+        with pytest.raises(ValueError) as error:
+            negativity_max(pnorm)
+        assert str(error.value) == f"pnorm must lie in [0, 1], got {shown}"
 
     def test_golden_section_confirms(self):
         for pnorm in (0.2, 0.6, 1.0):
@@ -280,6 +299,14 @@ class TestGeometries:
         total = g.m1 + g.m2
         cosine = float(np.dot(g.p, total) / (np.linalg.norm(g.p) * np.linalg.norm(total)))
         assert cosine == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_number_past_float_range_reads_as_infinite(self):
+        with pytest.raises(ValueError, match=r"^theta must lie in \(0, pi\), got inf$"):
+            PairGeometry.aligned(0.5, 10**400)
+        with pytest.raises(UnphysicalBloch, match="= inf exceeds 1"):
+            TripleGeometry.orthogonal_diagonal(10**400)
+        with pytest.raises(UnphysicalBloch, match="= inf exceeds 1"):
+            TripleGeometry.coplanar120(p=(0, -10**400, 0))
 
     def test_coplanar_dot_products(self):
         m1, m2, m3 = coplanar_triple_directions()

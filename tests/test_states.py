@@ -9,6 +9,7 @@ from pseudoprob import (
     DensityMatrix,
     HermitianOperator,
     InvalidState,
+    NonHermitianInput,
     NotAProjector,
     Observable,
     UnphysicalBloch,
@@ -22,6 +23,7 @@ from pseudoprob import (
     validate_density,
 )
 from pseudoprob import states
+from pseudoprob.operators import _hermitian_parts
 from pseudoprob.states import pauli_matrix
 from pseudoprob.tolerances import ROUNDING_ATOL
 
@@ -46,6 +48,14 @@ class TestDirection:
         with pytest.raises(ValueError):
             direction((1, 0))
 
+    @pytest.mark.parametrize("v", [(math.inf, 0, 0), (10**400, 0, 0), (0, -10**400, 1)],
+                             ids=["inf", "10**400", "-10**400"])
+    def test_rejects_a_component_past_float_range(self, v):
+        # an int past float range reads as infinite, as its norm does
+        for make in (direction, observable_from_direction, lambda m: projector_from_direction(m, -1)):
+            with pytest.raises(ValueError, match=r"^direction norm inf outside"):
+                make(v)
+
 
 class TestDensityFromBloch:
     def test_completely_mixed(self):
@@ -66,7 +76,9 @@ class TestDensityFromBloch:
         with pytest.raises(UnphysicalBloch):
             density_from_bloch((1.0, 1.0, 0.0))
 
-    @pytest.mark.parametrize("p", [(math.nan, 0, 0), (0, 0, math.nan), (math.inf, 0, 0)])
+    @pytest.mark.parametrize("p", [(math.nan, 0, 0), (0, 0, math.nan), (math.inf, 0, 0),
+                                   pytest.param((0, 10**400, 0), id="10**400"),
+                                   pytest.param((0, 0, -10**400), id="-10**400")])
     def test_rejects_bloch_vector_that_is_not_finite(self, p):
         with pytest.raises(UnphysicalBloch):
             bloch_vector(p)
@@ -393,6 +405,32 @@ def _fuzzed_bloch_vectors(rng):
     return ps
 
 
+def test_qubit_constructors_equal_the_dense_formula_byte_for_byte():
+    # the constructors form their matrices on scalars; the dense formula they
+    # replaced is the reference for every matrix's bytes and residual
+    half_i = np.eye(2, dtype=complex) / 2
+
+    def dense(*matrices):
+        herm, residuals = _hermitian_parts(np.array(matrices))
+        return [(h.tobytes(), r) for h, r in zip(herm, residuals)]
+
+    def made(*ops):
+        return [(op.matrix.tobytes(), op.hermiticity_residual) for op in ops]
+
+    rng = np.random.default_rng(2507)
+    for m in [*SIGNED_ZEROS, *_fuzzed_directions(rng)]:
+        mhat = direction(m)
+        sigma = pauli_matrix(mhat)
+        obs = observable_from_direction(m)
+        expected = dense(sigma, half_i + 0.5 * sigma, half_i - 0.5 * sigma)
+        assert made(obs.op, *(p for _, p in obs.resolution)) == expected
+        assert obs.projectors.tobytes() == b"".join(h for h, _ in expected[1:])
+        for a in (1, -1):
+            assert made(projector_from_direction(m, a)) == dense(half_i + 0.5 * pauli_matrix(a * mhat))
+    for p in [*SIGNED_ZEROS, *_fuzzed_bloch_vectors(rng)]:
+        assert made(density_from_bloch(p).op) == dense(half_i + 0.5 * pauli_matrix(bloch_vector(p)))
+
+
 def test_closed_form_constructors_pass_the_full_checks_with_margin():
     # the closed-form constructors skip Observable's resolution checks and
     # DensityMatrix's trace and eigenvalue checks; here those checks run on
@@ -427,6 +465,23 @@ def test_direction_off_the_unit_sphere_gets_the_full_checks(monkeypatch):
     # P^2 - P is (m . m - 1)/4 times the identity: inside the full checks
     obs = observable_from_direction((0.0, 0.0, 1 + 1.5e-10))
     assert obs.outcomes == (1, -1) and obs.axis[2] == 1 + 1.5e-10
+
+
+def test_scalar_checks_refuse_non_finite_entries_and_residuals(monkeypatch):
+    # direction() and bloch_vector() pass neither a non-finite component nor
+    # one near float's limit, so the scalar Hermitian-part checks are reached
+    # only through patched ones; a NaN component fails the finiteness check,
+    # and a NaN residual (from an overflowing sum) fails the residual check
+    monkeypatch.setattr(states, "direction", lambda m: np.asarray(m, dtype=float))
+    monkeypatch.setattr(states, "bloch_vector", lambda p: np.asarray(p, dtype=float))
+    makers = [observable_from_direction, density_from_bloch,
+              lambda m: projector_from_direction(m, 1), lambda m: projector_from_direction(m, -1)]
+    for v in [(math.nan, 0.0, 1.0), (0.0, math.nan, 1.0), (0.0, 0.0, math.nan), (0.0, -math.inf, 0.0)]:
+        for make in makers:
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                make(v)
+    with pytest.raises(NonHermitianInput, match="residual nan exceeds"):
+        observable_from_direction((1e308, 1e308, 0.0))
 
 
 def test_bloch_vector_past_the_closed_form_gets_the_full_checks(monkeypatch):
