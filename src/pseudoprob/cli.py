@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .errors import PseudoprobError
-from .operators import HermitianOperator, _commutator_norms, _hermitian_parts, _is_number, _spectra
+from .operators import HermitianOperator, _array, _commutator_norms, _hermitian_parts, _scalar, _spectra
 from .pseudoprojection import Recipe
 from .qubit import (
     ORTHOGONAL_PAIR,
@@ -157,27 +157,16 @@ def _sample_ball(rng: np.random.Generator, n: int) -> np.ndarray:
 # every malformed file is one domain error.
 
 
-def _all_numbers(value) -> bool:
-    """Whether `value` is a number or (nested) lists of numbers."""
-    if isinstance(value, (list, tuple)):
-        return all(_all_numbers(v) for v in value)
-    return _is_number(value)
-
-
 def _json_field(obj, key: str, what: str, scalar: bool = False):
     """obj[key] as a float array (a float if `scalar`), for the JSON object
     `obj` that describes `what`. A non-object, a missing key or a value that is
     not JSON numbers (a string, null, a boolean, a ragged list) raises
-    ValueError."""
+    ValueError; a number past float range reads as infinite."""
     if not isinstance(obj, dict) or key not in obj:
         raise ValueError(f'{what} JSON needs an object with a "{key}" key')
-    value = obj[key]
-    if _is_number(value) if scalar else _all_numbers(value):
-        try:
-            return float(value) if scalar else np.asarray(value, dtype=float)
-        except (ValueError, OverflowError):  # a ragged list, an integer past float range
-            pass
-    raise ValueError(f'{what} JSON "{key}" must hold {"a number" if scalar else "numbers"}')
+    if scalar:
+        return _scalar(obj[key], ValueError, f'{what} JSON "{key}" must hold a number')
+    return _array(obj[key], ValueError, f'{what} JSON "{key}" must hold numbers')
 
 
 def _read_matrix(obj) -> HermitianOperator:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import InvalidState
-from .operators import HermitianOperator, _is_finite_real, eigenvalues_hermitian
+from .operators import HermitianOperator, _array, _scalar, eigenvalues_hermitian
 from .qubit import negativity_max
 from .states import DensityMatrix
 from .tolerances import NORM_ATOL, ROUNDING_ATOL
@@ -23,7 +23,7 @@ class TwoQubitPureState:
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes):
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        amps = _array(amplitudes, InvalidState, "amplitudes must be numbers, got {!r}", complex).reshape(-1)
         if amps.shape != (4,):
             raise InvalidState(f"need 4 amplitudes, got {amps.shape}")
         norm = float(np.linalg.norm(amps))
@@ -39,9 +39,8 @@ class TwoQubitPureState:
     @classmethod
     def from_schmidt(cls, alpha: float) -> "TwoQubitPureState":
         """cos(alpha)|00> + sin(alpha)|11>, for a finite angle alpha."""
-        if not _is_finite_real(alpha):
-            raise InvalidState(f"Schmidt angle {alpha!r} is not a finite number")
-        return cls([math.cos(alpha), 0.0, 0.0, math.sin(alpha)])
+        angle = _scalar(alpha, InvalidState, "Schmidt angle {!r} is not a finite number", math.isfinite)
+        return cls([math.cos(angle), 0.0, 0.0, math.sin(angle)])
 
     def __repr__(self) -> str:
         return f"TwoQubitPureState({self.amplitudes.tolist()})"
@@ -50,12 +49,8 @@ class TwoQubitPureState:
 def reduced_density(psi: TwoQubitPureState, subsystem: int) -> DensityMatrix:
     """Partial trace over the complementary qubit (subsystem 0 or 1)."""
     m = psi.amplitudes.reshape(2, 2)
-    if subsystem == 0:
-        red = m @ m.conj().T
-    elif subsystem == 1:
-        red = m.T @ m.conj()
-    else:
-        raise ValueError(f"subsystem must be 0 or 1, got {subsystem}")
+    index = _scalar(subsystem, ValueError, "subsystem must be 0 or 1, got {!r}", lambda s: s in (0.0, 1.0))
+    red = m @ m.conj().T if index == 0 else m.T @ m.conj()
     return DensityMatrix(HermitianOperator(red))
 
 
@@ -81,7 +76,8 @@ def monotone(psi: TwoQubitPureState) -> float:
 
 def apply_local_unitaries(psi: TwoQubitPureState, u, v) -> TwoQubitPureState:
     """(u x v) |psi> for single-qubit unitaries u, v."""
-    w = np.kron(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
+    u, v = (_array(a, ValueError, "unitary entries must be numbers, got {!r}", complex) for a in (u, v))
+    w = np.kron(u, v)
     return TwoQubitPureState(w @ psi.amplitudes)
 
 

@@ -35,14 +35,25 @@ def _hermitian_parts(m: np.ndarray):
     # sum |m_ij|^2 is finite unless an entry is not (or is huge), so one
     # product screens the stack and entries are tested only when it fails;
     # the matrices before the first non-finite one are checked first
-    if not math.isfinite(np.vdot(m, m).real) and not np.isfinite(m).all():
+    if math.isfinite(np.vdot(m, m).real):
+        return _checked_parts(m)
+    if not np.isfinite(m).all():
         _hermitian_parts(m[:int(np.isfinite(m).all(axis=(1, 2)).argmin())])
         raise ValueError("matrix entries must be finite")
+    # huge entries may overflow M + M^dag, silently here: the NaN residuals
+    # that leaves fail the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _checked_parts(m)
+
+
+def _checked_parts(m: np.ndarray):
+    """`_hermitian_parts` of a stack of finite entries: the hermitization and
+    each matrix's residual check, in stack order; a NaN residual fails."""
     herm = m + m.conj().swapaxes(1, 2)
     herm *= 0.5
     residuals = np.abs(m - herm).max(axis=(1, 2)).tolist()
     for residual in residuals:
-        if residual > ATOL_LOOSE:
+        if not residual <= ATOL_LOOSE:
             raise _non_hermitian(residual)
     herm.setflags(write=False)
     return herm, residuals
@@ -56,9 +67,11 @@ def _non_hermitian(residual: float) -> NonHermitianInput:
 class HermitianOperator:
     """Immutable Hermitian matrix value.
 
-    The stored matrix is the Hermitian part (M + M^dag)/2 of the input.
-    The discarded anti-Hermitian residual is recorded; a residual above
-    ATOL_LOOSE signals a real bug in the caller and raises instead.
+    The stored matrix is the Hermitian part (M + M^dag)/2 of the input,
+    which `_array` takes as complex numbers: bools, strings, None and ragged
+    lists raise ValueError. The discarded anti-Hermitian residual is
+    recorded; a residual above ATOL_LOOSE, or a NaN one, signals a real bug
+    in the caller and raises instead.
 
     Validation is one pass of `_hermitian_parts` over a (k, d, d) stack,
     whatever k: a finiteness screen, the hermitization, and every matrix's
@@ -73,14 +86,16 @@ class HermitianOperator:
     __slots__ = ("matrix", "hermiticity_residual")
 
     def __init__(self, matrix):
-        herm, residuals = _hermitian_parts(np.asarray(matrix, dtype=complex)[None])
+        m = _array(matrix, ValueError, "matrix entries must be numbers", complex)
+        herm, residuals = _hermitian_parts(m[None])
         _set_matrix(self, herm[0])
         _set_residual(self, residuals[0])
 
     @classmethod
     def from_stack(cls, matrices) -> tuple:
         """One validated operator per matrix of a (k, d, d) stack."""
-        return _operators(*_hermitian_parts(np.asarray(matrices, dtype=complex)))
+        m = _array(matrices, ValueError, "matrix entries must be numbers", complex)
+        return _operators(*_hermitian_parts(m))
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianOperator is immutable")
@@ -105,45 +120,61 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim})"
 
 
-def _is_number(value) -> bool:
-    """A real number, not a bool; exact floats and ints are answered before
-    the much slower `numbers.Real` check."""
-    kind = type(value)
-    return kind is float or kind is int or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+# per dtype: the array dtype taken as it is, the array kinds cast to it, and
+# the scalars converted to it
+_KINDS = {
+    float: (np.dtype(float), "iuf", numbers.Real),
+    complex: (np.dtype(complex), "iufc", numbers.Complex),
+}
 
 
-def _is_finite_real(value) -> bool:
-    """`math.isfinite(value)`, but False rather than OverflowError for a
-    number past float range, such as the int 10**400, which no float holds.
-    Like `math.isfinite`, it raises TypeError on a value that is no real
-    number; check `_is_number` first to refuse bools and strings too."""
+def _scalar(value, error, message: str, ok=None, dtype=float):
+    """`value` as a Python float (complex if `dtype` is complex), or
+    `error(message.format(value))` if it is no number of that kind: bools
+    (`np.bool_` too), strings, None, and complex values where a real is
+    wanted are refused. A number past float range, such as the int 10**400,
+    reads as the infinity of its sign. A number for which the predicate `ok`
+    (the caller's range check) is false raises too, named as the float it
+    reads as; without `ok`, NaN and infinities pass."""
+    if type(value) is not dtype:
+        # an exact int skips the much slower abstract-class checks
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, _KINDS[dtype][2])):
+            raise error(message.format(value))
+        try:
+            value = dtype(value)
+        except OverflowError:
+            value = dtype(-math.inf if value < 0 else math.inf)
+    if ok is not None and not ok(value):
+        raise error(message.format(value))
+    return value
+
+
+def _array(values, error, message: str, dtype=float) -> np.ndarray:
+    """`values` (a number, an array, or nested lists and tuples of them) as
+    an array of `dtype`, each entry taken as `_scalar` takes it, or
+    `error(message.format(values))`; a ragged list is refused too. An array
+    of numeric dtype (a subclass too) is cast to a plain array in one step,
+    without a walk over its entries, and a plain one of `dtype` is returned
+    as it is; arrays nested in lists are walked."""
+    exact, kinds, _ = _KINDS[dtype]
+    if type(values) is np.ndarray and values.dtype is exact:
+        return values
+    if isinstance(values, np.ndarray) and values.dtype.kind in kinds:
+        return np.asarray(values, dtype=dtype)
     try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+        return np.array(_entries(values, dtype), dtype=dtype)
+    except (TypeError, ValueError):  # an entry that is no number, a ragged list
+        raise error(message.format(values)) from None
 
 
-def _as_float(value) -> float:
-    """`float(value)`, but the infinity of its sign rather than OverflowError
-    for a number past float range, such as the int 10**400."""
-    try:
-        return float(value)
-    except OverflowError:
-        return -math.inf if value < 0 else math.inf
-
-
-def _floats(values) -> np.ndarray:
-    """`np.asarray(values, dtype=float)`, reading each number past float
-    range as `_as_float` does."""
-    try:
-        return np.asarray(values, dtype=float)
-    except OverflowError:
-        return np.vectorize(_as_float, otypes=[float])(values)
-
-
-def _is_integral(value) -> bool:
-    """A real number with an integral value, not a bool."""
-    return _is_number(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
+def _entries(values, dtype):
+    """`values` as nested lists of `dtype` scalars; an entry that is no
+    number raises TypeError."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if isinstance(values, (list, tuple)):
+        return [_entries(v, dtype) for v in values]
+    return _scalar(values, TypeError, "", dtype=dtype)
 
 
 # the slots' own setters, bypassing the __setattr__ that keeps values immutable

@@ -31,9 +31,7 @@ from .errors import (
 from .operators import (
     HermitianOperator,
     _commutator_norms,
-    _is_finite_real,
-    _is_integral,
-    _is_number,
+    _scalar,
     eigenvalues_hermitian,
     idempotency_residual,
     identity,
@@ -85,15 +83,17 @@ class Recipe:
 
     @classmethod
     def unit(cls, index: int) -> "Recipe":
-        if not _is_integral(index):
-            raise InvalidRecipe(f"unit index must be an integer, got {index!r}")
-        if index < 0:
+        value = _scalar(index, InvalidRecipe, "unit index must be an integer, got {!r}", float.is_integer)
+        if value < 0:
             raise InvalidRecipe(f"unit index must be non-negative, got {index}")
-        return cls(kind="unit", index=int(index))
+        return cls(kind="unit", index=int(value))
 
     @classmethod
     def convex(cls, weights) -> "Recipe":
-        ws = _real_weights(weights)
+        """One weight per ordering class: real numbers, each taken by
+        `_scalar`, that are >= 0 and sum to 1."""
+        message = "weights must be real numbers, got {!r}"
+        ws = tuple(_scalar(w, InvalidConvexWeights, message) for w in weights)
         _check_weights(ws, len(ws))
         return cls(kind="weights", weights=ws)
 
@@ -109,19 +109,6 @@ class Recipe:
             _check_weights(self.weights, len(classes))
             return [(w, c) for w, c in zip(self.weights, classes) if w]
         raise InvalidRecipe(f"unknown recipe kind {self.kind!r}")
-
-
-def _real_weights(weights) -> tuple:
-    """The weights as floats, once each is a real number (not a bool or a
-    string) within float range: a float, whose NaN and ±inf
-    `_check_weights` refuses, or a finite number (not an int past float
-    range, which float() cannot take)."""
-    ws = tuple(weights)
-    if not all(_is_number(w) for w in ws):
-        raise InvalidConvexWeights(f"weights must be real numbers, got {ws!r}")
-    if not all(isinstance(w, float) or _is_finite_real(w) for w in ws):
-        raise InvalidConvexWeights("weights must be finite real numbers")
-    return tuple(float(w) for w in ws)
 
 
 def _check_weights(ws, expected_len: int) -> None:
@@ -507,7 +494,7 @@ def combine(units, weights) -> PseudoProjection:
     the same order.
     """
     units = list(units)
-    ws = _real_weights(weights)
+    ws = Recipe.convex(weights).weights
     _check_weights(ws, len(units))
     gens = units[0].generators
     class_weights = [0.0] * len(ordering_classes(len(gens)))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _as_float, _floats
+from .operators import _array, _scalar
 from .pseudoprojection import Recipe
 from .schemes import Scheme
 from .states import (
@@ -43,25 +43,29 @@ ORTHOGONAL_PAIR = "orthogonal-pair"
 ORTHOGONAL_TRIPLE = "orthogonal-triple"
 
 
-def _check_pnorm(pnorm: float) -> None:
-    if not -ROUNDING_ATOL <= pnorm <= 1.0 + ROUNDING_ATOL:
-        raise ValueError(f"pnorm must lie in [0, 1], got {pnorm}")
+def _check_pnorm(pnorm) -> float:
+    """`pnorm` as a float, once `_scalar` takes it and it lies in [0, 1]."""
+    return _scalar(pnorm, ValueError, "pnorm must lie in [0, 1], got {!r}",
+                   lambda p: -ROUNDING_ATOL <= p <= 1.0 + ROUNDING_ATOL)
 
 
-def _check_theta(theta) -> None:
-    """Every angle of `theta` (a number or an array) in (0, pi); the first
-    one that is not, NaN included, is named."""
-    theta = _floats(theta)
+def _check_theta(theta) -> np.ndarray:
+    """`theta` (a number or an array) as a float array, once `_array` takes
+    it and every angle lies in (0, pi); the first one that does not, NaN
+    included, is named."""
+    message = "theta must lie in (0, pi), got {!r}"
+    theta = _array(theta, ValueError, message)
     outside = ~((0.0 < theta) & (theta < math.pi))
     if outside.any():
-        raise ValueError(f"theta must lie in (0, pi), got {float(theta[outside][0])}")
+        raise ValueError(message.format(float(theta[outside][0])))
+    return theta
 
 
-def _aligned_directions(theta) -> tuple:
+def _aligned_directions(theta: np.ndarray) -> tuple:
     """The aligned pair's directions (sin h, 0, cos h) and (-sin h, 0, cos h),
-    h = theta/2, each of shape theta.shape + (3,): unit vectors at angle
-    theta in the x-z plane with m1 + m2 along z."""
-    half = 0.5 * np.asarray(theta, dtype=float)
+    h = theta/2, each of shape theta.shape + (3,), for a float array theta:
+    unit vectors at angle theta in the x-z plane with m1 + m2 along z."""
+    half = 0.5 * theta
     s, c = np.sin(half), np.cos(half)
     zero = np.zeros_like(half)
     return np.stack([s, zero, c], axis=-1), np.stack([-s, zero, c], axis=-1)
@@ -73,9 +77,7 @@ def pair_entries(p, m1, m2) -> np.ndarray:
     Broadcasts over leading axes: p, m1, m2 are (..., 3) arrays and the
     result is (..., 4).
     """
-    p = np.asarray(p, dtype=float)
-    m1 = np.asarray(m1, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
+    p, m1, m2 = (_array(a, ValueError, "pair_entries needs real numbers, got {!r}") for a in (p, m1, m2))
     c = np.sum(m1 * m2, axis=-1)
     u = np.sum(p * m1, axis=-1)
     v = np.sum(p * m2, axis=-1)
@@ -88,8 +90,7 @@ def triple_entries(p, m1, m2, m3) -> np.ndarray:
 
     Broadcasts like `pair_entries`; the result is (..., 8).
     """
-    p = np.asarray(p, dtype=float)
-    ms = [np.asarray(m, dtype=float) for m in (m1, m2, m3)]
+    p, *ms = (_array(a, ValueError, "triple_entries needs real numbers, got {!r}") for a in (p, m1, m2, m3))
     pm = [np.sum(p * m, axis=-1) for m in ms]
     mm = {
         (i, j): np.sum(ms[i] * ms[j], axis=-1)
@@ -133,9 +134,8 @@ class PairGeometry:
     @classmethod
     def aligned(cls, pnorm: float, theta: float) -> "PairGeometry":
         """Directions at angle theta in the x-z plane, P along m1 + m2."""
-        _check_theta(theta)
-        _check_pnorm(pnorm)
-        return cls(np.array([0.0, 0.0, float(pnorm)]), *_aligned_directions(theta))
+        theta = _check_theta(theta)
+        return cls(np.array([0.0, 0.0, _check_pnorm(pnorm)]), *_aligned_directions(theta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +165,7 @@ class TripleGeometry:
     @classmethod
     def orthogonal_diagonal(cls, pnorm: float) -> "TripleGeometry":
         """Coordinate axes with P along their diagonal (worst case)."""
-        p = _as_float(pnorm) * np.ones(3) / math.sqrt(3.0)
+        p = _scalar(pnorm, ValueError, "pnorm must be a real number, got {!r}") * np.ones(3) / math.sqrt(3.0)
         return cls(p=p, m1=np.eye(3)[0], m2=np.eye(3)[1], m3=np.eye(3)[2])
 
 
@@ -201,10 +201,8 @@ def negativity_special(pnorm: float, theta):
     Broadcasts over theta like `pair_entries`: a float for a number, an
     array of theta's shape for an array.
     """
-    pnorm = _as_float(pnorm)
-    _check_pnorm(pnorm)
-    _check_theta(theta)
-    c = np.cos(0.5 * np.asarray(theta, dtype=float))
+    pnorm = _check_pnorm(pnorm)
+    c = np.cos(0.5 * _check_theta(theta))
     value = np.maximum(0.0, 0.5 * (pnorm * c - c * c))
     return float(value) if value.ndim == 0 else value
 
@@ -218,8 +216,7 @@ class NegativityMax:
 def negativity_max(pnorm: float) -> NegativityMax:
     """Maximum aligned-pair negativity over theta: |P|^2/8 at
     theta* = 2 arccos(|P|/2)."""
-    pnorm = _as_float(pnorm)
-    _check_pnorm(pnorm)
+    pnorm = _check_pnorm(pnorm)
     return NegativityMax(value=pnorm * pnorm / 8.0, theta_star=2.0 * math.acos(0.5 * pnorm))
 
 

@@ -23,7 +23,7 @@ from .errors import (
     OrderingExplosion,
     PartitionSearchTooLarge,
 )
-from .operators import _is_finite_real, _is_integral, _is_number
+from .operators import _array, _scalar
 from .pseudoprojection import (
     MAX_GENERATORS, MAX_LATTICE_ENTRIES, Recipe, ordering_classes, weighted_matrix, weyl_matrix,
 )
@@ -78,12 +78,12 @@ MAX_PARTITION_EVENTS = 16
 _WEYL = Recipe.weyl()
 
 
-def check_eps(eps: float) -> float:
-    """`eps` if it is a finite number >= 0, else ValueError: a NaN classicality
-    tolerance would call every scheme classical."""
-    if not (_is_number(eps) and _is_finite_real(eps) and eps >= 0.0):
-        raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
-    return eps
+def check_eps(eps) -> float:
+    """`eps` as a float if `_scalar` takes it and it is finite and >= 0,
+    else ValueError: a NaN classicality tolerance would call every scheme
+    classical."""
+    message = "eps must be a finite number >= 0, got {!r}"
+    return _scalar(eps, ValueError, message, lambda e: 0.0 <= e < math.inf)
 
 
 class Scheme:
@@ -99,7 +99,7 @@ class Scheme:
     def __init__(self, observables, recipe: Recipe, state: DensityMatrix, values):
         observables = tuple(observables)
         tuples = tuple(itertools.product(*[obs.outcomes for obs in observables]))
-        values = np.asarray(values, dtype=float).reshape(-1)
+        values = _array(values, ValueError, "scheme entries must be real numbers, got {!r}").reshape(-1)
         if len(values) != len(tuples):
             raise ValueError(f"expected {len(tuples)} entries, got {len(values)}")
         # written so that NaN fails them; the bounds come first, so that inf
@@ -221,10 +221,8 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
 
 def marginal(scheme: Scheme, keep) -> Scheme:
     """Sum out the observables not in `keep` (integer indices into the scheme)."""
-    keep = tuple(keep)
-    if not all(map(_is_integral, keep)):
-        raise ValueError(f"keep indices must be integers, got {keep!r}")
-    keep = sorted(set(int(k) for k in keep))
+    message = "keep indices must be integers, got {!r}"
+    keep = sorted({int(_scalar(k, ValueError, message, float.is_integer)) for k in keep})
     n = scheme.n_observables
     if not keep:
         raise ValueError("keep must name at least one observable")
@@ -262,7 +260,7 @@ def classify(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> Classification:
 
     `eps` must be a finite number >= 0; anything else raises ValueError.
     """
-    check_eps(eps)
+    eps = check_eps(eps)
     neg = [
         (t, float(v))
         for t, v in zip(scheme.outcome_tuples, scheme.values)
@@ -341,7 +339,7 @@ def minimal_coarse_graining(scheme: Scheme, eps: float = CLASSICALITY_EPS) -> Co
     searched. `eps` must be a finite number >= 0; anything else raises
     ValueError.
     """
-    check_eps(eps)
+    eps = check_eps(eps)
     values = scheme.values.tolist()
     n = len(values)
     if n > MAX_PARTITION_EVENTS:

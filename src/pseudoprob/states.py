@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidState, NotAProjector, UnphysicalBloch
 from .operators import (
-    HermitianOperator, _floats, _is_finite_real, _is_number, _non_hermitian, _operators, eigenvalues_hermitian,
+    HermitianOperator, _array, _non_hermitian, _operators, _scalar, eigenvalues_hermitian,
     idempotency_residual,
 )
 from .tolerances import ATOL_LOOSE, RESIDUAL_ATOL, ROUNDING_ATOL
@@ -25,9 +25,11 @@ _HALF = 0.5 + 0j
 
 
 def _vector3(v, what: str):
-    """`v` as a real 3-vector, and its norm sqrt(v . v) as a Python float; a
-    component past float range reads as infinite, so the norm is."""
-    v = _floats(v)
+    """`v` as a real 3-vector, and its norm sqrt(v . v) as a Python float.
+    `_array` takes the components: a bool, string, None or complex one
+    raises ValueError, and one past float range reads as infinite, so the
+    norm is."""
+    v = _array(v, ValueError, what + " needs a 3-vector of real numbers, got {!r}")
     if v.shape != (3,):
         raise ValueError(f"{what} needs a 3-vector, got shape {v.shape}")
     return v, math.sqrt(v.dot(v))
@@ -55,7 +57,7 @@ def bloch_vector(p) -> np.ndarray:
 
 def pauli_matrix(v) -> np.ndarray:
     """sigma . v as a 2x2 complex array (v need not be normalised)."""
-    x, y, z = np.asarray(v, dtype=float).tolist()
+    x, y, z = _vector3(v, "Pauli vector")[0].tolist()
     return np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
 
 
@@ -211,9 +213,8 @@ def projector_from_direction(m, outcome: int) -> HermitianOperator:
     `direction` checks m, and `_pauli_parts` forms the matrix and runs
     `HermitianOperator`'s checks on it from m's three floats.
     """
-    if outcome not in (1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-    return _operators(*_pauli_parts(outcome * direction(m), (1,)))[0]
+    sign = _scalar(outcome, ValueError, "outcome must be +1 or -1, got {!r}", lambda a: a in (1.0, -1.0))
+    return _operators(*_pauli_parts(sign * direction(m), (1,)))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,9 +237,9 @@ class Observable:
        idempotency residual;
     2. orthogonality, P_i P_j for j > i, one row i at a time;
     3. the sum to the identity;
-    4. each label, which must be a real number by `_is_number`, so strings
-       and bools are refused, and finite by `_is_finite_real`, so an int
-       past float range is refused too;
+    4. each label, which `_scalar` must take as a finite real number, so
+       strings and bools are refused, and so is an int past float range,
+       which reads as infinite; labels keep their own type;
     5. the recomposition sum_i a_i pi_i, computed once the labels pass;
     6. repeated labels.
     `observable_from_direction` makes a qubit observable without these
@@ -267,10 +268,9 @@ class Observable:
         if np.abs(stack.sum(axis=0) - np.eye(dim)).max() > RESIDUAL_ATOL:
             raise InvalidState("resolution projectors do not sum to identity")
         outcomes = tuple([a for a, _ in res])
-        for a in outcomes:
-            if not (_is_number(a) and _is_finite_real(a)):
-                raise InvalidState(f"outcome label {a!r} is not a finite real number")
-        recomposed = np.tensordot(np.array(outcomes, dtype=float), stack, 1)
+        labels = [_scalar(a, InvalidState, "outcome label {!r} is not a finite real number", math.isfinite)
+                  for a in outcomes]
+        recomposed = np.tensordot(np.array(labels), stack, 1)
         if np.abs(recomposed - self.op.matrix).max() > RESIDUAL_ATOL:
             raise InvalidState("resolution does not recompose the observable")
         # outcome tuples name projectors by label, so labels must differ

@@ -25,7 +25,7 @@ from pseudoprob import (
     tensor,
     trace_with,
 )
-from pseudoprob.operators import _is_number
+from pseudoprob.operators import _scalar
 
 import oracles
 
@@ -85,6 +85,8 @@ BAD_MATRICES = {
     "nan_imaginary": [[1, complex(0, np.nan)], [0, 1]],
     "inf_imaginary": [[1, complex(0, np.inf)], [complex(0, -np.inf), 1]],
     "non_hermitian": [[0, 1], [0, 0]],
+    # Hermitian, but M + M^dag overflows to a NaN residual
+    "overflow": [[0, 1e308 + 1e308j], [1e308 - 1e308j, 0]],
 }
 
 
@@ -124,6 +126,14 @@ class TestFromStack:
         stack = [np.eye(2), 0.5 * np.eye(2), SIGMA_X.matrix]
         stack.insert(position, bad)
         assert raised(lambda: HermitianOperator.from_stack(stack)) == expected
+
+    def test_overflowing_hermitian_part_is_refused_without_a_warning(self):
+        # pytest turns any numpy overflow warning into an error here
+        bad = np.array(BAD_MATRICES["overflow"])
+        with pytest.raises(NonHermitianInput, match="residual nan"):
+            HermitianOperator(bad)
+        with pytest.raises(NonHermitianInput, match="residual nan"):
+            HermitianOperator.from_stack(bad[None])
 
     def test_non_square_raises_as_single_constructor(self):
         expected = raised(lambda: HermitianOperator(np.zeros((2, 3))))
@@ -288,4 +298,11 @@ class TestHelpers:
     ids=["float", "int", "bool", "np.float64", "np.int64", "np.bool_", "Fraction", "complex", "str", "None", "nan"],
 )
 def test_is_number(value, expected):
-    assert _is_number(value) is expected
+    # the scalar intake takes a number as a float and refuses anything else
+    # with the caller's error class and message
+    if expected:
+        taken = _scalar(value, LookupError, "{!r} refused")
+        assert type(taken) is float and (taken == float(value) or math.isnan(value))
+    else:
+        with pytest.raises(LookupError, match=r"^\S+ refused$"):
+            _scalar(value, LookupError, "{!r} refused")

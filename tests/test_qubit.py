@@ -250,6 +250,23 @@ class TestNegativityMax:
             negativity_max(pnorm)
         assert str(error.value) == f"pnorm must lie in [0, 1], got {shown}"
 
+    def test_random_pair_geometries_stay_within_the_law(self):
+        # the law |P|^2/8 is the aligned family's maximum; no pair geometry
+        # in the ball, aligned or not, may exceed it
+        rng = np.random.default_rng(2026)
+        n = 200_000
+
+        def units():
+            v = rng.normal(size=(n, 3))
+            return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+        p = units() * rng.random((n, 1)) ** (1 / 3)
+        entries = pair_entries(p, units(), units())
+        values = -np.minimum(entries, 0.0).sum(axis=1)
+        law = np.sum(p * p, axis=1) / 8
+        assert np.all(values <= law + 1e-12)
+        assert values.max() > 0.1  # the sample reaches well into the negative region
+
     def test_golden_section_confirms(self):
         for pnorm in (0.2, 0.6, 1.0):
             theta, value = oracles.gss_max(
