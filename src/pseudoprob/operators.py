@@ -167,13 +167,21 @@ def _array(values, error, message: str, dtype=float) -> np.ndarray:
         raise error(message.format(values)) from None
 
 
+# ints below this in magnitude convert to a float without overflow
+_INT_RANGE = 1 << 1023
+
+
 def _entries(values, dtype):
     """`values` as nested lists of `dtype` scalars; an entry that is no
-    number raises TypeError."""
+    number raises TypeError. A list or tuple of exact floats, and ints within
+    float range, is passed on as it is, for numpy to convert in one step."""
     if isinstance(values, np.ndarray):
         values = values.tolist()
     if isinstance(values, (list, tuple)):
-        return [_entries(v, dtype) for v in values]
+        for v in values:
+            if type(v) is not float and (type(v) is not int or not -_INT_RANGE < v < _INT_RANGE):
+                return [_entries(v, dtype) for v in values]
+        return values
     return _scalar(values, TypeError, "", dtype=dtype)
 
 
@@ -194,8 +202,15 @@ def _operators(herm: np.ndarray, residuals) -> tuple:
     return tuple(ops)
 
 
+def _dimension(dim) -> int:
+    """`dim` as an int, once `_scalar` takes it as an integer >= 1, else
+    ValueError."""
+    message = "dimension must be an integer >= 1, got {!r}"
+    return int(_scalar(dim, ValueError, message, lambda x: x.is_integer() and x >= 1))
+
+
 def identity(dim: int) -> HermitianOperator:
-    return HermitianOperator(np.eye(dim, dtype=complex))
+    return HermitianOperator(np.eye(_dimension(dim), dtype=complex))
 
 
 SIGMA_X = HermitianOperator([[0, 1], [1, 0]])

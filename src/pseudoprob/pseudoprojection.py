@@ -40,15 +40,14 @@ from .tolerances import RESIDUAL_ATOL, ROUNDING_ATOL
 
 # A Weyl average takes 2^N N products; build_scheme makes each partial
 # product once per outcome of the observables it involves, within
-# MAX_LATTICE_ENTRIES: an N = 8 Weyl scheme takes ~2.5-2.7 ms over qubits (256
-# tuples; ~4.1-4.2 ms in the same run with sizes 3-6 made pair by pair) and
-# ~26-29 ms over qutrits (6561 tuples), and a weights recipe over
+# MAX_LATTICE_ENTRIES: an N = 8 Weyl scheme takes ~2.4-2.5 ms over qubits (256
+# tuples) and ~24 ms over qutrits (6561 tuples), and a weights recipe over
 # all 20160 classes of 8 qubit observables ~0.20-0.22 s, on a 2-vCPU Xeon VM,
-# min of 3-5 (the VM's speed varies by run, up to 2x). Only
+# min of 3 in each of 2-3 runs (the VM's speed varies by run, up to 2x). Only
 # unit_pseudo_projections enumerates all N!/2 = 20160 classes at N = 8:
 # ~0.23 s at d = 2 and ~0.63 s at d = 14, the largest d within
 # MAX_LATTICE_ENTRIES (at N = 7, d = 40: ~0.49 s), min of 3 on the same VM.
-# weyl_pseudo_projection at N = 8 takes ~0.27-0.33 s at its largest d, 128.
+# weyl_pseudo_projection at N = 8 takes ~0.26-0.27 s at its largest d, 128.
 MAX_GENERATORS = 8
 # The most d x d complex matrix entries one call builds, counted before
 # anything is built: build_scheme's outcome lattice (see schemes), 2^N d^2 for
@@ -56,8 +55,8 @@ MAX_GENERATORS = 8
 # single-outcome axes) and (N!/2 + N) d^2 for unit_pseudo_projections (one
 # unit per reversal class, and the stack of N generators they are made
 # from). At each N the largest accepted d then takes ~0.3-0.6 s for
-# weyl_pseudo_projection (~0.41-0.56 s at N = 2, d = 1024, ~0.43-0.54 s at
-# N = 3, d = 724, ~0.27-0.36 s at N = 8, d = 128) and ~0.5-0.8 s for
+# weyl_pseudo_projection (~0.35-0.40 s at N = 2, d = 1024, ~0.36-0.38 s at
+# N = 3, d = 724, ~0.26-0.27 s at N = 8, d = 128) and ~0.5-0.8 s for
 # unit_pseudo_projections (~0.62 s at N = 2, d = 1182, the slowest ~0.8 s at
 # N = 4, d = 512), min of 3-5 on the same VM.
 MAX_LATTICE_ENTRIES = 1 << 22
@@ -77,25 +76,39 @@ class Recipe:
     index: int | None = None
     weights: tuple | None = None
 
+    def __post_init__(self):
+        """The unit index as an int >= 0 and the weights as a tuple of floats
+        >= 0 summing to 1, each taken by `_scalar`; any other kind than the
+        three raises InvalidRecipe."""
+        if self.kind == "unit":
+            index = _scalar(self.index, InvalidRecipe, "unit index must be an integer, got {!r}", float.is_integer)
+            if index < 0:
+                raise InvalidRecipe(f"unit index must be non-negative, got {self.index}")
+            object.__setattr__(self, "index", int(index))
+        elif self.kind == "weights":
+            message = "weights must be real numbers, got {!r}"
+            try:
+                ws = tuple(_scalar(w, InvalidConvexWeights, message) for w in self.weights)
+            except TypeError:  # not iterable
+                raise InvalidConvexWeights(message.format(self.weights)) from None
+            _check_weights(ws, len(ws))
+            object.__setattr__(self, "weights", ws)
+        elif self.kind != "weyl":
+            raise InvalidRecipe(f"unknown recipe kind {self.kind!r}")
+
     @classmethod
     def weyl(cls) -> "Recipe":
         return cls(kind="weyl")
 
     @classmethod
     def unit(cls, index: int) -> "Recipe":
-        value = _scalar(index, InvalidRecipe, "unit index must be an integer, got {!r}", float.is_integer)
-        if value < 0:
-            raise InvalidRecipe(f"unit index must be non-negative, got {index}")
-        return cls(kind="unit", index=int(value))
+        return cls(kind="unit", index=index)
 
     @classmethod
     def convex(cls, weights) -> "Recipe":
         """One weight per ordering class: real numbers, each taken by
         `_scalar`, that are >= 0 and sum to 1."""
-        message = "weights must be real numbers, got {!r}"
-        ws = tuple(_scalar(w, InvalidConvexWeights, message) for w in weights)
-        _check_weights(ws, len(ws))
-        return cls(kind="weights", weights=ws)
+        return cls(kind="weights", weights=weights)
 
     def terms(self, classes) -> list:
         """(weight, ordering) pairs of the recipe over `classes`, zero weights dropped."""
@@ -273,18 +286,25 @@ def _operands(mats) -> tuple:
     return left, [right_factors(m) for m in mats]
 
 
-# The most bytes one gathered step of `weyl_matrix` holds: the left rows,
-# right factors and results of its products, (16 + 32 + 16) d^2 bytes a
-# product. A subset size is gathered when its products fit one step, or in
+# The most bytes one gathered step of `weyl_matrix` holds. A gathered
+# product holds its left row, right factor and result, (16 + 32 + 16) d^2
+# bytes. A subset size of n rows of k-subsets is one step when its k n
+# products fit and so does its product table: every one of the R rows of the
+# size below times the right factors of each of the G generator rows, one
+# matmul, and the k n products picked from it, (G R + k n) 16 d^2 bytes. A
+# table product costs about a ninth of one made in a stacked matmul of tiny
+# ones, which pays for the products not picked. Other sizes are gathered in
 # steps of whole subsets, each as long as this lets it be, when those of
-# its largest subset fit half a step; so every step but a size's last
-# holds two subsets or more. Other sizes are made pair by pair: copying
-# few, large subsets into steps costs more than the calls it saves
-# (steps sized by this budget alone made qutrit Weyl at N = 6 0.7x as
-# fast, d = 4 at N = 5 0.55x and d = 128 at N = 8 0.65x). Every size of
-# qubit Weyl up to N = 6 and of qutrit Weyl up to N = 4 is one step; qubit
-# sizes 4-6 at N = 7 and 3-6 at N = 8 take 2-14 steps, which made qubit
-# Weyl at N = 7 ~1.9x and at N = 8 ~1.6-1.8x faster than pair by pair.
+# their largest subset fit half a step, so every step but a size's last
+# holds two subsets or more; the rest are made pair by pair. Copying few,
+# large subsets into steps costs more than the calls it saves (steps sized
+# by this budget alone made qutrit Weyl at N = 6 0.7x as fast, d = 4 at
+# N = 5 0.55x and d = 128 at N = 8 0.65x), and a table for a size that is
+# cut into steps slowed the sizes after it (qubit Weyl at N = 8 ~2%). Every
+# size of qubit Weyl up to N = 6 and of qutrit Weyl up to N = 4 is one
+# step; qubit sizes 4-6 at N = 7 and 3-6 at N = 8 take 2-14 steps, which
+# made qubit Weyl at N = 7 ~1.9x and at N = 8 ~1.6-1.8x faster than pair
+# by pair.
 GATHER_BYTES = 1 << 18
 
 
@@ -296,19 +316,24 @@ def _rows(first: int, end: int, shape: tuple, target: tuple) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _weyl_plan(shapes: tuple, d: int) -> tuple:
-    """(levels, shape): `weyl_matrix`'s plan for N generators of d x d
-    matrices whose stacks have leading shapes `shapes`, and the shape of
-    the last level's rows as the result's (..., d, 2d) floats.
+    """(levels, last, shape): `weyl_matrix`'s plan for N generators of d x d
+    matrices whose stacks have leading shapes `shapes`, the last level's
+    (below, factor) row numbers, and the shape of the last level's rows as
+    the result's (..., d, 2d) floats.
 
     Each subset size is one array of float64 (d, 2d) rows, its W(S) in
     `_subset_plan` order, each (first, end, shape): its rows first..end - 1
     laid out in the members' shapes broadcast. The generators are size 1,
-    and their right factors have the same row numbers. The entry of size k
-    is (rows, gathers, pairs), one of the last two empty:
+    and their right factors have the same row numbers. A run of whole
+    subsets has (k, rows) row numbers (below, factor): its row r is the sum
+    over j of row below[j, r] of the size below times row factor[j, r] of
+    the right factors, j the place of i in S. The entry of size k is (rows,
+    index, gathers, pairs), one of the last three set:
+    - index, factor R + below over the whole size for the R rows of the
+      size below, picks its products from the table of every row below
+      times every generator, made in one step.
     - a gather (first, end, below, factor) makes the rows of a run of
-      whole subsets: row first + r is the sum over j of row below[j, r] of
-      the size below times row factor[j, r] of the right factors, j the
-      place of i in S. Runs are as long as GATHER_BYTES lets them be.
+      whole subsets. Runs are as long as GATHER_BYTES lets them be.
     - a pair step (first, end, shape, pairs) makes one W(S), its rows
       viewed as `shape`, as the sum over its (S, i) pairs, i ascending, of
       W(S - {i}) times A_i's right factors, each a (first, end, shape) view
@@ -316,44 +341,54 @@ def _weyl_plan(shapes: tuple, d: int) -> tuple:
     """
     starts = [0, *itertools.accumulate(math.prod(s) for s in shapes)]
     gens = [(starts[i], starts[i + 1], s) for i, s in enumerate(shapes)]
-    place, levels = {(i,): g for i, g in enumerate(gens)}, []
+    place, levels, size = {(i,): g for i, g in enumerate(gens)}, [], starts[-1]
+
+    def numbers(run):  # (below, factor) of a run of (S, steps), read-only
+        out = np.concatenate([[[_rows(*below[rest], place[s][2]) for _, rest in steps],
+                               [_rows(*gens[i], place[s][2]) for i, _ in steps]]
+                              for s, steps in run], axis=2)
+        out.setflags(write=False)
+        return out
+
     for k, level in enumerate(_subset_plan(len(shapes)), 2):
-        below, place, size = place, {}, 0
+        below, place, rows_below, size = place, {}, size, 0
         for s, _ in level:
             shape = np.broadcast_shapes(*(shapes[i] for i in s))
             place[s] = (size, size + math.prod(shape), shape)
             size += math.prod(shape)
-        cost = k * 64 * d * d  # bytes of one row's products
-        gathers, pairs = [], []
-        if min(size, 2 * max(b - a for a, b, _ in place.values())) * cost <= GATHER_BYTES:
+        cost = k * 64 * d * d  # bytes of one row's products and their operands
+        table = 16 * d * d * (starts[-1] * rows_below + k * size)  # and of a product table
+        index, gathers, pairs = None, [], []
+        if max(table, size * cost) <= GATHER_BYTES:
+            lower, factor = numbers(level)
+            index = factor * rows_below + lower
+            index.setflags(write=False)
+        elif min(size, 2 * max(b - a for a, b, _ in place.values())) * cost <= GATHER_BYTES:
+            runs = []
             for s, steps in level:
-                first, end, shape = place[s]
-                if not gathers or (end - gathers[-1][0]) * cost > GATHER_BYTES:
-                    gathers.append([first, []])
-                gathers[-1][1].append([[_rows(*below[rest], shape) for _, rest in steps],
-                                       [_rows(*gens[i], shape) for i, _ in steps]])
-            for step in gathers:
-                numbers = np.concatenate(step[1], axis=2)
-                numbers.setflags(write=False)
-                step[1:] = step[0] + numbers.shape[2], *numbers  # end, below, factor
+                if not runs or (place[s][1] - place[runs[-1][0][0]][0]) * cost > GATHER_BYTES:
+                    runs.append([])
+                runs[-1].append((s, steps))
+            gathers = [(place[run[0][0]][0], place[run[-1][0]][1], *numbers(run)) for run in runs]
         else:
             pairs = [(*place[s][:2], (*place[s][2], d, 2 * d), tuple(
                 (*below[rest][:2], (*below[rest][2], d, 2 * d), *gens[i][:2], (*shapes[i], 2 * d, 2 * d))
                 for i, rest in steps)) for s, steps in level]
-        levels.append((size, tuple(map(tuple, gathers)), tuple(pairs)))
-    return tuple(levels), (*np.broadcast_shapes(*shapes), d, 2 * d)
+        levels.append((size, index, tuple(gathers), tuple(pairs)))
+    last = numbers(level) if levels else ()
+    return tuple(levels), last, (*np.broadcast_shapes(*shapes), d, 2 * d)
 
 
-def _weyl_level(rows, factors, size, gathers, pairs) -> np.ndarray:
+def _weyl_level(rows, factors, size, index, gathers, pairs) -> np.ndarray:
     """One subset size of `weyl_matrix` as one array of rows, from `rows`,
     the size below, and the generators' right `factors`, by its
-    `_weyl_plan` entry. A size of one gathered step is that step's sum.
-    The views made here end with the call, so none of them keeps a size
-    alive while the next one is allocated."""
-    if len(gathers) == 1:
-        (_, _, below, factor), = gathers
-        return np.add.reduce(rows[below] @ factors[factor], axis=0)
+    `_weyl_plan` entry. The views made here end with the call, so none of
+    them keeps a size alive while the next one is allocated."""
     level = np.empty((size, *rows.shape[1:]))
+    if index is not None:
+        r, d, _ = rows.shape
+        products = (rows.reshape(1, r * d, 2 * d) @ factors).reshape(-1, d, 2 * d)
+        np.add.reduce(products[index], axis=0, out=level)
     for first, end, below, factor in gathers:
         np.add.reduce(rows[below] @ factors[factor], axis=0, out=level[first:end])
     for first, end, shape, ((a, b, left, c, e, right), *more) in pairs:
@@ -362,6 +397,19 @@ def _weyl_level(rows, factors, size, gathers, pairs) -> np.ndarray:
         for a, b, left, c, e, right in more:
             out += rows[a:b].reshape(left) @ factors[c:e].reshape(right)
     return level
+
+
+def _weyl_rows(mats, levels) -> np.ndarray:
+    """The rows of the last of the subset sizes `levels` of the N >= 3
+    generators `mats`, made size by size from the generators' rows."""
+    d = mats[0].shape[-1]
+    gens = np.concatenate([m.reshape(-1, d, d) for m in mats], dtype=np.complex128)
+    factors, rows = right_factors(gens), gens.view(np.float64)
+    # the generators are freed once the level that reads their rows is done
+    del gens
+    for level in levels:
+        rows = _weyl_level(rows, factors, *level)
+    return rows
 
 
 def weyl_matrix(mats) -> np.ndarray:
@@ -381,14 +429,16 @@ def weyl_matrix(mats) -> np.ndarray:
     orderings: every subset size is one array of float64 rows, the W(S) of
     its subsets in turn, and each product is a real matmul with A_i's
     `right_factors`, made once for all the generators. `_weyl_plan` makes
-    each size in one of two ways. Gathered steps, each a run of whole
-    subsets whose products fit GATHER_BYTES: the rows of W(S - {i}) and of
-    A_i's right factors for every (S, i) pair of the run are gathered into
-    two stacks, one matmul makes every product, and `np.add.reduce` over
-    the place of i in S, which adds in that order, sums them. Or pair by
-    pair: each (S, i) product by broadcasting, one stacked matmul into the
-    size's rows, then one in-place add each. Both are bit for bit the same
-    sums.
+    each size in one of three ways. In one step: one matmul makes the
+    products of every row of the size below with every generator, and each
+    W(S) gathers its (S, i) products from them. In gathered steps, each a
+    run of whole subsets whose products fit GATHER_BYTES: the rows of
+    W(S - {i}) and of A_i's right factors for every (S, i) pair of the run
+    are gathered into two stacks and one matmul makes every product. A
+    gathered size is summed by `np.add.reduce` over the place of i in S,
+    which adds in that order. Or pair by pair: each (S, i) product by
+    broadcasting, one stacked matmul into the size's rows, then one
+    in-place add each. All three are bit for bit the same sums.
 
     Sums, the division by 2 N! and the hermitization run in place on
     arrays made here, and no view of a size outlives the next, so the peak
@@ -401,20 +451,34 @@ def weyl_matrix(mats) -> np.ndarray:
         if n == 2:
             acc += mats[0] @ mats[1]
     else:
-        d = mats[0].shape[-1]
-        levels, shape = _weyl_plan(tuple([m.shape[:-2] for m in mats]), d)
-        gens = np.concatenate([m.reshape(-1, d, d) for m in mats], dtype=np.complex128)
-        factors, rows = right_factors(gens), gens.view(np.float64)
-        # the generators are freed once the level that reads their rows is done
-        del gens
-        for level in levels:
-            rows = _weyl_level(rows, factors, *level)
-        acc = rows.reshape(shape).view(np.complex128)
+        levels, _, shape = _weyl_plan(tuple([m.shape[:-2] for m in mats]), mats[0].shape[-1])
+        acc = _weyl_rows(mats, levels).reshape(shape).view(np.complex128)
     # halving is exact, so A + A^dag for A = W/(2 N!) is (W/N! + (W/N!)^dag)/2
     # bit for bit
     acc /= 2 * math.factorial(n)
     acc += acc.conj().swapaxes(-1, -2)
     return acc
+
+
+def weyl_traces(mats, rho) -> np.ndarray:
+    """Tr(rho P) for the `weyl_matrix` P of each outcome tuple of N >= 3
+    Hermitian generators `mats`, flattened, without making P.
+
+    For a Hermitian d x d `rho`, Tr(rho (W + W^dag)/2) = Re Tr(rho W), and
+    the last subset size is W = sum_i W(F - {i}) A_i over the whole set F.
+    So the sizes are made up to N - 1 as `weyl_matrix` makes them, and one
+    matmul of their rows, as float rows of 2 d^2, against the float rows of
+    C_g = conj((A_g rho)^T) = rho A_g for every generator row g tables every
+    Re Tr(W(S) A_g rho). Each tuple's value is the sum of its N entries of
+    that table, over i ascending, divided by N!: real by construction. C is
+    made once the sizes are, when only the last of them is held.
+    """
+    d = rho.shape[0]
+    levels, (below, factor), _ = _weyl_plan(tuple([m.shape[:-2] for m in mats]), d)
+    rows = _weyl_rows(mats, levels[:-1])
+    c = rho @ np.concatenate([m.reshape(-1, d, d) for m in mats])
+    table = rows.reshape(len(rows), -1) @ c.view(np.float64).reshape(len(c), -1).T
+    return np.add.reduce(table[below, factor], axis=0) / math.factorial(len(mats))
 
 
 def weighted_matrix(mats, terms) -> np.ndarray:

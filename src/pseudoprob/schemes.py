@@ -26,6 +26,7 @@ from .errors import (
 from .operators import _array, _scalar
 from .pseudoprojection import (
     MAX_GENERATORS, MAX_LATTICE_ENTRIES, Recipe, ordering_classes, weighted_matrix, weyl_matrix,
+    weyl_traces,
 )
 from .states import DensityMatrix
 from .tolerances import ATOL_LOOSE, CLASSICALITY_EPS, RESIDUAL_ATOL
@@ -57,22 +58,23 @@ ENTRY_MIN, ENTRY_MAX = -1.0, 2.0
 MAX_PARTITION_EVENTS = 16
 # build_scheme's outcome lattice holds W(S) for every subset S of the
 # observables and every outcome of those in S: prod_i (1 + k_i) complex d x d
-# matrices for k_i outcomes each. A unit/weights recipe instead makes B(s)
-# for every distinct proper suffix s of its nonzero orderings, over the
-# outcomes of the observables outside s (_suffix_matrices). Inputs above
-# MAX_LATTICE_ENTRIES entries are rejected before anything is built. On a
-# 2-vCPU Xeon VM, min of 3-5: the slowest accepted inputs found take
-# ~0.16-0.22 s (Weyl, d = 4, outcome counts 4,4,4,4,4,4,3,3; 4.0M entries)
-# and ~0.25-0.3 s (weights over 11383 classes of 8 qutrit observables, or
-# over all 20160 classes of 8 two-outcome observables at d = 4), and the
-# largest tracemalloc peak found is ~115 MiB (Weyl, d = 44, N = 2; 3.9M).
-# From N = 3 on Weyl runs real, against right factors of twice the
-# generators' bytes: a full-rank d = 20, N = 3 Weyl scheme (3.7M) takes
-# ~0.15-0.19 s and peaks at ~106 MiB, and single-outcome observables at
-# d = 724, N = 3 (4.19M) ~0.3-0.4 s at a peak of ~112 MiB. Large d with few
-# outcomes stays cheap: single-outcome observables at d = 1024, N = 2 or
-# d = 128, N = 8 take ~0.19-0.32 s, and a qutrit N = 8 Weyl scheme (0.59M)
-# ~26-29 ms.
+# matrices for k_i outcomes each; a fused Weyl scheme (see build_scheme)
+# makes the subsets of up to N - 1 observables and contracts the last sums
+# with rho, but is counted the same. A unit/weights recipe instead makes B(s) for every distinct
+# proper suffix s of its nonzero orderings, over the outcomes of the
+# observables outside s (_suffix_matrices). Inputs above MAX_LATTICE_ENTRIES
+# entries are rejected before anything is built. On a 2-vCPU Xeon VM, min of
+# 3 in each of 2-3 runs: the slowest accepted inputs found take ~0.2-0.24 s
+# (weights over 11383 classes of 8 qutrit observables, or over all 20160
+# classes of 8 two-outcome observables at d = 4) and ~0.11-0.12 s (Weyl,
+# d = 4, outcome counts 4,4,4,4,4,4,3,3; 4.0M entries), and the largest
+# tracemalloc peak found is ~115 MiB (Weyl, d = 44, N = 2; 3.9M). From N = 3
+# on Weyl runs real, against right factors of twice the generators' bytes:
+# single-outcome observables at d = 724, N = 3 (4.19M) take ~0.29-0.38 s at
+# a peak of ~104 MiB, 48 MiB of it the factors, and a full-rank d = 20,
+# N = 3 Weyl scheme (3.7M) ~8 ms at ~11 MiB. Large d with few outcomes stays
+# cheap: single-outcome observables at d = 1024, N = 2 or d = 128, N = 8
+# take ~0.18-0.28 s, and a qutrit N = 8 Weyl scheme (0.59M) ~24 ms.
 
 # the recipe of every build_scheme call that passes none
 _WEYL = Recipe.weyl()
@@ -174,6 +176,16 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
     real matmuls on float64 views, a single ordering or N <= 2 in complex
     arithmetic (`pseudoprojection._operands`). Inputs whose lattice exceeds
     MAX_LATTICE_ENTRIES raise OrderingExplosion before any of it is built.
+
+    Weyl from N = 4 on, and at N = 3 from d = 3 on, fuses the trace into
+    the last product: `weyl_traces` makes the subset sizes up to N - 1 and
+    contracts each tuple's last sum of products with rho, so no P is made
+    and its entries are real by construction. The rest make every P and
+    contract it with rho, and an imaginary entry residue above ATOL_LOOSE
+    there raises NonHermitianTrace: N <= 2, unit/weights recipes, and qubit
+    triples, where fusing saved ~2% of the kernel and moved the last bits
+    of every entry (the coplanar triple's negativity printed as
+    0.12500000000000011, not 0.125).
     """
     observables = tuple(observables)
     if not observables:
@@ -210,6 +222,8 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
         obs.projectors.reshape((1,) * i + (k,) + (1,) * (n - 1 - i) + (d, d))
         for i, (obs, k) in enumerate(zip(observables, counts))
     ]
+    if terms is None and (n > 3 or n == 3 and d > 2):
+        return Scheme(observables, recipe, rho, weyl_traces(mats, rho.matrix))
     op = weyl_matrix(mats) if terms is None else weighted_matrix(mats, terms)
     # Tr(rho P) = sum_ij rho_ij P_ji = vec(P) . vec(rho^T)
     values = op.reshape(-1, d * d) @ rho.matrix.T.reshape(-1)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidState, NotAProjector, UnphysicalBloch
 from .operators import (
-    HermitianOperator, _array, _non_hermitian, _operators, _scalar, eigenvalues_hermitian,
+    HermitianOperator, _array, _dimension, _non_hermitian, _operators, _scalar, eigenvalues_hermitian,
     idempotency_residual,
 )
 from .tolerances import ATOL_LOOSE, RESIDUAL_ATOL, ROUNDING_ATOL
@@ -170,7 +170,8 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=complex) / dim)
+        d = _dimension(dim)
+        return cls(np.eye(d, dtype=complex) / d)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"

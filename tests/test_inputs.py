@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pseudoprob import (
+    DensityMatrix,
     HermitianOperator,
     InvalidConvexWeights,
     InvalidRecipe,
@@ -24,6 +25,7 @@ from pseudoprob import (
     combine,
     density_from_bloch,
     direction,
+    identity,
     marginal,
     negativity_max,
     negativity_special,
@@ -35,6 +37,7 @@ from pseudoprob import (
     worst_case_min_entry,
 )
 from pseudoprob import cli
+from pseudoprob.operators import _array
 from pseudoprob.qubit import ORTHOGONAL_PAIR
 from pseudoprob.schemes import check_eps
 from pseudoprob.states import pauli_matrix
@@ -64,6 +67,10 @@ ENTRIES = {
     "marginal.keep": (ValueError, lambda x: marginal(SCHEME, [x])),
     "Recipe.unit": (InvalidRecipe, Recipe.unit),
     "Recipe.convex": (InvalidConvexWeights, lambda x: Recipe.convex([x, 0.5])),
+    "Recipe.index": (InvalidRecipe, lambda x: Recipe(kind="unit", index=x)),
+    "Recipe.weights": (InvalidConvexWeights, lambda x: Recipe(kind="weights", weights=(x, 0.5))),
+    "identity": (ValueError, identity),
+    "DensityMatrix.maximally_mixed": (ValueError, DensityMatrix.maximally_mixed),
     "combine": (InvalidConvexWeights, lambda x: combine(UNITS, [0.5, x])),
     "negativity_max": (ValueError, negativity_max),
     "negativity_special.pnorm": (ValueError, lambda x: negativity_special(x, 1.0)),
@@ -154,3 +161,42 @@ BIG = 10**400
 def test_a_number_past_float_range_reaches_the_range_check_as_infinite(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_the_recipe_constructor_takes_its_fields_as_the_classmethods_do():
+    assert Recipe(kind="unit", index=2.0) == Recipe.unit(2)
+    assert type(Recipe(kind="unit", index=np.int64(2)).index) is int
+    assert Recipe(kind="weights", weights=[1, 0]) == Recipe.convex((1.0, 0.0))
+    with pytest.raises(InvalidRecipe, match=": unit index must be an integer, got True$"):
+        Recipe(kind="unit", index=True)
+    with pytest.raises(InvalidRecipe, match=": unit index must be non-negative, got -1$"):
+        Recipe(kind="unit", index=-1)
+    with pytest.raises(InvalidConvexWeights, match=": weights must be real numbers, got '0.5'$"):
+        Recipe(kind="weights", weights=("0.5", "0.5"))
+    with pytest.raises(InvalidConvexWeights, match=": weights must be real numbers, got None$"):
+        Recipe(kind="weights")
+    with pytest.raises(InvalidConvexWeights, match=": weights sum to 0.5, not 1$"):
+        Recipe(kind="weights", weights=(0.25, 0.25))
+    with pytest.raises(InvalidRecipe, match=": unknown recipe kind 'bogus'$"):
+        Recipe(kind="bogus")
+
+
+@pytest.mark.parametrize("dim", [True, 0, -2, 2.5, math.nan, math.inf, BIG, "2", None], ids=repr)
+def test_a_dimension_that_is_no_integer_of_at_least_one_is_refused(dim):
+    for make in (identity, DensityMatrix.maximally_mixed):
+        with pytest.raises(ValueError, match="^dimension must be an integer >= 1, got "):
+            make(dim)
+
+
+@pytest.mark.parametrize("dim", [3, 3.0, np.int64(3), np.float64(3.0)], ids=repr)
+def test_an_integral_dimension_is_accepted(dim):
+    assert identity(dim).dim == 3
+    assert DensityMatrix.maximally_mixed(dim).dim == 3
+
+
+@pytest.mark.parametrize("values", [[1, 0, 0], (0.5, -1, 2.0), [[1, 0], [0.5, 1]], [2 ** 1022, 1.0]],
+                         ids=repr)
+def test_lists_of_plain_numbers_read_as_their_arrays(values):
+    # exact floats and ints within float range are passed to numpy in one step
+    assert np.array_equal(_array(values, ValueError, ""), np.array(values, dtype=float))
+    assert np.array_equal(_array(values, ValueError, "", complex), np.array(values, dtype=complex))

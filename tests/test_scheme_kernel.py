@@ -26,6 +26,7 @@ from pseudoprob import (
 )
 from pseudoprob.pseudoprojection import (
     GATHER_BYTES, _weyl_plan, ordering_classes, right_factors, weighted_matrix, weyl_matrix,
+    weyl_traces,
 )
 
 import oracles
@@ -237,8 +238,8 @@ def gathered_sizes(mats):
     """The subset sizes that `weyl_matrix` makes in gathered steps."""
     if len(mats) < 3:
         return []
-    levels, _ = _weyl_plan(tuple(m.shape[:-2] for m in mats), mats[0].shape[-1])
-    return [k for k, (_, gathers, _) in enumerate(levels, 2) if gathers]
+    levels, _, _ = _weyl_plan(tuple(m.shape[:-2] for m in mats), mats[0].shape[-1])
+    return [k for k, (_, index, gathers, _) in enumerate(levels, 2) if index is not None or gathers]
 
 
 # grids whose products are made in the same arithmetic as before sizes were
@@ -301,19 +302,33 @@ class TestGatheredSizes:
                              ids=[f"d{d}-" + "x".join(str(math.prod(s)) for s in shapes)
                                   for d, shapes in PLAN_CASES])
     def test_plan_rule(self, d, shapes):
-        # a size is gathered when it fits one step, or in steps of whole
-        # subsets when its largest subset fits half a step; each step is as
-        # long as GATHER_BYTES lets it be, so every step but a size's last
-        # holds at least two subsets
+        # a size is one step when both fit GATHER_BYTES: its product table
+        # (every row of the size below times every generator) with the k
+        # products a row it picks from the table, 16 d^2 bytes a product, and
+        # its products gathered with their operands, 64 d^2 bytes a product.
+        # Else it is gathered in steps of whole subsets when its largest
+        # subset fits half a step, each step as long as GATHER_BYTES lets it
+        # be, so every step but a size's last holds at least two subsets;
+        # else it is made pair by pair. The last size's row numbers are kept
+        # whatever its kind
         n = len(shapes)
-        levels, _ = _weyl_plan(shapes, d)
+        levels, last, shape = _weyl_plan(shapes, d)
         assert len(levels) == max(n - 1, 0)
-        for k, (size, gathers, pairs) in enumerate(levels, 2):
+        generators = sum(math.prod(s) for s in shapes)
+        rows_below = generators
+        for k, (size, index, gathers, pairs) in enumerate(levels, 2):
             rows = [math.prod(np.broadcast_shapes(*(shapes[i] for i in s)))
                     for s in itertools.combinations(range(n), k)]
             ends = list(itertools.accumulate(rows))
-            row_bytes = k * 64 * d * d  # of one row's products
-            assert size == ends[-1] and not (gathers and pairs)
+            row_bytes = k * 64 * d * d  # of one row's products and their operands
+            table_bytes = 16 * d * d * (generators * rows_below + k * size)
+            assert size == ends[-1] and (index is not None) + bool(gathers) + bool(pairs) == 1
+            rows_below = size
+            one_step = table_bytes <= GATHER_BYTES and size * row_bytes <= GATHER_BYTES
+            assert (index is not None) == one_step
+            if one_step:
+                assert index.shape == (k, size) and not index.flags.writeable
+                continue
             if pairs:
                 assert len(pairs) == len(rows)
                 assert size * row_bytes > GATHER_BYTES
@@ -331,6 +346,15 @@ class TestGatheredSizes:
                 for first, end, _, _ in gathers[:-1]:
                     assert sum(first < e <= end for e in ends) >= 2
                     assert (ends[ends.index(end) + 1] - first) * row_bytes > GATHER_BYTES
+        if n > 1:
+            # one row number per tuple into the size below, and into the
+            # rows of generator j, for each place j
+            below, factor = last
+            assert below.shape == factor.shape == (n, math.prod(shape[:-2]))
+            assert 0 <= below.min() and below.max() < (levels[-2][0] if n > 2 else generators)
+            starts = [0, *itertools.accumulate(math.prod(s) for s in shapes)]
+            for j, rows in enumerate(factor):
+                assert starts[j] <= rows.min() and rows.max() < starts[j + 1]
 
     def test_digest_of_kept_routes(self):
         # the grids' results, and those of each grid's first outcome tuple
@@ -364,6 +388,76 @@ class TestGatheredSizes:
             assert abs(scheme.entry(t) - polar) <= 1e-13
             if n <= 7:
                 assert abs(scheme.entry(t) - trace_entry(rho, oracles.weyl_oracle(mats))) <= 1e-14
+
+
+# Weyl grids of N >= 3 whose last size `weyl_traces` contracts with the
+# state without making it; between them the sizes below the last are made
+# in each of the plan's ways: one step, gathered steps and pair by pair
+FUSED_GRIDS = ([(2, (2,) * n) for n in range(3, 9)] + [(3, (3,) * n) for n in range(3, 6)]
+               + [(4, (4, 3, 3, 2)), (6, (6,) * 3), (20, (20,) * 3)])
+
+
+def contracted(rho, mats):
+    """Tr(rho P) for the `weyl_matrix` P of every outcome tuple of `mats`."""
+    d = rho.dim
+    return (weyl_matrix(mats).reshape(-1, d * d) @ rho.matrix.T.reshape(-1)).real
+
+
+class TestFusedTraces:
+    # Re Tr(W(F - {i}) A_i rho) summed over i is, up to rounding, the
+    # contraction of the hermitized last size that `weyl_matrix` makes, and
+    # the oracles' value; build_scheme takes it for every Weyl scheme of
+    # N >= 3 but qubit triples, which keep the contraction bit for bit
+
+    def test_grids_make_the_sizes_below_the_last_every_way(self):
+        kinds = set()
+        for d, counts in FUSED_GRIDS:
+            levels, _, _ = _weyl_plan(grid_shapes(counts), d)
+            for _, index, gathers, pairs in levels[:-1]:
+                kinds.add("one step" if index is not None else "steps" if gathers else "pairs")
+        assert kinds == {"one step", "steps", "pairs"}
+
+    @pytest.mark.parametrize("case", FUSED_GRIDS, ids=grid_id)
+    def test_entries_match_the_contraction_and_the_oracle(self, case):
+        d, counts = case
+        rng = np.random.default_rng(2000 + d + len(counts))
+        rho, _ = random_case(2000 + d + len(counts), d, 1)
+        obs = [grouped_observable(rng, d, k) for k in counts]
+        mats = grid_mats(obs)
+        got = weyl_traces(mats, rho.matrix)
+        assert np.abs(got - contracted(rho, mats)).max() <= 1e-14
+        scheme = build_scheme(rho, obs)
+        fused = not (d == 2 and len(counts) == 3)
+        assert np.array_equal(scheme.values, got if fused else contracted(rho, mats))
+        # the N!-term oracle up to N = 7, at eight tuples spread over the grid
+        tuples = scheme.outcome_tuples
+        for k in range(0, len(tuples), max(len(tuples) // 8, 1)):
+            t_mats = tuple_mats(obs, tuples[k])
+            if len(counts) <= 7:
+                assert abs(got[k] - trace_entry(rho, oracles.weyl_oracle(t_mats))) <= 1e-14
+            assert abs(got[k] - trace_entry(rho, oracles.weyl_polarisation_oracle(t_mats))) <= 1e-13
+
+    @pytest.mark.parametrize("d, n", [(2, 3), (2, 5), (3, 4)])
+    def test_tuple_stacks_match_the_contraction(self, d, n):
+        # generators as (T, d, d) stacks of outcome tuples, not on a grid
+        rho, obs = random_case(2100 + n, d, n)
+        _, stack = stacked_mats(obs)
+        got = weyl_traces(stack, rho.matrix)
+        assert got.shape == (d ** n,)
+        assert np.abs(got - contracted(rho, stack)).max() <= 1e-14
+
+    def test_full_rank_d20_peak(self):
+        # 20^3 tuples: the last size alone would be 8000 complex 20 x 20
+        # matrices, 48.8 MiB, and weyl_matrix's peak is ~106 MiB
+        rho, obs = random_case(2120, 20, 3)
+        build_scheme(rho, obs)  # plan cached beforehand
+        tracemalloc.start()
+        try:
+            build_scheme(rho, obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 << 20
 
 
 class TestBuildSchemeEntries:
