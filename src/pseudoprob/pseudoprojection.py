@@ -40,8 +40,8 @@ from .tolerances import RESIDUAL_ATOL, ROUNDING_ATOL
 
 # A Weyl average takes 2^N N products; build_scheme makes each partial
 # product once per outcome of the observables it involves, within
-# MAX_LATTICE_ENTRIES: an N = 8 Weyl scheme takes ~2.4-2.5 ms over qubits (256
-# tuples) and ~24 ms over qutrits (6561 tuples), and a weights recipe over
+# MAX_LATTICE_ENTRIES: an N = 8 Weyl scheme takes ~0.50-0.55 ms over qubits
+# (256 tuples) and ~6.4-6.7 ms over qutrits (6561 tuples), and a weights recipe over
 # all 20160 classes of 8 qubit observables ~0.20-0.22 s, on a 2-vCPU Xeon VM,
 # min of 3 in each of 2-3 runs (the VM's speed varies by run, up to 2x). Only
 # unit_pseudo_projections enumerates all N!/2 = 20160 classes at N = 8:
@@ -304,7 +304,9 @@ def _operands(mats) -> tuple:
 # size of qubit Weyl up to N = 6 and of qutrit Weyl up to N = 4 is one
 # step; qubit sizes 4-6 at N = 7 and 3-6 at N = 8 take 2-14 steps, which
 # made qubit Weyl at N = 7 ~1.9x and at N = 8 ~1.6-1.8x faster than pair
-# by pair.
+# by pair. `weyl_traces` makes sizes only up to ceil(N/2) (qubit size 4 at
+# N = 7 in 3 steps, sizes 3 and 4 at N = 8 in 2 and 5), and cuts its
+# blocks into runs of whole subsets under the same budget.
 GATHER_BYTES = 1 << 18
 
 
@@ -314,16 +316,27 @@ def _rows(first: int, end: int, shape: tuple, target: tuple) -> np.ndarray:
     return np.broadcast_to(np.arange(first, end).reshape(shape), target).ravel()
 
 
-@functools.lru_cache(maxsize=64)
-def _weyl_plan(shapes: tuple, d: int) -> tuple:
-    """(levels, last, shape): `weyl_matrix`'s plan for N generators of d x d
-    matrices whose stacks have leading shapes `shapes`, the last level's
-    (below, factor) row numbers, and the shape of the last level's rows as
-    the result's (..., d, 2d) floats.
+def _places(shapes: tuple, k: int) -> dict:
+    """{S: (first, end, shape)} for the k-subsets S of generators whose
+    stacks have leading shapes `shapes`, in `_subset_plan` order: the rows
+    first..end - 1 of W(S), laid out in its members' shapes broadcast."""
+    place, size = {}, 0
+    for s in itertools.combinations(range(len(shapes)), k):
+        shape = np.broadcast_shapes(*(shapes[i] for i in s))
+        place[s] = (size, size + math.prod(shape), shape)
+        size += math.prod(shape)
+    return place
 
-    Each subset size is one array of float64 (d, 2d) rows, its W(S) in
-    `_subset_plan` order, each (first, end, shape): its rows first..end - 1
-    laid out in the members' shapes broadcast. The generators are size 1,
+
+@functools.lru_cache(maxsize=64)
+def _weyl_plan(shapes: tuple, d: int, top: int) -> tuple:
+    """(levels, shape): `weyl_matrix`'s plan of the subset sizes 2..top of
+    N generators of d x d matrices whose stacks have leading shapes
+    `shapes`, and the shape of size N's rows as the result's (..., d, 2d)
+    floats.
+
+    Each subset size is one array of float64 (d, 2d) rows, its W(S) as
+    `_places` lays them out. The generators are size 1,
     and their right factors have the same row numbers. A run of whole
     subsets has (k, rows) row numbers (below, factor): its row r is the sum
     over j of row below[j, r] of the size below times row factor[j, r] of
@@ -339,9 +352,8 @@ def _weyl_plan(shapes: tuple, d: int) -> tuple:
       W(S - {i}) times A_i's right factors, each a (first, end, shape) view
       of its rows.
     """
-    starts = [0, *itertools.accumulate(math.prod(s) for s in shapes)]
-    gens = [(starts[i], starts[i + 1], s) for i, s in enumerate(shapes)]
-    place, levels, size = {(i,): g for i, g in enumerate(gens)}, [], starts[-1]
+    gens = list(_places(shapes, 1).values())
+    place, levels, size = {(i,): g for i, g in enumerate(gens)}, [], gens[-1][1]
 
     def numbers(run):  # (below, factor) of a run of (S, steps), read-only
         out = np.concatenate([[[_rows(*below[rest], place[s][2]) for _, rest in steps],
@@ -350,14 +362,11 @@ def _weyl_plan(shapes: tuple, d: int) -> tuple:
         out.setflags(write=False)
         return out
 
-    for k, level in enumerate(_subset_plan(len(shapes)), 2):
-        below, place, rows_below, size = place, {}, size, 0
-        for s, _ in level:
-            shape = np.broadcast_shapes(*(shapes[i] for i in s))
-            place[s] = (size, size + math.prod(shape), shape)
-            size += math.prod(shape)
+    for k, level in enumerate(_subset_plan(len(shapes))[:top - 1], 2):
+        below, place, rows_below = place, _places(shapes, k), size
+        size = sum(e - a for a, e, _ in place.values())
         cost = k * 64 * d * d  # bytes of one row's products and their operands
-        table = 16 * d * d * (starts[-1] * rows_below + k * size)  # and of a product table
+        table = 16 * d * d * (gens[-1][1] * rows_below + k * size)  # and of a product table
         index, gathers, pairs = None, [], []
         if max(table, size * cost) <= GATHER_BYTES:
             lower, factor = numbers(level)
@@ -375,8 +384,44 @@ def _weyl_plan(shapes: tuple, d: int) -> tuple:
                 (*below[rest][:2], (*below[rest][2], d, 2 * d), *gens[i][:2], (*shapes[i], 2 * d, 2 * d))
                 for i, rest in steps)) for s, steps in level]
         levels.append((size, index, tuple(gathers), tuple(pairs)))
-    last = numbers(level) if levels else ()
-    return tuple(levels), last, (*np.broadcast_shapes(*shapes), d, 2 * d)
+    return tuple(levels), (*np.broadcast_shapes(*shapes), d, 2 * d)
+
+
+@functools.lru_cache(maxsize=64)
+def _weyl_split(shapes: tuple) -> tuple:
+    """`weyl_traces`' steps of the split at m = ceil(N/2) for N generators
+    whose stacks have leading shapes `shapes`.
+
+    The j-th m-subset S pairs with F - S, the j-th subset of size N - m
+    from the end. Its block is S's rows times F - S's rows: the leading
+    axes where both have the same extent are a batch axis b, the rest r
+    rows by c columns, so on a grid the r c entries are exactly S's
+    outcomes times those of F - S. A step (first, end, first', end',
+    (J, b, r, c), index) is a run of J consecutive S of one block shape, as
+    long as GATHER_BYTES lets its blocks and their gathered entries, 16
+    bytes an entry, be: its rows first..end - 1, those of the F - S
+    first'..end' - 1 in reverse order, and index[j, t] the place of tuple
+    t's entry in the run's flat (J, b, r, c) blocks.
+    """
+    full = np.broadcast_shapes(*shapes)
+    shapes = tuple((1,) * (len(full) - len(s)) + s for s in shapes)
+    n, runs = len(shapes), []
+    left, right = _places(shapes, (n + 1) // 2), _places(shapes, n // 2)
+    for (a, e, left_shape), (f, g, right_shape) in zip(left.values(), reversed(right.values())):
+        b = math.prod(x for x, _ in itertools.takewhile(lambda p: p[0] == p[1], zip(left_shape, right_shape)))
+        r, c = (e - a) // b, (g - f) // b
+        entries = _rows(0, e - a, left_shape, full) * c + _rows(0, g - f, right_shape, full) % c
+        # every entry is below max(GATHER_BYTES / 16, b r c), so int32 holds it
+        entries = entries.astype(np.int32)
+        if runs and runs[-1][4][1:] == (b, r, c) and 16 * (runs[-1][4][0] + 1) * b * r * c <= GATHER_BYTES:
+            a, _, _, g, (j, *_), index = runs.pop()
+            runs.append((a, e, f, g, (j + 1, b, r, c), [*index, entries + j * b * r * c]))
+        else:
+            runs.append((a, e, f, g, (1, b, r, c), [entries]))
+    split = tuple((*run, np.stack(index)) for *run, index in runs)
+    for *_, index in split:
+        index.setflags(write=False)
+    return split
 
 
 def _weyl_level(rows, factors, size, index, gathers, pairs) -> np.ndarray:
@@ -399,17 +444,19 @@ def _weyl_level(rows, factors, size, index, gathers, pairs) -> np.ndarray:
     return level
 
 
-def _weyl_rows(mats, levels) -> np.ndarray:
-    """The rows of the last of the subset sizes `levels` of the N >= 3
-    generators `mats`, made size by size from the generators' rows."""
+def _weyl_rows(mats, levels) -> tuple:
+    """(below, rows): the rows of the last two of the subset sizes
+    `levels` of the generators `mats`, made size by size from the
+    generators' rows, which are size 1."""
     d = mats[0].shape[-1]
     gens = np.concatenate([m.reshape(-1, d, d) for m in mats], dtype=np.complex128)
     factors, rows = right_factors(gens), gens.view(np.float64)
     # the generators are freed once the level that reads their rows is done
     del gens
     for level in levels:
-        rows = _weyl_level(rows, factors, *level)
-    return rows
+        below = rows  # the size two below is let go before the next is made
+        rows = _weyl_level(below, factors, *level)
+    return below, rows
 
 
 def weyl_matrix(mats) -> np.ndarray:
@@ -451,8 +498,8 @@ def weyl_matrix(mats) -> np.ndarray:
         if n == 2:
             acc += mats[0] @ mats[1]
     else:
-        levels, _, shape = _weyl_plan(tuple([m.shape[:-2] for m in mats]), mats[0].shape[-1])
-        acc = _weyl_rows(mats, levels).reshape(shape).view(np.complex128)
+        levels, shape = _weyl_plan(tuple([m.shape[:-2] for m in mats]), mats[0].shape[-1], n)
+        acc = _weyl_rows(mats, levels)[1].reshape(shape).view(np.complex128)
     # halving is exact, so A + A^dag for A = W/(2 N!) is (W/N! + (W/N!)^dag)/2
     # bit for bit
     acc /= 2 * math.factorial(n)
@@ -464,21 +511,31 @@ def weyl_traces(mats, rho) -> np.ndarray:
     """Tr(rho P) for the `weyl_matrix` P of each outcome tuple of N >= 3
     Hermitian generators `mats`, flattened, without making P.
 
-    For a Hermitian d x d `rho`, Tr(rho (W + W^dag)/2) = Re Tr(rho W), and
-    the last subset size is W = sum_i W(F - {i}) A_i over the whole set F.
-    So the sizes are made up to N - 1 as `weyl_matrix` makes them, and one
-    matmul of their rows, as float rows of 2 d^2, against the float rows of
-    C_g = conj((A_g rho)^T) = rho A_g for every generator row g tables every
-    Re Tr(W(S) A_g rho). Each tuple's value is the sum of its N entries of
-    that table, over i ascending, divided by N!: real by construction. C is
-    made once the sizes are, when only the last of them is held.
+    For a Hermitian d x d `rho`, Tr(rho (W + W^dag)/2) = Re Tr(rho W) for
+    W = W(F) over the whole set F. Every ordering of F is an ordering of
+    some m-subset S followed by one of F - S, so W(F) = sum over the
+    m-subsets S of W(S) W(F - S). With m = ceil(N/2) the sizes are made only
+    up to m, as `weyl_matrix` makes them, keeping size N - m (size m - 1 at
+    odd N, the generators at N = 3). One stacked complex matmul of those
+    rows with rho, then a conjugate transpose, gives Y = (W(F - S) rho)^dag,
+    so Re Tr(rho W(S) W(F - S)) is the dot product of W(S)'s and Y's float
+    rows of 2 d^2. `_weyl_plan` plans the sizes up to m only, and
+    `_weyl_split` the blocks: runs of S of one block shape, each one
+    batched matmul on views of both sizes' rows, whose tuples' C(N, m)
+    entries are gathered and summed run by run, then divided by N!: real
+    by construction.
     """
-    d = rho.shape[0]
-    levels, (below, factor), _ = _weyl_plan(tuple([m.shape[:-2] for m in mats]), d)
-    rows = _weyl_rows(mats, levels[:-1])
-    c = rho @ np.concatenate([m.reshape(-1, d, d) for m in mats])
-    table = rows.reshape(len(rows), -1) @ c.view(np.float64).reshape(len(c), -1).T
-    return np.add.reduce(table[below, factor], axis=0) / math.factorial(len(mats))
+    d, n, shapes = rho.shape[0], len(mats), tuple([m.shape[:-2] for m in mats])
+    below, rows = _weyl_rows(mats, _weyl_plan(shapes, d, (n + 1) // 2)[0])
+    x = ((below if n % 2 else rows).view(np.complex128).reshape(-1, d) @ rho).reshape(-1, d, d)
+    del below
+    y = np.conjugate(x.swapaxes(1, 2), out=np.empty_like(x)).view(np.float64)
+    del x
+    values = 0
+    for a, e, f, g, (j, b, r, c), index in _weyl_split(shapes):
+        block = rows[a:e].reshape(j, b, r, -1) @ y[f:g].reshape(j, b, c, -1)[::-1].swapaxes(-1, -2)
+        values = values + np.add.reduce(block.reshape(-1).take(index), axis=0)
+    return values / math.factorial(n)
 
 
 def weighted_matrix(mats, terms) -> np.ndarray:

@@ -59,22 +59,22 @@ MAX_PARTITION_EVENTS = 16
 # build_scheme's outcome lattice holds W(S) for every subset S of the
 # observables and every outcome of those in S: prod_i (1 + k_i) complex d x d
 # matrices for k_i outcomes each; a fused Weyl scheme (see build_scheme)
-# makes the subsets of up to N - 1 observables and contracts the last sums
-# with rho, but is counted the same. A unit/weights recipe instead makes B(s) for every distinct
+# makes the subsets of up to ceil(N/2) observables and contracts each with
+# its complement and rho, but is counted the same. A unit/weights recipe instead makes B(s) for every distinct
 # proper suffix s of its nonzero orderings, over the outcomes of the
 # observables outside s (_suffix_matrices). Inputs above MAX_LATTICE_ENTRIES
 # entries are rejected before anything is built. On a 2-vCPU Xeon VM, min of
 # 3 in each of 2-3 runs: the slowest accepted inputs found take ~0.2-0.24 s
 # (weights over 11383 classes of 8 qutrit observables, or over all 20160
-# classes of 8 two-outcome observables at d = 4) and ~0.11-0.12 s (Weyl,
+# classes of 8 two-outcome observables at d = 4) and ~27-28 ms (Weyl,
 # d = 4, outcome counts 4,4,4,4,4,4,3,3; 4.0M entries), and the largest
 # tracemalloc peak found is ~115 MiB (Weyl, d = 44, N = 2; 3.9M). From N = 3
 # on Weyl runs real, against right factors of twice the generators' bytes:
 # single-outcome observables at d = 724, N = 3 (4.19M) take ~0.29-0.38 s at
 # a peak of ~104 MiB, 48 MiB of it the factors, and a full-rank d = 20,
-# N = 3 Weyl scheme (3.7M) ~8 ms at ~11 MiB. Large d with few outcomes stays
+# N = 3 Weyl scheme (3.7M) ~6.5-8.5 ms at ~11 MiB. Large d with few outcomes stays
 # cheap: single-outcome observables at d = 1024, N = 2 or d = 128, N = 8
-# take ~0.18-0.28 s, and a qutrit N = 8 Weyl scheme (0.59M) ~24 ms.
+# take ~0.18-0.28 s, and a qutrit N = 8 Weyl scheme (0.59M) ~6.4-6.7 ms.
 
 # the recipe of every build_scheme call that passes none
 _WEYL = Recipe.weyl()
@@ -178,9 +178,10 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
     MAX_LATTICE_ENTRIES raise OrderingExplosion before any of it is built.
 
     Weyl from N = 4 on, and at N = 3 from d = 3 on, fuses the trace into
-    the last product: `weyl_traces` makes the subset sizes up to N - 1 and
-    contracts each tuple's last sum of products with rho, so no P is made
-    and its entries are real by construction. The rest make every P and
+    the products: `weyl_traces` splits every ordering at m = ceil(N/2),
+    makes the subset sizes only up to m and contracts each tuple's
+    W(S) W(F - S) over the m-subsets S with rho, so no P is made and its
+    entries are real by construction. The rest make every P and
     contract it with rho, and an imaginary entry residue above ATOL_LOOSE
     there raises NonHermitianTrace: N <= 2, unit/weights recipes, and qubit
     triples, where fusing saved ~2% of the kernel and moved the last bits

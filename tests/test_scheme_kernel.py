@@ -24,9 +24,10 @@ from pseudoprob import (
     observable_from_direction,
     schemes,
 )
+from pseudoprob import pseudoprojection
 from pseudoprob.pseudoprojection import (
-    GATHER_BYTES, _weyl_plan, ordering_classes, right_factors, weighted_matrix, weyl_matrix,
-    weyl_traces,
+    GATHER_BYTES, _weyl_level, _weyl_plan, _weyl_split, ordering_classes, right_factors,
+    weighted_matrix, weyl_matrix, weyl_traces,
 )
 
 import oracles
@@ -238,7 +239,7 @@ def gathered_sizes(mats):
     """The subset sizes that `weyl_matrix` makes in gathered steps."""
     if len(mats) < 3:
         return []
-    levels, _, _ = _weyl_plan(tuple(m.shape[:-2] for m in mats), mats[0].shape[-1])
+    levels, _ = _weyl_plan(tuple(m.shape[:-2] for m in mats), mats[0].shape[-1], len(mats))
     return [k for k, (_, index, gathers, _) in enumerate(levels, 2) if index is not None or gathers]
 
 
@@ -269,6 +270,16 @@ def grid_shapes(counts):
     outcomes on axis i."""
     n = len(counts)
     return tuple((1,) * i + (k,) + (1,) * (n - 1 - i) for i, k in enumerate(counts))
+
+
+def same_plan(a, b):
+    """Whether two plan entries, nested tuples of numbers and arrays, are
+    equal."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(same_plan, a, b))
+    return a == b
 
 
 # (d, leading shapes of the generators) of the plans whose rule is checked:
@@ -309,11 +320,12 @@ class TestGatheredSizes:
         # Else it is gathered in steps of whole subsets when its largest
         # subset fits half a step, each step as long as GATHER_BYTES lets it
         # be, so every step but a size's last holds at least two subsets;
-        # else it is made pair by pair. The last size's row numbers are kept
-        # whatever its kind
+        # else it is made pair by pair
         n = len(shapes)
-        levels, last, shape = _weyl_plan(shapes, d)
+        levels, shape = _weyl_plan(shapes, d, n)
         assert len(levels) == max(n - 1, 0)
+        # weyl_traces' plan is the same sizes up to ceil(N/2), and no more
+        assert same_plan(_weyl_plan(shapes, d, (n + 1) // 2)[0], levels[:(n + 1) // 2 - 1])
         generators = sum(math.prod(s) for s in shapes)
         rows_below = generators
         for k, (size, index, gathers, pairs) in enumerate(levels, 2):
@@ -346,15 +358,32 @@ class TestGatheredSizes:
                 for first, end, _, _ in gathers[:-1]:
                     assert sum(first < e <= end for e in ends) >= 2
                     assert (ends[ends.index(end) + 1] - first) * row_bytes > GATHER_BYTES
-        if n > 1:
-            # one row number per tuple into the size below, and into the
-            # rows of generator j, for each place j
-            below, factor = last
-            assert below.shape == factor.shape == (n, math.prod(shape[:-2]))
-            assert 0 <= below.min() and below.max() < (levels[-2][0] if n > 2 else generators)
-            starts = [0, *itertools.accumulate(math.prod(s) for s in shapes)]
-            for j, rows in enumerate(factor):
-                assert starts[j] <= rows.min() and rows.max() < starts[j + 1]
+        if n < 3:
+            return
+        # weyl_traces' split (N >= 3): runs of consecutive m-subsets S,
+        # m = ceil(N/2), of one block shape, over views of their rows and of
+        # the rows of their complements, which lie in reverse order
+        m, tuples, split = (n + 1) // 2, math.prod(shape[:-2]), _weyl_split(shapes)
+        size_rows = [generators, *(size for size, *_ in levels)]
+        assert sum(runs for *_, (runs, _, _, _), _ in split) == math.comb(n, m)
+        lefts = [(a, e) for a, e, *_ in split]
+        rights = [(f, g) for _, _, f, g, _, _ in split][::-1]
+        for spans, rows in (lefts, size_rows[m - 1]), (rights, size_rows[n // 2 - 1]):
+            assert [a for a, _ in spans] == [0, *(e for _, e in spans[:-1])] and spans[-1][1] == rows
+        # a run ends where the next S has another block shape, or would
+        # take its blocks over GATHER_BYTES
+        for (*_, (runs, *block), _), (*_, (_, *after), _) in zip(split, split[1:]):
+            assert block != after or 16 * (runs + 1) * math.prod(block) > GATHER_BYTES
+        for a, e, f, g, (runs, b, r, c), index in split:
+            assert runs * b * r == e - a and runs * b * c == g - f
+            assert index.shape == (runs, tuples) and not index.flags.writeable
+            assert index.dtype == np.int32
+            assert 0 <= index.min() and index.max() < runs * b * r * c
+            assert runs == 1 or 16 * runs * b * r * c <= GATHER_BYTES
+            # a grid's block is exactly its tuples, and a stack of tuples
+            # takes its tuple axis as the batch axis
+            assert b * r * c == tuples
+            assert b == (tuples if len(shapes[0]) == 1 else 1)
 
     def test_digest_of_kept_routes(self):
         # the grids' results, and those of each grid's first outcome tuple
@@ -390,11 +419,13 @@ class TestGatheredSizes:
                 assert abs(scheme.entry(t) - trace_entry(rho, oracles.weyl_oracle(mats))) <= 1e-14
 
 
-# Weyl grids of N >= 3 whose last size `weyl_traces` contracts with the
-# state without making it; between them the sizes below the last are made
-# in each of the plan's ways: one step, gathered steps and pair by pair
+# Weyl grids of N >= 3 whose traces `weyl_traces` takes from the split at
+# m = ceil(N/2), W(F) = sum over the m-subsets S of W(S) W(F - S), without
+# making any size above m; between them the sizes up to m are made in each
+# of the plan's ways (one step, gathered steps and pair by pair), and at
+# odd N = 5 the subsets of (3, 2, 3, 1, 2) have blocks of many shapes
 FUSED_GRIDS = ([(2, (2,) * n) for n in range(3, 9)] + [(3, (3,) * n) for n in range(3, 6)]
-               + [(4, (4, 3, 3, 2)), (6, (6,) * 3), (20, (20,) * 3)])
+               + [(3, (3, 2, 3, 1, 2)), (4, (4, 3, 3, 2)), (6, (6,) * 3), (20, (20,) * 3)])
 
 
 def contracted(rho, mats):
@@ -404,18 +435,37 @@ def contracted(rho, mats):
 
 
 class TestFusedTraces:
-    # Re Tr(W(F - {i}) A_i rho) summed over i is, up to rounding, the
-    # contraction of the hermitized last size that `weyl_matrix` makes, and
-    # the oracles' value; build_scheme takes it for every Weyl scheme of
-    # N >= 3 but qubit triples, which keep the contraction bit for bit
+    # Re Tr(rho W(S) W(F - S)) summed over the m-subsets S is, up to
+    # rounding, the contraction of the hermitized last size that
+    # `weyl_matrix` makes, and the oracles' value; build_scheme takes it for
+    # every Weyl scheme of N >= 3 but qubit triples, which keep the
+    # contraction bit for bit
 
-    def test_grids_make_the_sizes_below_the_last_every_way(self):
+    def test_grids_make_the_split_sizes_every_way(self):
         kinds = set()
         for d, counts in FUSED_GRIDS:
-            levels, _, _ = _weyl_plan(grid_shapes(counts), d)
-            for _, index, gathers, pairs in levels[:-1]:
+            levels, _ = _weyl_plan(grid_shapes(counts), d, (len(counts) + 1) // 2)
+            for _, index, gathers, pairs in levels:
                 kinds.add("one step" if index is not None else "steps" if gathers else "pairs")
         assert kinds == {"one step", "steps", "pairs"}
+
+    @pytest.mark.parametrize("case", [(2, (2,) * n) for n in range(3, 9)] + [(3, (3,) * 6), (3, (3, 2, 3, 1, 2))],
+                             ids=grid_id)
+    def test_no_size_above_half_is_made(self, case, monkeypatch):
+        # the levels weyl_traces makes are the sizes 2..ceil(N/2), in turn
+        d, counts = case
+        made = []
+
+        def level(rows, factors, size, *rest):
+            made.append(size)
+            return _weyl_level(rows, factors, size, *rest)
+
+        monkeypatch.setattr(pseudoprojection, "_weyl_level", level)
+        rho, _ = random_case(2150, d, 1)
+        weyl_traces(grouped_grid(2150, d, counts), rho.matrix)
+        n = len(counts)
+        assert made == [sum(math.prod(counts[i] for i in s) for s in itertools.combinations(range(n), k))
+                        for k in range(2, (n + 1) // 2 + 1)]
 
     @pytest.mark.parametrize("case", FUSED_GRIDS, ids=grid_id)
     def test_entries_match_the_contraction_and_the_oracle(self, case):
@@ -437,14 +487,29 @@ class TestFusedTraces:
                 assert abs(got[k] - trace_entry(rho, oracles.weyl_oracle(t_mats))) <= 1e-14
             assert abs(got[k] - trace_entry(rho, oracles.weyl_polarisation_oracle(t_mats))) <= 1e-13
 
-    @pytest.mark.parametrize("d, n", [(2, 3), (2, 5), (3, 4)])
+    @pytest.mark.parametrize("d, n", [(2, 3), (2, 5), (2, 6), (3, 4)])
     def test_tuple_stacks_match_the_contraction(self, d, n):
-        # generators as (T, d, d) stacks of outcome tuples, not on a grid
+        # generators as (T, d, d) stacks of outcome tuples, not on a grid:
+        # the tuple axis is each block's batch axis
         rho, obs = random_case(2100 + n, d, n)
         _, stack = stacked_mats(obs)
         got = weyl_traces(stack, rho.matrix)
         assert got.shape == (d ** n,)
         assert np.abs(got - contracted(rho, stack)).max() <= 1e-14
+
+    @pytest.mark.parametrize("shapes", [((5, 1), (5, 1), (1, 3)), ((3, 1), (1, 5), (1, 5)),
+                                        ((2, 1, 1), (1, 3, 2), (2, 3, 1), (1,), (1, 1, 2))])
+    def test_mixed_axes_match_the_contraction(self, shapes):
+        # generators that share some axes and not others: a shared axis
+        # before every other one of a block is its batch axis, and one after
+        # them is crossed like the rest, its extra entries never gathered
+        rng = np.random.default_rng(2160 + len(shapes))
+        rho, _ = random_case(2160, 3, 1)
+        mats = [np.array([haar_observable(rng, 3).projectors[0] for _ in range(math.prod(s))])
+                .reshape(*s, 3, 3) for s in shapes]
+        got = weyl_traces(mats, rho.matrix)
+        assert got.shape == (math.prod(np.broadcast_shapes(*shapes)),)
+        assert np.abs(got - contracted(rho, mats)).max() <= 1e-14
 
     def test_full_rank_d20_peak(self):
         # 20^3 tuples: the last size alone would be 8000 complex 20 x 20
@@ -631,13 +696,29 @@ class TestMemoryBound:
         # lattice's 13^4 d x d matrices, so the peak cannot stay under the
         # lattice size; summing and hermitizing in place keeps it near two
         # copies of the last level (~1.7x), against ~3.2x with a new array
-        # for each sum
+        # for each sum. build_scheme now contracts the split sizes with the
+        # state and never makes that level; weyl_matrix still does (below)
         rho, obs = random_case(84, 12, 4)
         bound = 2.5 * 16 * lattice_entries(12, 4, 12)
         build_scheme(rho, obs)
         tracemalloc.start()
         try:
             build_scheme(rho, obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    def test_weyl_matrix_sums_in_place(self):
+        # the same grid's whole P, which weyl_matrix makes: its peak stays
+        # near two copies of the last level (~1.7x) under the same bound
+        rho, obs = random_case(84, 12, 4)
+        bound = 2.5 * 16 * lattice_entries(12, 4, 12)
+        mats = grid_mats(obs)
+        weyl_matrix(mats)
+        tracemalloc.start()
+        try:
+            weyl_matrix(mats)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
