@@ -54,8 +54,8 @@ MAX_GENERATORS = 8
 # weyl_pseudo_projection (its W(S) for every subset S, build_scheme's count for
 # single-outcome axes) and (N!/2 + N) d^2 for unit_pseudo_projections (one
 # unit per reversal class, and the stack of N generators they are made
-# from). At each N the largest accepted d then takes ~0.3-0.6 s for
-# weyl_pseudo_projection (~0.35-0.40 s at N = 2, d = 1024, ~0.36-0.38 s at
+# from). At each N the largest accepted d then takes ~0.26-0.6 s for
+# weyl_pseudo_projection (~0.26-0.28 s at N = 2, d = 1024, ~0.36-0.38 s at
 # N = 3, d = 724, ~0.26-0.27 s at N = 8, d = 128) and ~0.5-0.8 s for
 # unit_pseudo_projections (~0.62 s at N = 2, d = 1182, the slowest ~0.8 s at
 # N = 4, d = 512), min of 3-5 on the same VM.
@@ -236,20 +236,6 @@ def distinct_unit_matrices(mats):
     return units[kept], kept
 
 
-@functools.lru_cache(maxsize=None)
-def _subset_plan(n: int) -> tuple:
-    """Steps of the subset recursion, one tuple per subset size k = 2..n:
-    each k-subset S in `itertools.combinations` order, with the pairs
-    (i, S - {i}) for every i in S ascending."""
-    return tuple(
-        tuple(
-            (s, tuple((i, s[:j] + s[j + 1:]) for j, i in enumerate(s)))
-            for s in itertools.combinations(range(n), k)
-        )
-        for k in range(2, n + 1)
-    )
-
-
 # [1, i] down a new second-to-last axis: a[..., None, :] * _ONE_I puts each
 # row of a above the same row of i a
 _ONE_I = np.array([[1.0], [1.0j]])
@@ -274,13 +260,15 @@ def _operands(mats) -> tuple:
     """(left, right): each generator as a real left operand, viewed as
     (..., d, 2d) interleaved floats, and as its `right_factors`.
 
-    One rule picks the arithmetic of both recursions: a sum of two or more
-    orderings of N >= 3 generators (every Weyl average from N = 3 on, a
-    weights recipe of several orderings) runs real, each product a float64
-    view times a right factor, at about half the time of a complex matmul
-    call and an eighth per small product. A single ordering (a unit
-    recipe), or N <= 2, stays complex: its few products would not pay for
-    the factors, and it stays the plain chain product.
+    One rule picks the arithmetic of both recursions: one ordering class
+    runs the complex chain, two or more run real. A single class (a unit
+    recipe, a weights recipe with one nonzero weight, and every product of
+    N <= 2 generators, which have one class) is the plain left to right
+    chain product: its few products would not pay for the factors. A sum
+    over two or more classes (every Weyl average from N = 3 on, a weights
+    recipe of several) makes each product a float64 view times a right
+    factor, at about half the time of a complex matmul call and an eighth
+    per small product.
     """
     left = [np.ascontiguousarray(m, dtype=np.complex128).view(np.float64) for m in mats]
     return left, [right_factors(m) for m in mats]
@@ -318,8 +306,9 @@ def _rows(first: int, end: int, shape: tuple, target: tuple) -> np.ndarray:
 
 def _places(shapes: tuple, k: int) -> dict:
     """{S: (first, end, shape)} for the k-subsets S of generators whose
-    stacks have leading shapes `shapes`, in `_subset_plan` order: the rows
-    first..end - 1 of W(S), laid out in its members' shapes broadcast."""
+    stacks have leading shapes `shapes`, in `itertools.combinations` order:
+    the rows first..end - 1 of W(S), laid out in its members' shapes
+    broadcast."""
     place, size = {}, 0
     for s in itertools.combinations(range(len(shapes)), k):
         shape = np.broadcast_shapes(*(shapes[i] for i in s))
@@ -362,8 +351,10 @@ def _weyl_plan(shapes: tuple, d: int, top: int) -> tuple:
         out.setflags(write=False)
         return out
 
-    for k, level in enumerate(_subset_plan(len(shapes))[:top - 1], 2):
+    for k in range(2, top + 1):
         below, place, rows_below = place, _places(shapes, k), size
+        # each k-subset S with its pairs (i, S - {i}), i ascending
+        level = [(s, [(i, s[:j] + s[j + 1:]) for j, i in enumerate(s)]) for s in place]
         size = sum(e - a for a, e, _ in place.values())
         cost = k * 64 * d * d  # bytes of one row's products and their operands
         table = 16 * d * d * (gens[-1][1] * rows_below + k * size)  # and of a product table
@@ -471,10 +462,11 @@ def weyl_matrix(mats) -> np.ndarray:
     spans only the axes in S, so it is made once for all the tuples that
     share the outcomes of S.
 
-    N <= 2 is A_0, or A_1 A_0 + A_0 A_1, in complex arithmetic. From N = 3
-    on the sum runs real, as `_operands` says of every sum of two or more
-    orderings: every subset size is one array of float64 rows, the W(S) of
-    its subsets in turn, and each product is a real matmul with A_i's
+    N <= 2 Hermitian generators have one ordering class, so their Weyl
+    average is its unit: `weighted_matrix`'s chain of class 0, complex by
+    the rule in `_operands`. From N = 3 on the sum runs real by that rule:
+    every subset size is one array of float64 rows, the W(S) of its
+    subsets in turn, and each product is a real matmul with A_i's
     `right_factors`, made once for all the generators. `_weyl_plan` makes
     each size in one of three ways. In one step: one matmul makes the
     products of every row of the size below with every generator, and each
@@ -494,12 +486,9 @@ def weyl_matrix(mats) -> np.ndarray:
     """
     n = len(mats)
     if n < 3:
-        acc = mats[0].copy() if n == 1 else mats[1] @ mats[0]
-        if n == 2:
-            acc += mats[0] @ mats[1]
-    else:
-        levels, shape = _weyl_plan(tuple([m.shape[:-2] for m in mats]), mats[0].shape[-1], n)
-        acc = _weyl_rows(mats, levels)[1].reshape(shape).view(np.complex128)
+        return weighted_matrix(mats, [(1.0, ordering_classes(n)[0])])
+    levels, shape = _weyl_plan(tuple([m.shape[:-2] for m in mats]), mats[0].shape[-1], n)
+    acc = _weyl_rows(mats, levels)[1].reshape(shape).view(np.complex128)
     # halving is exact, so A + A^dag for A = W/(2 N!) is (W/N! + (W/N!)^dag)/2
     # bit for bit
     acc /= 2 * math.factorial(n)
@@ -568,6 +557,7 @@ def weighted_matrix(mats, terms) -> np.ndarray:
             acc = level.setdefault(s[1:], prod)
             if acc is not prod:
                 acc += prod
+        del below, b, prod  # free this level's inputs before what comes next
     acc = level.pop(())
     if real:
         acc = acc.view(np.complex128)

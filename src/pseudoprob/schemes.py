@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidRecipe,
     InvalidState,
     NonHermitianTrace,
     OrderingExplosion,
@@ -68,13 +69,14 @@ MAX_PARTITION_EVENTS = 16
 # (weights over 11383 classes of 8 qutrit observables, or over all 20160
 # classes of 8 two-outcome observables at d = 4) and ~27-28 ms (Weyl,
 # d = 4, outcome counts 4,4,4,4,4,4,3,3; 4.0M entries), and the largest
-# tracemalloc peak found is ~115 MiB (Weyl, d = 44, N = 2; 3.9M). From N = 3
+# tracemalloc peak found is ~114.5 MiB (Weyl, d = 44, N = 2; 3.9M). From N = 3
 # on Weyl runs real, against right factors of twice the generators' bytes:
 # single-outcome observables at d = 724, N = 3 (4.19M) take ~0.29-0.38 s at
 # a peak of ~104 MiB, 48 MiB of it the factors, and a full-rank d = 20,
 # N = 3 Weyl scheme (3.7M) ~6.5-8.5 ms at ~11 MiB. Large d with few outcomes stays
-# cheap: single-outcome observables at d = 1024, N = 2 or d = 128, N = 8
-# take ~0.18-0.28 s, and a qutrit N = 8 Weyl scheme (0.59M) ~6.4-6.7 ms.
+# cheap: single-outcome observables at d = 1024, N = 2 take ~0.10 s and at
+# d = 128, N = 8 ~0.15-0.17 s, and a qutrit N = 8 Weyl scheme (0.59M)
+# ~6.4-6.7 ms.
 
 # the recipe of every build_scheme call that passes none
 _WEYL = Recipe.weyl()
@@ -160,8 +162,9 @@ def _suffix_matrices(terms, counts) -> int:
 def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) -> Scheme:
     """Evaluate Tr(rho P) for the pseudo-projection P of every outcome tuple.
 
-    For a single observable every recipe reduces to the Born rule: it is not
-    checked, and the Weyl product of one projector is that projector.
+    For a single observable every recipe reduces to the Born rule: its
+    classes are not checked, and the Weyl product of one projector is that
+    projector.
     Otherwise a unit/weights recipe is checked once against the N!/2
     reversal classes of `ordering_classes`, and every tuple's P is built
     from the same classes, whether or not that tuple's projectors commute;
@@ -172,10 +175,11 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
     over all tuples at once and each sub-product is made once for the
     tuples sharing its outcomes. Weyl runs `weyl_matrix`'s subset recursion
     and unit/weights `weighted_matrix`'s suffix recursion, both multiplying
-    on the right: a sum of two or more orderings of N >= 3 observables as
-    real matmuls on float64 views, a single ordering or N <= 2 in complex
-    arithmetic (`pseudoprojection._operands`). Inputs whose lattice exceeds
-    MAX_LATTICE_ENTRIES raise OrderingExplosion before any of it is built.
+    on the right, by the one rule of `pseudoprojection._operands`: one
+    ordering class (a unit recipe, and any recipe over N <= 2 observables)
+    runs the complex chain, two or more run real. A recipe that is no
+    Recipe raises InvalidRecipe, and inputs whose lattice exceeds
+    MAX_LATTICE_ENTRIES raise OrderingExplosion, before any of it is built.
 
     Weyl from N = 4 on, and at N = 3 from d = 3 on, fuses the trace into
     the products: `weyl_traces` splits every ordering at m = ceil(N/2),
@@ -197,6 +201,8 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
             f"{n} observables exceed the ordering cap {MAX_GENERATORS}"
         )
     recipe = recipe or _WEYL
+    if not isinstance(recipe, Recipe):
+        raise InvalidRecipe(f"recipe must be a Recipe, got {recipe!r}")
     d = rho.op.matrix.shape[0]
     counts = []
     for obs in observables:
@@ -237,7 +243,10 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
 def marginal(scheme: Scheme, keep) -> Scheme:
     """Sum out the observables not in `keep` (integer indices into the scheme)."""
     message = "keep indices must be integers, got {!r}"
-    keep = sorted({int(_scalar(k, ValueError, message, float.is_integer)) for k in keep})
+    try:
+        keep = sorted({int(_scalar(k, ValueError, message, float.is_integer)) for k in keep})
+    except TypeError:  # not iterable
+        raise ValueError(f"keep must be a collection of observable indices, got {keep!r}") from None
     n = scheme.n_observables
     if not keep:
         raise ValueError("keep must name at least one observable")

@@ -22,6 +22,7 @@ from pseudoprob import (
     UnphysicalBloch,
     apply_local_unitaries,
     bloch_vector,
+    build_scheme,
     combine,
     density_from_bloch,
     direction,
@@ -161,6 +162,17 @@ BIG = 10**400
 def test_a_number_past_float_range_reaches_the_range_check_as_infinite(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: marginal(SCHEME, 0), ValueError, "^keep must be a collection of observable indices, got 0$"),
+    (lambda: build_scheme(SCHEME.state, SCHEME.observables * 2, "weyl"), InvalidRecipe,
+     ": recipe must be a Recipe, got 'weyl'$"),
+], ids=["marginal.keep", "build_scheme.recipe"])
+def test_an_argument_of_the_wrong_kind_raises_the_entry_domain_error(call, error, message):
+    with pytest.raises(error, match=message) as raised:
+        call()
+    assert type(raised.value) is error
 
 
 def test_the_recipe_constructor_takes_its_fields_as_the_classmethods_do():

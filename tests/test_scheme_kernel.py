@@ -23,6 +23,8 @@ from pseudoprob import (
     density_from_bloch,
     observable_from_direction,
     schemes,
+    unit_pseudo_projections,
+    weyl_pseudo_projection,
 )
 from pseudoprob import pseudoprojection
 from pseudoprob.pseudoprojection import (
@@ -244,20 +246,23 @@ def gathered_sizes(mats):
 
 
 # grids whose products are made in the same arithmetic as before sizes were
-# gathered: qubits at N = 1 and 2 and qutrits at N = 2 (complex, nothing to
-# gather), qubits at N = 4..8 and outcome counts 4, 3, 3, 2 at d = 4 (real);
-# with the sizes gathered in each (qubit sizes 4-6 at N = 7, 3-6 at N = 8
-# and size 3 at d = 4 in several steps)
-KEPT_ROUTE_GRIDS = [((2, (2,)), []), ((3, (3, 3)), [])] + [
+# gathered: qubits at N = 1 and 2 (complex, nothing to gather; at d = 2,
+# A_1 A_0 is (A_0 A_1)^dag bit for bit, so one class's chain has the bytes
+# of the two-product formula it replaced), qubits at N = 4..8 and outcome
+# counts 4, 3, 3, 2 at d = 4 (real); with the sizes gathered in each (qubit
+# sizes 4-6 at N = 7, 3-6 at N = 8 and size 3 at d = 4 in several steps)
+KEPT_ROUTE_GRIDS = [((2, (2,)), [])] + [
     ((2, (2,) * n), sizes) for n, sizes in [
         (2, []), (4, [2, 3, 4]), (5, [2, 3, 4, 5]), (6, [2, 3, 4, 5, 6]), (7, [2, 3, 4, 5, 6, 7]),
         (8, [2, 3, 4, 5, 6]),
     ]
 ] + [((4, (4, 3, 3, 2)), [2, 3])]
-# N = 3 grids, which run real products, not the complex ones of before sizes
-# were gathered, also where no size is gathered (d = 6)
+# grids whose last bits moved: N = 3 grids, which run real products, not
+# the complex ones of before sizes were gathered, also where no size is
+# gathered (d = 6); and the qutrit N = 2 grid, now one class's chain
+# A_0 A_1, not A_1 A_0 + A_0 A_1
 NEW_ROUTE_GRIDS = [((2, (2, 2, 2)), [2, 3]), ((3, (3, 3, 3)), [2, 3]), ((3, (3, 2, 1)), [2, 3]),
-                   ((6, (6, 6, 6)), [])]
+                   ((6, (6, 6, 6)), []), ((3, (3, 3)), [])]
 
 
 def grid_id(case):
@@ -388,13 +393,14 @@ class TestGatheredSizes:
     def test_digest_of_kept_routes(self):
         # the grids' results, and those of each grid's first outcome tuple
         # on its own, pinned from the recursion as it stood before N = 3
-        # always ran real, when N <= 2 went through the subset plan's loop
+        # always ran real; re-recorded without the qutrit N = 2 grid from
+        # N <= 2's two-product formula, before it became one class's chain
         digest = hashlib.sha256()
         for (d, counts), _ in KEPT_ROUTE_GRIDS:
             mats = grouped_grid(1811, d, counts)
             digest.update(weyl_matrix(mats).tobytes())
             digest.update(weyl_matrix([g.reshape(-1, d, d)[0] for g in mats]).tobytes())
-        assert digest.hexdigest() == "8811b2c01e1dc4a37ccd81c332c9b121b3a59a5ea59bcf2bf3ed90ee1988e75b"
+        assert digest.hexdigest() == "488303fc96f236139f512e4ee3c19ff5549a37381a6d500857d440a1974bb2c6"
 
     @pytest.mark.parametrize("case, _", NEW_ROUTE_GRIDS, ids=[grid_id(c) for c, _ in NEW_ROUTE_GRIDS])
     def test_new_route_matches_oracle_per_tuple(self, case, _):
@@ -417,6 +423,41 @@ class TestGatheredSizes:
             assert abs(scheme.entry(t) - polar) <= 1e-13
             if n <= 7:
                 assert abs(scheme.entry(t) - trace_entry(rho, oracles.weyl_oracle(mats))) <= 1e-14
+
+
+# outcome grids of N <= 2 observables, which have one ordering class
+ONE_CLASS_GRIDS = [(2, (2,)), (2, (2, 2)), (3, (3,)), (3, (3, 3)), (3, (3, 2)), (4, (4, 4)),
+                   (4, (4, 2))]
+
+
+class TestOneClass:
+    # N <= 2 generators have one reversal class, so their Weyl average, the
+    # unit of class 0 and weights [1.0] are one product: the chain of that
+    # class, made once
+
+    @pytest.mark.parametrize("case", ONE_CLASS_GRIDS, ids=grid_id)
+    def test_weyl_matrix_is_the_chain_of_class_0(self, case):
+        d, counts = case
+        for seed in (1811, 1814):
+            mats = grouped_grid(seed, d, counts)
+            chain = oracles.hermitized_chain(mats, ordering_classes(len(counts))[0])
+            assert np.array_equal(weyl_matrix(mats), chain)
+
+    @pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 2)])
+    def test_recipes_of_the_one_class_give_one_scheme(self, d, n):
+        for seed in range(2200, 2205):
+            rho, obs = random_case(seed, d, n)
+            weyl = build_scheme(rho, obs, Recipe.weyl()).values
+            assert np.array_equal(build_scheme(rho, obs, Recipe.unit(0)).values, weyl)
+            assert np.array_equal(build_scheme(rho, obs, Recipe.convex([1.0])).values, weyl)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_weyl_pseudo_projection_is_its_unit(self, d):
+        rng = np.random.default_rng(2210 + d)
+        for _ in range(10):
+            pair = [HermitianOperator(oracles.haar_projector(rng, d, r)) for r in rng.integers(1, d, 2)]
+            weyl = weyl_pseudo_projection(pair).op.matrix
+            assert weyl.tobytes() == unit_pseudo_projections(pair)[0].op.matrix.tobytes()
 
 
 # Weyl grids of N >= 3 whose traces `weyl_traces` takes from the split at
@@ -690,6 +731,21 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
         assert peak <= (70 + 56 + 16 + 2) * 16 * 128 ** 2
+
+    def test_full_rank_two_observable_weyl_peak(self):
+        # d = 44, N = 2 over 44 outcomes each (3.9M lattice entries): one
+        # class's chain makes the 57.2 MiB product grid once and hermitizes
+        # it against one conjugate copy, so the peak is ~2.0x the grid
+        rho, obs = random_case(86, 44, 2)
+        bound = 2.5 * 16 * lattice_entries(44, 2, 44)
+        build_scheme(rho, obs)
+        tracemalloc.start()
+        try:
+            build_scheme(rho, obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_weyl_sums_in_place(self):
         # d = 12, N = 4 over 12 outcomes each: the last level is 12^4 of the
