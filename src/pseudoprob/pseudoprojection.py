@@ -17,6 +17,7 @@ import bisect
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,12 @@ from .tolerances import RESIDUAL_ATOL, ROUNDING_ATOL
 # A Weyl average takes 2^N N products; build_scheme makes each partial
 # product once per outcome of the observables it involves, within
 # MAX_LATTICE_ENTRIES: an N = 8 Weyl scheme takes ~0.50-0.55 ms over qubits
-# (256 tuples) and ~6.4-6.7 ms over qutrits (6561 tuples), and a weights recipe over
-# all 20160 classes of 8 qubit observables ~0.20-0.22 s, on a 2-vCPU Xeon VM,
-# min of 3 in each of 2-3 runs (the VM's speed varies by run, up to 2x). Only
-# unit_pseudo_projections enumerates all N!/2 = 20160 classes at N = 8:
-# ~0.23 s at d = 2 and ~0.63 s at d = 14, the largest d within
+# (256 tuples) and ~6.4-6.7 ms over qutrits (6561 tuples), and a weights
+# recipe over all 20160 classes of 8 qubit observables ~0.04-0.06 s
+# (~0.09-0.12 s on the first call, which makes its plan), on a 2-vCPU Xeon
+# VM, min of 3 in each of 2-3 runs (the VM's speed varies by run, up to
+# 2x). Only unit_pseudo_projections enumerates all N!/2 = 20160 classes at
+# N = 8: ~0.23 s at d = 2 and ~0.63 s at d = 14, the largest d within
 # MAX_LATTICE_ENTRIES (at N = 7, d = 40: ~0.49 s), min of 3 on the same VM.
 # weyl_pseudo_projection at N = 8 takes ~0.26-0.27 s at its largest d, 128.
 MAX_GENERATORS = 8
@@ -256,46 +258,84 @@ def right_factors(a) -> np.ndarray:
     return (a[..., None, :] * _ONE_I).view(np.float64).reshape(*lead, 2 * d, 2 * d)
 
 
-def _operands(mats) -> tuple:
-    """(left, right): each generator as a real left operand, viewed as
-    (..., d, 2d) interleaved floats, and as its `right_factors`.
-
-    One rule picks the arithmetic of both recursions: one ordering class
-    runs the complex chain, two or more run real. A single class (a unit
-    recipe, a weights recipe with one nonzero weight, and every product of
-    N <= 2 generators, which have one class) is the plain left to right
-    chain product: its few products would not pay for the factors. A sum
-    over two or more classes (every Weyl average from N = 3 on, a weights
-    recipe of several) makes each product a float64 view times a right
-    factor, at about half the time of a complex matmul call and an eighth
-    per small product.
-    """
-    left = [np.ascontiguousarray(m, dtype=np.complex128).view(np.float64) for m in mats]
-    return left, [right_factors(m) for m in mats]
-
-
-# The most bytes one gathered step of `weyl_matrix` holds. A gathered
+# The most bytes one gathered step of `_weyl_level` holds. A gathered
 # product holds its left row, right factor and result, (16 + 32 + 16) d^2
-# bytes. A subset size of n rows of k-subsets is one step when its k n
-# products fit and so does its product table: every one of the R rows of the
-# size below times the right factors of each of the G generator rows, one
-# matmul, and the k n products picked from it, (G R + k n) 16 d^2 bytes. A
-# table product costs about a ninth of one made in a stacked matmul of tiny
-# ones, which pays for the products not picked. Other sizes are gathered in
-# steps of whole subsets, each as long as this lets it be, when those of
-# their largest subset fit half a step, so every step but a size's last
-# holds two subsets or more; the rest are made pair by pair. Copying few,
-# large subsets into steps costs more than the calls it saves (steps sized
-# by this budget alone made qutrit Weyl at N = 6 0.7x as fast, d = 4 at
-# N = 5 0.55x and d = 128 at N = 8 0.65x), and a table for a size that is
-# cut into steps slowed the sizes after it (qubit Weyl at N = 8 ~2%). Every
-# size of qubit Weyl up to N = 6 and of qutrit Weyl up to N = 4 is one
-# step; qubit sizes 4-6 at N = 7 and 3-6 at N = 8 take 2-14 steps, which
-# made qubit Weyl at N = 7 ~1.9x and at N = 8 ~1.6-1.8x faster than pair
-# by pair. `weyl_traces` makes sizes only up to ceil(N/2) (qubit size 4 at
-# N = 7 in 3 steps, sizes 3 and 4 at N = 8 in 2 and 5), and cuts its
-# blocks into runs of whole subsets under the same budget.
+# bytes. A level whose keys (the W(S) of `weyl_matrix`, the B(s) of
+# `weighted_matrix`) sum P products in all is one step when its P products
+# fit and so does its product table: every one of the R rows of the level
+# below times the right factors of each of the G generator rows, one matmul,
+# and the P products picked from it, (G R + P) 16 d^2 bytes. A table product
+# costs about a ninth of one made in a stacked matmul of tiny ones, which
+# pays for the products not picked. Other levels are gathered in steps of
+# whole keys, each as long as this lets it be, when those of their largest
+# key fit half a step, so every step but a run's last holds two keys or
+# more; the rest are made pair by pair. Copying few, large subsets into
+# steps costs more than the calls it saves (steps sized by this budget alone
+# made qutrit Weyl at N = 6 0.7x as fast, d = 4 at N = 5 0.55x and d = 128
+# at N = 8 0.65x), and a table for a size that is cut into steps slowed the
+# sizes after it (qubit Weyl at N = 8 ~2%). Every size of qubit Weyl up to
+# N = 6 and of qutrit Weyl up to N = 4 is one step; qubit sizes 4-6 at N = 7
+# and 3-6 at N = 8 take 2-14 steps, which made qubit Weyl at N = 7 ~1.9x and
+# at N = 8 ~1.6-1.8x faster than pair by pair. `weyl_traces` makes sizes only
+# up to ceil(N/2) (qubit size 4 at N = 7 in 3 steps, sizes 3 and 4 at N = 8
+# in 2 and 5), and cuts its blocks into runs of whole subsets under the same
+# budget.
 GATHER_BYTES = 1 << 18
+# What one matmul call costs, as bytes of table products: a table may be
+# made in blocks, each the rows of the level below that one generator
+# multiplies times that generator's rows only, when the products it saves
+# are worth more than the calls it adds. A weights recipe of few orderings
+# wastes most of a whole table: at d = 4 over outcome counts 4,3,3,2 its
+# last level picked 144 of 720 products. Half this made recipes of 2-3
+# orderings and all classes at qutrit N = 3-4 ~3-13% slower, twice this
+# all 360 classes of 6 qubit observables ~11% slower.
+CALL_BYTES = 1 << 14
+# The most bytes of index arrays that the plans of `_weyl_plan`,
+# `_weyl_split` and `_weighted_plan` hold together while cached; the oldest
+# are let go first, and a larger plan is not kept. The largest plans found
+# are the split of the d = 4 Weyl cap grid (outcome counts 4,4,4,4,4,4,3,3),
+# 9.9 MiB, and the weighted plans of the weights cap inputs, 1.6 MiB (all
+# 20160 classes of 8 qubit observables) and 1.7 MiB (11383 classes of 8
+# qutrit observables).
+PLAN_CACHE_BYTES = 64 << 20
+_PLANS: dict = {}  # (build, *key) -> (plan, bytes), oldest first
+_plan_bytes = 0  # of the plans in _PLANS
+_index_bytes = 0  # of every index array that `_numbers` has made
+_PLAN_LOCK = threading.Lock()  # one thread at a time builds and counts
+
+
+def _cached_plan(build):
+    """`build` with its plans kept in `_PLANS` within PLAN_CACHE_BYTES, each
+    counted by the bytes of the index arrays `_numbers` made for it."""
+    @functools.wraps(build)
+    def plan(*key):
+        global _plan_bytes
+        key = (build, *key)
+        entry = _PLANS.get(key)  # a plan found is read without the lock
+        if entry is None:
+            with _PLAN_LOCK:
+                entry = _PLANS.get(key)
+                if entry is None:
+                    made = _index_bytes
+                    entry = build(*key[1:]), _index_bytes - made
+                    if entry[1] <= PLAN_CACHE_BYTES:
+                        _PLANS[key] = entry
+                        _plan_bytes += entry[1]
+                    while _plan_bytes > PLAN_CACHE_BYTES:
+                        _plan_bytes -= _PLANS.pop(next(iter(_PLANS)))[1]
+        return entry[0]
+    return plan
+
+
+def _numbers(array) -> np.ndarray:
+    """`array` as read-only int32 row numbers, counted in `_index_bytes`:
+    every index array a plan keeps is made here, whole, and no number of a
+    plan reaches past the products of one level."""
+    global _index_bytes
+    out = np.asarray(array, dtype=np.int32)
+    out.setflags(write=False)
+    _index_bytes += out.nbytes
+    return out
 
 
 def _rows(first: int, end: int, shape: tuple, target: tuple) -> np.ndarray:
@@ -317,7 +357,68 @@ def _places(shapes: tuple, k: int) -> dict:
     return place
 
 
-@functools.lru_cache(maxsize=64)
+def _level(d: int, generators: int, rows_below: int, runs: list, blocks=None) -> tuple:
+    """The plan entry (size, blocks, table, gathers, pairs) of one level, by
+    the rule of GATHER_BYTES, for `_weyl_level`.
+
+    The level's keys lie in `runs`, each (first, k, ends, numbers, pairs)
+    for keys of k terms each: its rows first..ends[-1] - 1 and the row ends
+    of its keys. numbers() gives its (k, rows) row numbers (below, factor):
+    its row r is the sum over j of row below[j, r] of the level below,
+    `rows_below` rows, times row factor[j, r] of the `generators` right
+    factors, j ascending. pairs() gives its pair steps. The entry has one
+    of:
+    - table, one (first, end, index) per run, picking its products from a
+      table made in one step, of its (a, b, c, e) blocks in turn: rows
+      a..b-1 below times generator rows c..e-1 each. Its blocks are the one
+      of every row below times every generator, or the `blocks` given, which
+      hold every product picked, when they cost less at 16 d^2 bytes a
+      product and CALL_BYTES a block;
+    - gathers (first, end, index), each making a stretch of whole keys of
+      one run in one step, index = factor R + below for the R rows below;
+    - pairs (first, end, shape, pairs), each making one key, its rows
+      viewed as `shape`, as the sum over its terms of a (first, end, shape)
+      view of its rows below times one generator's right factors.
+    Gathers and pairs are chosen run by run, so a level may have both. A
+    level whose G R passes int32 (only stacks far beyond the lattice cap
+    reach it) is made pair by pair. Indices are int32.
+    """
+    def index(numbers, blocks):  # a table's index of each product of a run
+        below, factor = numbers()
+        a, b, c, e = blocks.T
+        offset = np.cumsum((b - a) * (e - c)) - (b - a) * (e - c)
+        k = np.searchsorted(a, below, "right") - 1
+        return _numbers(offset[k] + (factor - c[k]) * (b - a)[k] + below - a[k])
+
+    def made(blocks):  # products of a table
+        return int(np.sum((blocks[:, 1] - blocks[:, 0]) * (blocks[:, 3] - blocks[:, 2])))
+
+    size = int(runs[-1][2][-1])
+    products = sum(k * (int(ends[-1]) - first) for first, k, ends, _, _ in runs)
+    table = full = np.array([[0, rows_below, 0, generators]])
+    # the blocks when their products and calls cost less than the whole table's
+    if blocks is not None and 16 * d * d * (made(blocks) - made(full)) < CALL_BYTES * (1 - len(blocks)):
+        table = blocks
+    if max(16 * d * d * (made(table) + products), 64 * d * d * products) <= GATHER_BYTES:
+        return (size, tuple(map(tuple, table.tolist())),
+                tuple((first, int(ends[-1]), index(numbers, table)) for first, _, ends, numbers, _ in runs), (), ())
+    gathers, pairs = [], []
+    for first, k, ends, numbers, run_pairs in runs:
+        row_bytes = k * 64 * d * d  # of one row's products and their operands
+        ends = np.asarray(ends)
+        if (min(ends[-1] - first, 2 * np.diff(ends, prepend=first).max()) * row_bytes > GATHER_BYTES
+                or generators * rows_below > np.iinfo(np.int32).max):
+            pairs += run_pairs()
+            continue
+        run, start = index(numbers, full), first
+        while start < ends[-1]:
+            end = int(ends[np.searchsorted(ends, start + GATHER_BYTES // row_bytes, "right") - 1])
+            gathers.append((start, end, run[:, start - first:end - first]))
+            start = end
+    return size, (), (), tuple(gathers), tuple(pairs)
+
+
+@_cached_plan
 def _weyl_plan(shapes: tuple, d: int, top: int) -> tuple:
     """(levels, shape): `weyl_matrix`'s plan of the subset sizes 2..top of
     N generators of d x d matrices whose stacks have leading shapes
@@ -325,60 +426,160 @@ def _weyl_plan(shapes: tuple, d: int, top: int) -> tuple:
     floats.
 
     Each subset size is one array of float64 (d, 2d) rows, its W(S) as
-    `_places` lays them out. The generators are size 1,
-    and their right factors have the same row numbers. A run of whole
-    subsets has (k, rows) row numbers (below, factor): its row r is the sum
-    over j of row below[j, r] of the size below times row factor[j, r] of
-    the right factors, j the place of i in S. The entry of size k is (rows,
-    index, gathers, pairs), one of the last three set:
-    - index, factor R + below over the whole size for the R rows of the
-      size below, picks its products from the table of every row below
-      times every generator, made in one step.
-    - a gather (first, end, below, factor) makes the rows of a run of
-      whole subsets. Runs are as long as GATHER_BYTES lets them be.
-    - a pair step (first, end, shape, pairs) makes one W(S), its rows
-      viewed as `shape`, as the sum over its (S, i) pairs, i ascending, of
-      W(S - {i}) times A_i's right factors, each a (first, end, shape) view
-      of its rows.
+    `_places` lays them out, and one `_level` entry of one run, the subsets
+    in turn. The generators are size 1, and their right factors have the
+    same row numbers. The terms of W(S) are W(S - {i}) A_i over i in S,
+    ascending.
     """
     gens = list(_places(shapes, 1).values())
+
+    def numbers(below, place, level):  # a size's (k, rows) row numbers (below, factor)
+        return np.concatenate([[[_rows(*below[rest], place[s][2]) for _, rest in steps],
+                                [_rows(*gens[i], place[s][2]) for i, _ in steps]]
+                               for s, steps in level], axis=2)
+
+    def pairs(below, place, level):  # a size's pair steps, subset by subset
+        return [(*place[s][:2], (*place[s][2], d, 2 * d), tuple(
+            (*below[rest][:2], (*below[rest][2], d, 2 * d), *gens[i][:2], (*shapes[i], 2 * d, 2 * d))
+            for i, rest in steps)) for s, steps in level]
+
     place, levels, size = {(i,): g for i, g in enumerate(gens)}, [], gens[-1][1]
-
-    def numbers(run):  # (below, factor) of a run of (S, steps), read-only
-        out = np.concatenate([[[_rows(*below[rest], place[s][2]) for _, rest in steps],
-                               [_rows(*gens[i], place[s][2]) for i, _ in steps]]
-                              for s, steps in run], axis=2)
-        out.setflags(write=False)
-        return out
-
     for k in range(2, top + 1):
         below, place, rows_below = place, _places(shapes, k), size
         # each k-subset S with its pairs (i, S - {i}), i ascending
         level = [(s, [(i, s[:j] + s[j + 1:]) for j, i in enumerate(s)]) for s in place]
         size = sum(e - a for a, e, _ in place.values())
-        cost = k * 64 * d * d  # bytes of one row's products and their operands
-        table = 16 * d * d * (gens[-1][1] * rows_below + k * size)  # and of a product table
-        index, gathers, pairs = None, [], []
-        if max(table, size * cost) <= GATHER_BYTES:
-            lower, factor = numbers(level)
-            index = factor * rows_below + lower
-            index.setflags(write=False)
-        elif min(size, 2 * max(b - a for a, b, _ in place.values())) * cost <= GATHER_BYTES:
-            runs = []
-            for s, steps in level:
-                if not runs or (place[s][1] - place[runs[-1][0][0]][0]) * cost > GATHER_BYTES:
-                    runs.append([])
-                runs[-1].append((s, steps))
-            gathers = [(place[run[0][0]][0], place[run[-1][0]][1], *numbers(run)) for run in runs]
-        else:
-            pairs = [(*place[s][:2], (*place[s][2], d, 2 * d), tuple(
-                (*below[rest][:2], (*below[rest][2], d, 2 * d), *gens[i][:2], (*shapes[i], 2 * d, 2 * d))
-                for i, rest in steps)) for s, steps in level]
-        levels.append((size, index, tuple(gathers), tuple(pairs)))
+        run = (0, k, [e for _, e, _ in place.values()], functools.partial(numbers, below, place, level),
+               functools.partial(pairs, below, place, level))
+        levels.append(_level(d, gens[-1][1], rows_below, [run]))
     return tuple(levels), (*np.broadcast_shapes(*shapes), d, 2 * d)
 
 
-@functools.lru_cache(maxsize=64)
+def _strides(shape: tuple, target: tuple) -> list:
+    """The step of rows laid out in `shape` along each axis of `target`,
+    which `shape` broadcasts to: 0 along the axes it is broadcast over."""
+    shape, out, step = (1,) * (len(target) - len(shape)) + tuple(shape), [], 1
+    for extent in reversed(shape):
+        out.append(step if extent > 1 else 0)
+        step *= extent
+    return out[::-1]
+
+
+@_cached_plan
+def _weighted_plan(orderings: tuple, shapes: tuple, d: int) -> tuple:
+    """(start, levels, shape): `weighted_matrix`'s plan of the suffix levels
+    of two or more `orderings` of N generators of d x d matrices whose
+    stacks have leading shapes `shapes`, and the shape of the result's
+    (..., d, 2d) floats.
+
+    Level j holds B(s) for the distinct suffixes s of length N - j, each
+    laid out as `_weyl_plan` lays out W(S) for the set S of the generators
+    outside s. start = (rows, term) makes level 1, B(c[1:]) = w_c/2 A_c[0]:
+    the generator rows `rows`, each times half the weight of ordering
+    term, in the orderings' order. Each later level is one `_level` entry
+    whose B(s) sums its terms B((i,) + s) A_i in a fixed order: the terms
+    of s in the order of the keys below, each level's keys in the order in
+    which their first term comes, as a suffix recursion over dicts in
+    insertion order adds them. Its rows lie in runs of the keys with the
+    same number of terms, fewest first, in a run by the set outside s,
+    then in that order. Each key below is a term of one key only, times the
+    generator at its head, so its table may be made in blocks: the keys
+    below as laid out, those of one head next to each other in one block,
+    times that head's rows, which `_level` takes when they cost less than
+    the whole table. The plan is made by a few numpy calls per run and per
+    set, not per key, but for the keys made pair by pair.
+    """
+    n, gens = len(shapes), list(_places(shapes, 1).values())
+    gen_first, gen_rows = np.array([[a, e - a] for a, e, _ in gens]).T
+
+    @functools.cache
+    def place(mask: int) -> tuple:  # (rows, shape) of B(s), mask the set outside s
+        shape = np.broadcast_shapes(*(shapes[i] for i in range(n) if mask >> i & 1))
+        return math.prod(shape), shape
+
+    @functools.cache
+    def numbers(mask: int) -> np.ndarray:  # [:, i]: term i's (below, factor) rows, B(s + i)'s from 0
+        shape = place(mask)[1]
+        steps = [[_strides(place(mask & ~(1 << i))[1], shape), _strides(shapes[i], shape)]
+                 if mask >> i & 1 else [[0] * len(shape)] * 2 for i in range(n)]
+        out = np.array(steps, dtype=np.int64) @ np.indices(shape).reshape(len(shape), -1)
+        out[:, 1] += gen_first[:, None]
+        return out.swapaxes(0, 1)
+
+    def run_numbers(groups):  # a run's (k, rows) row numbers (below, factor)
+        below, factor = [], []
+        for mask, _, starts, heads in groups:
+            local = numbers(mask)[:, heads]
+            below.append((starts[..., None] + local[0]).reshape(len(heads), -1))
+            factor.append(local[1].reshape(len(heads), -1))
+        return np.concatenate(below, axis=1), np.concatenate(factor, axis=1)
+
+    @functools.cache
+    def pair_step(mask: int, i: int) -> tuple:  # term i's pair step, less its first row below
+        rows, shape = place(mask & ~(1 << i))
+        return rows, (*shape, d, 2 * d), *gens[i][:2], (*shapes[i], 2 * d, 2 * d)
+
+    def run_pairs(groups):  # a run's pair steps, key by key
+        out = []
+        for mask, key_firsts, starts, heads in groups:
+            rows, shape = place(mask)
+            for first, ts, hs in zip(key_firsts.tolist(), starts.T.tolist(), heads.T.tolist()):
+                steps = tuple((t, t + step[0], *step[1:]) for t, step in zip(ts, (pair_step(mask, i) for i in hs)))
+                out.append((first, first + rows, (*shape, d, 2 * d), steps))
+        return out
+
+    orders = np.fromiter(itertools.chain.from_iterable(orderings), dtype=np.int64).reshape(-1, n)
+    lengths = gen_rows[orders[:, 0]]
+    firsts = np.cumsum(lengths) - lengths  # the first row of each key below, in key order
+    term = np.repeat(np.arange(len(orders)), lengths)
+    start = (_numbers(np.arange(len(term)) + np.repeat(gen_first[orders[:, 0]] - firsts, lengths)),
+             _numbers(term.reshape(-1, 1, 1)))
+    # each key as its digits in base N, and the set outside it as bits
+    codes, masks = orders[:, 1:] @ n ** np.arange(n - 2, -1, -1), 1 << orders[:, 0]
+    rows_below, levels = len(term), []
+    for length in range(n - 1, 0, -1):
+        # key j below is B((head,) + rest), a term of key `key[j]`, whose
+        # number is its rest's place among them in order of first sight
+        heads, rests = np.divmod(codes, n ** (length - 1))
+        codes, seen, key = np.unique(rests, return_index=True, return_inverse=True)
+        order = np.argsort(seen)
+        codes, key = codes[order], np.argsort(order)[key.reshape(-1)]
+        terms = np.argsort(key, kind="stable")  # the keys below, by the key they add to
+        counts = np.bincount(key)
+        outside = np.zeros(len(codes), dtype=np.int64)
+        outside[key] = masks | 1 << heads
+        # the layout: by number of terms, then by the set outside, then in order
+        lay = np.lexsort((outside, counts))
+        sets, which = np.unique(outside, return_inverse=True)
+        rows = np.array([place(m)[0] for m in sets.tolist()])[which.reshape(-1)[lay]]
+        ends = np.cumsum(rows)
+        new_firsts = np.empty_like(ends)
+        new_firsts[lay] = ends - rows
+        # taken[j, g]: the j-th term of the g-th key laid out (any, past its last)
+        taken = terms[(np.cumsum(counts) - counts)[lay] + np.arange(counts.max())[:, None] % counts[lay]]
+        # groups of keys with one number of terms and one set outside, in runs of one number
+        cuts = np.flatnonzero(np.diff(counts[lay]) | np.diff(outside[lay])) + 1
+        spans = zip([0, *cuts.tolist()], [*cuts.tolist(), len(lay)])
+        runs = []
+        for k, run in itertools.groupby(spans, lambda span: int(counts[lay[span[0]]])):
+            run = list(run)
+            groups = [(int(outside[lay[a]]), new_firsts[lay[a:b]], firsts[taken[:k, a:b]], heads[taken[:k, a:b]])
+                      for a, b in run]
+            first, end = run[0][0], run[-1][1]
+            runs.append((int(ends[first] - rows[first]), k, ends[first:end],
+                         functools.partial(run_numbers, groups), functools.partial(run_pairs, groups)))
+        # the keys below laid out, those multiplied by one generator next to
+        # each other in one block, which ends where the next one starts
+        laid = np.argsort(firsts)
+        lo = laid[np.r_[0, np.flatnonzero(np.diff(heads[laid])) + 1]]
+        a, head = firsts[lo], heads[lo]
+        blocks = np.stack([a, np.r_[a[1:], rows_below], gen_first[head], gen_first[head] + gen_rows[head]], axis=1)
+        levels.append(_level(d, gens[-1][1], rows_below, runs, blocks))
+        firsts, masks, rows_below = new_firsts, outside, int(ends[-1])
+    return start, tuple(levels), (*np.broadcast_shapes(*shapes), d, 2 * d)
+
+
+@_cached_plan
 def _weyl_split(shapes: tuple) -> tuple:
     """`weyl_traces`' steps of the split at m = ceil(N/2) for N generators
     whose stacks have leading shapes `shapes`.
@@ -409,24 +610,42 @@ def _weyl_split(shapes: tuple) -> tuple:
             runs.append((a, e, f, g, (j + 1, b, r, c), [*index, entries + j * b * r * c]))
         else:
             runs.append((a, e, f, g, (1, b, r, c), [entries]))
-    split = tuple((*run, np.stack(index)) for *run, index in runs)
-    for *_, index in split:
-        index.setflags(write=False)
-    return split
+    return tuple((*run, _numbers(np.stack(index))) for *run, index in runs)
 
 
-def _weyl_level(rows, factors, size, index, gathers, pairs) -> np.ndarray:
-    """One subset size of `weyl_matrix` as one array of rows, from `rows`,
-    the size below, and the generators' right `factors`, by its
-    `_weyl_plan` entry. The views made here end with the call, so none of
-    them keeps a size alive while the next one is allocated."""
+def _weyl_level(rows, factors, size, blocks, table, gathers, pairs) -> np.ndarray:
+    """One level of `weyl_matrix` or `weighted_matrix` as one array of rows,
+    from `rows`, the level below, and the generators' right `factors`, by
+    its `_level` entry. The views made here end with the call, so none of
+    them keeps a level alive while the next one is allocated."""
+    if table:
+        d = rows.shape[1]
+        if len(blocks) == 1:  # one matmul, not written into a buffer: 3-6% of a small Weyl scheme
+            (a, b, c, e), = blocks
+            products = (rows[a:b].reshape(1, -1, 2 * d) @ factors[c:e]).reshape(-1, d, 2 * d)
+        else:
+            products = np.empty((sum((b - a) * (e - c) for a, b, c, e in blocks), d, 2 * d))
+            made = 0
+            for a, b, c, e in blocks:  # rows a..b-1 below times generator rows c..e-1
+                out = products[made:made + (b - a) * (e - c)].reshape(e - c, -1, 2 * d)
+                np.matmul(rows[a:b].reshape(1, -1, 2 * d), factors[c:e], out=out)
+                made += (b - a) * (e - c)
+        # one run is the whole level, and a run of one term a copy: each
+        # saves a call, a few percent of a small recipe
+        if len(table) == 1:
+            (_, _, index), = table
+            if len(index) == 1:
+                return products.take(index[0], axis=0)
+            return np.add.reduce(products.take(index, axis=0), axis=0)
     level = np.empty((size, *rows.shape[1:]))
-    if index is not None:
-        r, d, _ = rows.shape
-        products = (rows.reshape(1, r * d, 2 * d) @ factors).reshape(-1, d, 2 * d)
-        np.add.reduce(products[index], axis=0, out=level)
-    for first, end, below, factor in gathers:
-        np.add.reduce(rows[below] @ factors[factor], axis=0, out=level[first:end])
+    for first, end, index in table:
+        if len(index) == 1:
+            products.take(index[0], axis=0, out=level[first:end])
+        else:
+            np.add.reduce(products.take(index, axis=0), axis=0, out=level[first:end])
+    for first, end, index in gathers:
+        factor, below = np.divmod(index, len(rows))
+        np.add.reduce(rows.take(below, axis=0) @ factors.take(factor, axis=0), axis=0, out=level[first:end])
     for first, end, shape, ((a, b, left, c, e, right), *more) in pairs:
         out = level[first:end].reshape(shape)
         np.matmul(rows[a:b].reshape(left), factors[c:e].reshape(right), out=out)
@@ -435,17 +654,19 @@ def _weyl_level(rows, factors, size, index, gathers, pairs) -> np.ndarray:
     return level
 
 
-def _weyl_rows(mats, levels) -> tuple:
-    """(below, rows): the rows of the last two of the subset sizes
-    `levels` of the generators `mats`, made size by size from the
-    generators' rows, which are size 1."""
+def _weyl_rows(mats, levels, start=None) -> tuple:
+    """(below, rows): the rows of the last two of the `levels` of the
+    generators `mats`, made level by level from the generators' rows, or
+    from those rows gathered and scaled by start = (rows, scales)."""
     d = mats[0].shape[-1]
     gens = np.concatenate([m.reshape(-1, d, d) for m in mats], dtype=np.complex128)
     factors, rows = right_factors(gens), gens.view(np.float64)
     # the generators are freed once the level that reads their rows is done
     del gens
+    if start is not None:
+        rows = rows.take(start[0], axis=0) * start[1]
     for level in levels:
-        below = rows  # the size two below is let go before the next is made
+        below = rows  # the level two below is let go before the next is made
         rows = _weyl_level(below, factors, *level)
     return below, rows
 
@@ -464,13 +685,15 @@ def weyl_matrix(mats) -> np.ndarray:
 
     N <= 2 Hermitian generators have one ordering class, so their Weyl
     average is its unit: `weighted_matrix`'s chain of class 0, complex by
-    the rule in `_operands`. From N = 3 on the sum runs real by that rule:
+    the rule stated there. From N = 3 on the sum runs real by that rule:
     every subset size is one array of float64 rows, the W(S) of its
     subsets in turn, and each product is a real matmul with A_i's
-    `right_factors`, made once for all the generators. `_weyl_plan` makes
-    each size in one of three ways. In one step: one matmul makes the
-    products of every row of the size below with every generator, and each
-    W(S) gathers its (S, i) products from them. In gathered steps, each a
+    `right_factors`, made once for all the generators. `_weyl_plan` plans
+    each size by the rule of `_level`, and `_weyl_level` makes it, as it
+    makes `weighted_matrix`'s levels, in one of three ways. In one step:
+    one matmul makes the products of every row of the size below with every
+    generator, and each W(S) gathers its (S, i) products from them. In
+    gathered steps, each a
     run of whole subsets whose products fit GATHER_BYTES: the rows of
     W(S - {i}) and of A_i's right factors for every (S, i) pair of the run
     are gathered into two stacks and one matmul makes every product. A
@@ -538,29 +761,38 @@ def weighted_matrix(mats, terms) -> np.ndarray:
     product of the rest, starts at B(c[1:]) = w_c A_c[0], and
     B(s) = sum_{i not in s} B((i,) + s) A_i, down to B(()). On a grid B(s)
     spans only the axes outside s, so at most N products cover the whole
-    grid. Products are formed left to right, so a single ordering (a unit
-    recipe) is the plain complex chain product, and two or more orderings
-    are real matmuls on float64 views (`_operands`), as in `weyl_matrix`.
+    grid.
+
+    One rule picks the arithmetic, here and in `weyl_matrix`: one ordering
+    class runs complex, two or more real. A single ordering (a unit recipe,
+    a weights recipe with one nonzero weight, and every product of N <= 2
+    generators, which have one class) is the plain left to right complex
+    chain product: its few products would not pay for the right factors.
+    Two or more make each product a float64 view times a right factor
+    (`right_factors`), at about half the time of a complex matmul call and
+    an eighth per small product, on `_weighted_plan`'s levels, each made by
+    `_weyl_level` as `weyl_matrix` makes a subset size: in one step from a
+    product table, in gathered steps or pair by pair. A recipe of few
+    orderings makes its table in blocks, each the keys below of one head
+    times that generator only, so it makes no product it does not pick
+    (at d = 4 over outcome counts 4,3,3,2 a last level made 144 products,
+    not 720). Each B(s) adds its
+    terms in one fixed order, that of a recursion over dicts in insertion
+    order (see `_weighted_plan`), whatever the rows' layout and the way
+    the level is made, so its bytes do not depend on either.
     """
-    n = len(mats)
-    real = len(terms) > 1
-    left, right = _operands(mats) if real else (mats, mats)
-    # each ordering starts at a new array w_c/2 A_c[0]; halving is exact, so
-    # A + A^dag for A = B(())/2 is the hermitized sum bit for bit
-    level = {}
-    for w, c in terms:
-        level[c[1:]] = 0.5 * w * left[c[0]]
-    for _ in range(n - 1):
-        below, level = level, {}
-        for s, b in below.items():
-            prod = b @ right[s[0]]
-            acc = level.setdefault(s[1:], prod)
-            if acc is not prod:
-                acc += prod
-        del below, b, prod  # free this level's inputs before what comes next
-    acc = level.pop(())
-    if real:
-        acc = acc.view(np.complex128)
+    if len(terms) == 1:
+        (w, c), = terms
+        # halving is exact, so A + A^dag for A = w/2 A_c is the hermitized
+        # product bit for bit
+        acc = 0.5 * w * mats[c[0]]
+        for i in c[1:]:
+            acc = acc @ mats[i]
+    else:
+        (rows, term), levels, shape = _weighted_plan(
+            tuple([c for _, c in terms]), tuple([m.shape[:-2] for m in mats]), mats[0].shape[-1])
+        halves = np.array([0.5 * w for w, _ in terms])
+        acc = _weyl_rows(mats, levels, (rows, halves.take(term)))[1].reshape(shape).view(np.complex128)
     acc += acc.conj().swapaxes(-1, -2)
     return acc
 

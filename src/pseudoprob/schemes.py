@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,11 +64,12 @@ MAX_PARTITION_EVENTS = 16
 # proper suffix s of its nonzero orderings, over the outcomes of the
 # observables outside s (_suffix_matrices). Inputs above MAX_LATTICE_ENTRIES
 # entries are rejected before anything is built. On a 2-vCPU Xeon VM, min of
-# 3 in each of 2-3 runs: the slowest accepted inputs found take ~0.2-0.24 s
-# (weights over 11383 classes of 8 qutrit observables, or over all 20160
-# classes of 8 two-outcome observables at d = 4) and ~27-28 ms (Weyl,
-# d = 4, outcome counts 4,4,4,4,4,4,3,3; 4.0M entries), and the largest
-# tracemalloc peak found is ~114.5 MiB (Weyl, d = 44, N = 2; 3.9M). From N = 3
+# 3 in each of 2-3 runs: the slowest accepted weights inputs found take
+# ~0.13-0.15 s over 11383 classes of 8 qutrit observables and ~0.07-0.12 s
+# over all 20160 classes of 8 two-outcome observables at d = 4 (~0.18-0.23
+# s and ~0.12-0.19 s on the first call, which makes the plan), the slowest
+# Weyl ~27-28 ms (d = 4, outcome counts 4,4,4,4,4,4,3,3; 4.0M entries), and
+# the largest tracemalloc peak found is ~114.5 MiB (Weyl, d = 44, N = 2; 3.9M). From N = 3
 # on Weyl runs real, against right factors of twice the generators' bytes:
 # single-outcome observables at d = 724, N = 3 (4.19M) take ~0.29-0.38 s at
 # a peak of ~104 MiB, 48 MiB of it the factors, and a full-rank d = 20,
@@ -150,13 +150,20 @@ def _suffix_matrices(terms, counts) -> int:
     """Outcomes over which `weighted_matrix` makes its matrices, summed: B(s)
     once per distinct proper suffix s = c[j:] of the orderings c, over the
     outcomes of the observables in the prefix c[:j], k_i of them for
-    observable i."""
-    sizes = {}
-    for _, c in terms:
-        prefix_sizes = itertools.accumulate(map(counts.__getitem__, c), operator.mul)
-        for j, size in enumerate(prefix_sizes, 1):
-            sizes[c[j:]] = size
-    return sum(sizes.values())
+    observable i. The suffixes of each length are told apart as numbers in
+    base N, and each prefix's outcomes are counted once per set of
+    observables, exactly."""
+    n = len(terms[0][1])
+    orders = np.fromiter(itertools.chain.from_iterable(c for _, c in terms), dtype=np.int64).reshape(-1, n)
+    sizes = [math.prod(k for i, k in enumerate(counts) if m >> i & 1) for m in range(1 << n)]
+    codes, prefixes = np.zeros(len(orders), dtype=np.int64), np.full(len(orders), (1 << n) - 1)
+    found = np.zeros(1 << n, dtype=np.int64)  # distinct suffixes, by their prefix's set
+    for j in range(n - 1, -1, -1):
+        _, first = np.unique(codes, return_index=True)
+        found += np.bincount(prefixes[first], minlength=1 << n)
+        codes = codes + orders[:, j] * n ** (n - 1 - j)
+        prefixes = prefixes & ~(1 << orders[:, j])
+    return sum(f * size for f, size in zip(found.tolist(), sizes))
 
 
 def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) -> Scheme:
@@ -175,10 +182,12 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
     over all tuples at once and each sub-product is made once for the
     tuples sharing its outcomes. Weyl runs `weyl_matrix`'s subset recursion
     and unit/weights `weighted_matrix`'s suffix recursion, both multiplying
-    on the right, by the one rule of `pseudoprojection._operands`: one
-    ordering class (a unit recipe, and any recipe over N <= 2 observables)
-    runs the complex chain, two or more run real. A recipe that is no
-    Recipe raises InvalidRecipe, and inputs whose lattice exceeds
+    on the right, by the one rule stated in `weighted_matrix`: one ordering
+    class (a unit recipe, and any recipe over N <= 2 observables) runs the
+    complex chain, two or more run real, each level of either recursion
+    one array of rows made by the same planned steps. No recipe (None)
+    means Weyl; any other value that is no Recipe, 0, '' and [] too,
+    raises InvalidRecipe, and inputs whose lattice exceeds
     MAX_LATTICE_ENTRIES raise OrderingExplosion, before any of it is built.
 
     Weyl from N = 4 on, and at N = 3 from d = 3 on, fuses the trace into
@@ -200,7 +209,8 @@ def build_scheme(rho: DensityMatrix, observables, recipe: Recipe | None = None) 
         raise OrderingExplosion(
             f"{n} observables exceed the ordering cap {MAX_GENERATORS}"
         )
-    recipe = recipe or _WEYL
+    if recipe is None:
+        recipe = _WEYL
     if not isinstance(recipe, Recipe):
         raise InvalidRecipe(f"recipe must be a Recipe, got {recipe!r}")
     d = rho.op.matrix.shape[0]

@@ -168,7 +168,17 @@ def test_a_number_past_float_range_reaches_the_range_check_as_infinite(call, err
     (lambda: marginal(SCHEME, 0), ValueError, "^keep must be a collection of observable indices, got 0$"),
     (lambda: build_scheme(SCHEME.state, SCHEME.observables * 2, "weyl"), InvalidRecipe,
      ": recipe must be a Recipe, got 'weyl'$"),
-], ids=["marginal.keep", "build_scheme.recipe"])
+    # a falsy recipe other than None is no Recipe either, also for one observable
+    (lambda: build_scheme(SCHEME.state, SCHEME.observables * 2, 0), InvalidRecipe,
+     ": recipe must be a Recipe, got 0$"),
+    (lambda: build_scheme(SCHEME.state, SCHEME.observables * 2, ""), InvalidRecipe,
+     ": recipe must be a Recipe, got ''$"),
+    (lambda: build_scheme(SCHEME.state, SCHEME.observables * 2, []), InvalidRecipe,
+     r": recipe must be a Recipe, got \[\]$"),
+    (lambda: build_scheme(SCHEME.state, SCHEME.observables, False), InvalidRecipe,
+     ": recipe must be a Recipe, got False$"),
+], ids=["marginal.keep", "build_scheme.recipe", "build_scheme.recipe=0", "build_scheme.recipe=''",
+        "build_scheme.recipe=[]", "build_scheme.recipe=False"])
 def test_an_argument_of_the_wrong_kind_raises_the_entry_domain_error(call, error, message):
     with pytest.raises(error, match=message) as raised:
         call()

@@ -4,6 +4,7 @@ outcome grid against per-tuple oracles (`oracles.hermitized_chain` for one
 ordering) and explicit products, its memory against the lattice size, and
 the lattice cap."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -28,8 +29,8 @@ from pseudoprob import (
 )
 from pseudoprob import pseudoprojection
 from pseudoprob.pseudoprojection import (
-    GATHER_BYTES, _weyl_level, _weyl_plan, _weyl_split, ordering_classes, right_factors,
-    weighted_matrix, weyl_matrix, weyl_traces,
+    CALL_BYTES, GATHER_BYTES, _level, _weighted_plan, _weyl_level, _weyl_plan, _weyl_split,
+    ordering_classes, right_factors, weighted_matrix, weyl_matrix, weyl_traces,
 )
 
 import oracles
@@ -181,8 +182,9 @@ class TestWeightedKernel:
 
     @pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
     def test_unit_is_the_chain_product_bit_for_bit(self, d, n):
-        # only sums of two or more orderings run real (`_operands`), so a
-        # single ordering stays the complex chain product
+        # only sums of two or more orderings run real (the rule stated in
+        # `weighted_matrix`), so a single ordering stays the complex chain
+        # product
         _, obs = random_case(70 + n, d, n)
         mats = grid_mats(obs)
         for c in ordering_classes(n):
@@ -242,7 +244,7 @@ def gathered_sizes(mats):
     if len(mats) < 3:
         return []
     levels, _ = _weyl_plan(tuple(m.shape[:-2] for m in mats), mats[0].shape[-1], len(mats))
-    return [k for k, (_, index, gathers, _) in enumerate(levels, 2) if index is not None or gathers]
+    return [k for k, (_, _, table, gathers, _) in enumerate(levels, 2) if table or gathers]
 
 
 # grids whose products are made in the same arithmetic as before sizes were
@@ -333,34 +335,38 @@ class TestGatheredSizes:
         assert same_plan(_weyl_plan(shapes, d, (n + 1) // 2)[0], levels[:(n + 1) // 2 - 1])
         generators = sum(math.prod(s) for s in shapes)
         rows_below = generators
-        for k, (size, index, gathers, pairs) in enumerate(levels, 2):
+        for k, (size, blocks, table, gathers, pairs) in enumerate(levels, 2):
             rows = [math.prod(np.broadcast_shapes(*(shapes[i] for i in s)))
                     for s in itertools.combinations(range(n), k)]
             ends = list(itertools.accumulate(rows))
             row_bytes = k * 64 * d * d  # of one row's products and their operands
             table_bytes = 16 * d * d * (generators * rows_below + k * size)
-            assert size == ends[-1] and (index is not None) + bool(gathers) + bool(pairs) == 1
+            assert size == ends[-1] and bool(table) + bool(gathers) + bool(pairs) == 1
+            # Weyl's table is every row below times every generator
+            assert blocks == (((0, rows_below, 0, generators),) if table else ())
             rows_below = size
             one_step = table_bytes <= GATHER_BYTES and size * row_bytes <= GATHER_BYTES
-            assert (index is not None) == one_step
+            assert bool(table) == one_step
             if one_step:
-                assert index.shape == (k, size) and not index.flags.writeable
+                ((first, end, index),) = table
+                assert (first, end) == (0, size) and index.shape == (k, size)
+                assert index.dtype == np.int32 and not index.flags.writeable
                 continue
             if pairs:
                 assert len(pairs) == len(rows)
                 assert size * row_bytes > GATHER_BYTES
                 assert 2 * max(rows) * row_bytes > GATHER_BYTES
                 continue
-            firsts = [first for first, _, _, _ in gathers]
-            lasts = [end for _, end, _, _ in gathers]
+            firsts = [first for first, _, _ in gathers]
+            lasts = [end for _, end, _ in gathers]
             assert firsts == [0, *lasts[:-1]] and lasts[-1] == size
             assert set(lasts) <= set(ends)
-            for first, end, below, factor in gathers:
-                assert below.shape == factor.shape == (k, end - first)
+            for first, end, index in gathers:
+                assert index.shape == (k, end - first) and index.dtype == np.int32
                 assert (end - first) * row_bytes <= GATHER_BYTES
             if len(gathers) > 1:
                 assert 2 * max(rows) * row_bytes <= GATHER_BYTES
-                for first, end, _, _ in gathers[:-1]:
+                for first, end, _ in gathers[:-1]:
                     assert sum(first < e <= end for e in ends) >= 2
                     assert (ends[ends.index(end) + 1] - first) * row_bytes > GATHER_BYTES
         if n < 3:
@@ -425,6 +431,276 @@ class TestGatheredSizes:
                 assert abs(scheme.entry(t) - trace_entry(rho, oracles.weyl_oracle(mats))) <= 1e-14
 
 
+# `weighted_matrix` recipes whose bytes no other digest pins: 2-3 orderings
+# on grids, zero weights kept as terms and left out, tuple stacks, mixed
+# axes, and grids whose levels are made in one step, in gathered steps and
+# pair by pair (WEIGHTED_MODE_GRIDS, with qutrit N = 5 a level of both)
+FEW_ORDERING_GRIDS = [(2, (2,) * n) for n in range(3, 7)] + [(3, (3, 3, 3)), (3, (3,) * 4),
+                                                            (4, (4, 3, 3, 2))]
+WEIGHTED_MODE_GRIDS = [(2, (2,) * 6), (4, (4, 3, 3, 2)), (3, (3,) * 5), (6, (6,) * 3)]
+MIXED_SHAPES = [((5, 1), (5, 1), (1, 3)), ((3, 1), (1, 5), (1, 5)),
+                ((2, 1, 1), (1, 3, 2), (2, 3, 1), (1,), (1, 1, 2))]
+
+
+def tuple_stack(seed, d, n):
+    """The generators of `random_case(seed, d, n)` as (T, d, d) stacks of
+    outcome tuples."""
+    return list(stacked_mats(random_case(seed, d, n)[1])[1])
+
+
+def mixed_axes(seed, shapes):
+    """Qutrit projectors of the leading shapes `shapes`."""
+    rng = np.random.default_rng(seed)
+    return [np.array([haar_observable(rng, 3).projectors[0] for _ in range(math.prod(s))])
+            .reshape(*s, 3, 3) for s in shapes]
+
+
+def weighted_digest_cases():
+    """(d, leading shapes, terms, mats) of `test_digest_of_weighted_plan_routes`,
+    mats() making the generators."""
+    cases = []
+    for d, counts in FEW_ORDERING_GRIDS:
+        classes = ordering_classes(len(counts))
+        rng = np.random.default_rng(2300 + 10 * d + len(counts))
+        for m in (2, 3):
+            picked = sorted(rng.choice(len(classes), m, replace=False).tolist())
+            weights = rng.dirichlet(np.ones(m)).tolist()
+            cases.append((d, grid_shapes(counts), [(w, classes[k]) for w, k in zip(weights, picked)],
+                          functools.partial(grouped_grid, 2300 + d, d, counts)))
+    classes = ordering_classes(5)
+    weights = np.random.default_rng(2310).dirichlet(np.ones(len(classes)))
+    weights[::3] = 0.0
+    weights = (weights / weights.sum()).tolist()
+    for terms in list(zip(weights, classes)), [(w, c) for w, c in zip(weights, classes) if w]:
+        cases.append((2, grid_shapes((2,) * 5), terms, functools.partial(grouped_grid, 2310, 2, (2,) * 5)))
+    for seed, d, n in (2320, 2, 4), (2321, 3, 3):
+        classes = ordering_classes(n)
+        weights = np.random.default_rng(seed).dirichlet(np.ones(len(classes))).tolist()
+        for terms in list(zip(weights, classes)), list(zip([0.25, 0.75], classes[-2:])):
+            cases.append((d, ((d ** n,),) * n, terms, functools.partial(tuple_stack, seed, d, n)))
+    for shapes in MIXED_SHAPES:
+        classes = ordering_classes(len(shapes))
+        weights = np.random.default_rng(2335 + len(shapes)).dirichlet(np.ones(len(classes))).tolist()
+        cases.append((3, shapes, list(zip(weights, classes)),
+                      functools.partial(mixed_axes, 2330 + len(shapes), shapes)))
+    for d, counts in WEIGHTED_MODE_GRIDS:
+        classes = ordering_classes(len(counts))
+        weights = np.random.default_rng(2340 + d).dirichlet(np.ones(len(classes))).tolist()
+        cases.append((d, grid_shapes(counts), list(zip(weights, classes)),
+                      functools.partial(grouped_grid, 2340 + d, d, counts)))
+    return cases
+
+
+def suffix_layouts(orderings, shapes):
+    """Each level of the suffix recursion, level 1 first, as {s: (first,
+    end, terms)} in order of first sight: B(s) on rows first..end - 1, its
+    terms the keys below that add to it, in the order a recursion over
+    dicts adds them. Level 1 holds c[1:] in the orderings' order, over the
+    outcomes of c[0]; each later level is laid out by number of terms,
+    then by the set outside s as bits, then in order of first sight."""
+    n = len(shapes)
+
+    def rows(s):
+        return math.prod(np.broadcast_shapes(*(shapes[i] for i in range(n) if i not in s)))
+
+    ends = list(itertools.accumulate(rows(c[1:]) for c in orderings))
+    levels = [{c[1:]: (end - rows(c[1:]), end, []) for c, end in zip(orderings, ends)}]
+    for _ in range(n - 1):
+        terms = {}
+        for below in levels[-1]:
+            terms.setdefault(below[1:], []).append(below)
+        laid = sorted(terms, key=lambda s: (len(terms[s]), sum(1 << i for i in range(n) if i not in s)))
+        ends = dict(zip(laid, itertools.accumulate(map(rows, laid))))
+        levels.append({s: (ends[s] - rows(s), ends[s], ts) for s, ts in terms.items()})
+    return levels
+
+
+# (orderings, d, leading shapes) of the weighted plans whose rule is
+# checked: the digest cases and the weights cap inputs (all classes of 8
+# qubit observables, the first 11383 of 8 qutrit ones)
+WEIGHTED_PLAN_CASES = [
+    (tuple(c for _, c in terms), d, shapes) for d, shapes, terms, _ in weighted_digest_cases()
+] + [(ordering_classes(8), 2, grid_shapes((2,) * 8)), (ordering_classes(8)[:11383], 3, grid_shapes((3,) * 8))]
+
+
+class TestWeightedPlan:
+    # two or more orderings make their suffix levels on Weyl's row layout:
+    # level 1 gathered and scaled from the generators' rows, each later
+    # level by `_weyl_level` from its `_level` entry
+
+    def test_digest_of_weighted_plan_routes(self):
+        # pinned from the suffix recursion over dicts that the plan replaced
+        digest = hashlib.sha256()
+        for _, _, terms, mats in weighted_digest_cases():
+            digest.update(weighted_matrix(mats(), terms).tobytes())
+        assert digest.hexdigest() == "b9e66236d23bf67b09b25cd369d44c91b0b23d7bd1ec903a8cb53a2f8d833b2c"
+
+    def test_mode_grids_make_levels_every_way(self):
+        kinds = set()
+        for d, counts in WEIGHTED_MODE_GRIDS:
+            _, levels, _ = _weighted_plan(ordering_classes(len(counts)), grid_shapes(counts), d)
+            for _, _, table, gathers, pairs in levels:
+                kinds.add("one step" if table else "steps and pairs" if gathers and pairs
+                          else "steps" if gathers else "pairs")
+        assert kinds == {"one step", "steps", "pairs", "steps and pairs"}
+
+    def test_levels_past_int32_are_made_pair_by_pair(self):
+        # a run of two one-row keys is gathered, unless factor R + below,
+        # for G generator rows and R rows below, passes int32
+        def numbers():
+            return np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2), dtype=np.int64)
+
+        def run(rows_below):
+            return _level(2, 1 << 16, rows_below, [(0, 2, [1, 2], numbers, lambda: ["pairs"])])
+
+        (first, end, index), = run((1 << 15) - 1)[3]
+        assert (first, end, index.shape, index.dtype) == (0, 2, (2, 2), np.int32)
+        assert run(1 << 15)[3:] == ((), ("pairs",))
+
+    @pytest.mark.parametrize("orderings, d, shapes", WEIGHTED_PLAN_CASES,
+                             ids=[f"d{d}-{len(o)}of{len(shapes)}-" + "x".join(str(math.prod(s)) for s in shapes)
+                                  for o, d, shapes in WEIGHTED_PLAN_CASES])
+    def test_plan_rule(self, orderings, d, shapes):
+        # level j holds B(s) for the distinct suffixes s of length N - j,
+        # laid out as `suffix_layouts` says, in runs of the keys with the
+        # same number of terms k. A level is one table step when both its
+        # product table and its products fit GATHER_BYTES, as in
+        # `_weyl_plan`; its table is every row below times every generator,
+        # or, when that costs more at CALL_BYTES a matmul, blocks of the keys
+        # below laid out, those of one head next to each other in one block,
+        # times that head's rows. Else each run is gathered in steps of whole
+        # keys when its largest key fits half a step, each as long as
+        # GATHER_BYTES lets it be, or made pair by pair. Every product picked
+        # is of a row of the j-th term of its key with a row of that term's
+        # head, j ascending
+        n = len(shapes)
+        (rows, term), levels, shape = _weighted_plan(orderings, shapes, d)
+        assert shape == (*np.broadcast_shapes(*shapes), d, 2 * d)
+        for a in (rows, term):
+            assert a.dtype == np.int32 and not a.flags.writeable
+        gen_rows = [math.prod(s) for s in shapes]
+        gen_first = [sum(gen_rows[:i]) for i in range(n)]
+        generator = np.repeat(np.arange(n), gen_rows)  # of each generator row
+        expected = np.concatenate([np.arange(gen_first[c[0]], gen_first[c[0]] + gen_rows[c[0]]) for c in orderings])
+        assert np.array_equal(rows, expected)
+        assert np.array_equal(term.reshape(-1), np.repeat(np.arange(len(orderings)), [gen_rows[c[0]] for c in orderings]))
+        layouts = suffix_layouts(orderings, shapes)
+        assert len(levels) == len(layouts) - 1 == n - 1
+        for (size, blocks, table, gathers, pairs), below, keys in zip(levels, layouts, layouts[1:]):
+            rows_below = max(e for _, e, _ in below.values())
+            number = {s: j for j, s in enumerate(below)}  # of each key below
+            key_of_row = np.empty(rows_below, dtype=np.int64)
+            for j, (a, e, _) in enumerate(below.values()):
+                key_of_row[a:e] = j
+            heads = np.array([s[0] for s in below])
+            laid = sorted(keys.items(), key=lambda key: key[1][0])
+            assert [a for _, (a, _, _) in laid] == [0, *(e for _, (_, e, _) in laid[:-1])] and laid[-1][1][1] == size
+            spans = {}  # of each run, by its number of terms
+            for s, (a, e, ts) in laid:
+                spans[len(ts)] = (spans.get(len(ts), (a,))[0], e)
+            assert list(spans) == sorted(spans)
+            key_at = {a: s for s, (a, _, _) in laid}
+            products = sum(len(ts) * (e - a) for a, e, ts in keys.values())
+            # the blocks of the keys below laid out, one head a block
+            head_blocks = []
+            for s, (a, e, _) in sorted(below.items(), key=lambda key: key[1][0]):
+                if head_blocks and head_blocks[-1][2] == gen_first[s[0]]:
+                    head_blocks[-1][1] = e
+                else:
+                    head_blocks.append([a, e, gen_first[s[0]], gen_first[s[0]] + gen_rows[s[0]]])
+            full_table = ((0, rows_below, 0, sum(gen_rows)),)
+
+            def cost(blocks):
+                return sum(16 * d * d * (b - a) * (e - c) + CALL_BYTES for a, b, c, e in blocks)
+
+            chosen = min(full_table, tuple(map(tuple, head_blocks)), key=cost)
+            one_step = max(cost(chosen) - CALL_BYTES * len(chosen) + 16 * d * d * products,
+                           64 * d * d * products) <= GATHER_BYTES
+            assert bool(table) == one_step and not (table and (gathers or pairs))
+            assert blocks == (chosen if table else ())
+
+            def check(first, end, k, generator_rows, below_rows):
+                # the j-th term of each key of rows first..end - 1, k terms each
+                run = [(ts, e - a) for _, (a, e, ts) in laid if first <= a < end]
+                want = np.repeat(np.array([[number[t] for t in ts] for ts, _ in run]).T, [r for _, r in run], axis=1)
+                assert want.shape == below_rows.shape == (k, end - first)
+                assert np.array_equal(key_of_row[below_rows], want)
+                assert np.array_equal(generator[generator_rows], heads[want])
+
+            if table:
+                assert [(first, end) for first, end, _ in table] == list(spans.values())
+                a, b, c, e = np.array(blocks).T
+                block_ends = np.cumsum((b - a) * (e - c))
+                for (first, end, index), k in zip(table, spans):
+                    assert index.dtype == np.int32 and not index.flags.writeable
+                    assert 0 <= index.min() and index.max() < block_ends[-1]
+                    i = np.searchsorted(block_ends, index, "right")
+                    g, r = np.divmod(index - (block_ends - (b - a) * (e - c))[i], (b - a)[i])
+                    check(first, end, k, c[i] + g, a[i] + r)
+                continue
+            made = sorted([(first, end) for first, end, *_ in gathers + pairs])
+            assert [first for first, _ in made] == [0, *(end for _, end in made[:-1])] and made[-1][1] == size
+            for k, (a, e) in spans.items():
+                row_bytes = k * 64 * d * d
+                steps = [g for g in gathers if a <= g[0] < e]
+                run_pairs = [p for p in pairs if a <= p[0] < e]
+                assert bool(steps) != bool(run_pairs)
+                gathered = min(e - a, 2 * max(r - f for f, r, ts in keys.values() if len(ts) == k)) * row_bytes <= GATHER_BYTES
+                assert bool(steps) == gathered
+                if gathered:
+                    assert steps[0][0] == a and steps[-1][1] == e
+                    for (first, end, index), after in zip(steps, steps[1:] + [None]):
+                        assert index.dtype == np.int32 and not index.flags.writeable
+                        assert (end - first) * row_bytes <= GATHER_BYTES
+                        assert after is None or after[0] == end
+                        check(first, end, k, *np.divmod(index, rows_below))
+                    continue
+                for first, end, _, terms in run_pairs:
+                    s = key_at[first]
+                    assert end - first == keys[s][1] - keys[s][0]
+                    assert [(a, b, c, e) for a, b, _, c, e, _ in terms] == [
+                        (*below[t][:2], gen_first[t[0]], gen_first[t[0]] + gen_rows[t[0]]) for t in keys[s][2]]
+
+
+def nbytes(plan):
+    """Bytes of the arrays in a plan, nested tuples of numbers and arrays."""
+    if isinstance(plan, np.ndarray):
+        return plan.nbytes
+    return sum(map(nbytes, plan)) if isinstance(plan, tuple) else 0
+
+
+class TestPlanCache:
+    def test_cached_plans_stay_within_the_bound(self, monkeypatch):
+        # the plans of ten orders of the d = 4 Weyl cap grid's outcome
+        # counts hold ~9.9 MiB each, nearly all of it their splits, and the
+        # weights cap plans ~1.6-1.7 MiB: together ~1.6x the bound. The
+        # cache lets the oldest go, keeps a plan found again, and holds no
+        # more than its bound, in arrays and in all it allocates
+        monkeypatch.setattr(pseudoprojection, "_PLANS", {})
+        monkeypatch.setattr(pseudoprojection, "_plan_bytes", 0)
+        made = 0
+        tracemalloc.start()
+        try:
+            for counts in sorted(set(itertools.permutations((4,) * 6 + (3, 3))))[:10]:
+                made += nbytes(_weyl_split(grid_shapes(counts)))
+                made += nbytes(_weyl_plan(grid_shapes(counts), 4, 4))
+            for orderings, d, shapes in WEIGHTED_PLAN_CASES[-2:]:
+                plan = _weighted_plan(orderings, shapes, d)
+                assert _weighted_plan(orderings, shapes, d) is plan
+                made += nbytes(plan)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        plans = pseudoprojection._PLANS
+        assert made > 1.5 * pseudoprojection.PLAN_CACHE_BYTES
+        assert sum(size for _, size in plans.values()) == pseudoprojection._plan_bytes
+        assert all(nbytes(plan) == size for plan, size in plans.values())
+        assert pseudoprojection._plan_bytes <= pseudoprojection.PLAN_CACHE_BYTES
+        assert held <= pseudoprojection.PLAN_CACHE_BYTES + (4 << 20)
+        assert list(plans)[-1][0] is _weighted_plan.__wrapped__
+        assert list(plans)[0][0] is not _weighted_plan.__wrapped__
+
+
 # outcome grids of N <= 2 observables, which have one ordering class
 ONE_CLASS_GRIDS = [(2, (2,)), (2, (2, 2)), (3, (3,)), (3, (3, 3)), (3, (3, 2)), (4, (4, 4)),
                    (4, (4, 2))]
@@ -486,8 +762,8 @@ class TestFusedTraces:
         kinds = set()
         for d, counts in FUSED_GRIDS:
             levels, _ = _weyl_plan(grid_shapes(counts), d, (len(counts) + 1) // 2)
-            for _, index, gathers, pairs in levels:
-                kinds.add("one step" if index is not None else "steps" if gathers else "pairs")
+            for _, _, table, gathers, pairs in levels:
+                kinds.add("one step" if table else "steps" if gathers else "pairs")
         assert kinds == {"one step", "steps", "pairs"}
 
     @pytest.mark.parametrize("case", [(2, (2,) * n) for n in range(3, 9)] + [(3, (3,) * 6), (3, (3, 2, 3, 1, 2))],
