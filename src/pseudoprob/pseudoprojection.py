@@ -39,28 +39,23 @@ from .operators import (
 )
 from .tolerances import RESIDUAL_ATOL, ROUNDING_ATOL
 
-# A Weyl average takes 2^N N products; build_scheme makes each partial
-# product once per outcome of the observables it involves, within
-# MAX_LATTICE_ENTRIES: an N = 8 Weyl scheme takes ~0.50-0.55 ms over qubits
-# (256 tuples) and ~6.4-6.7 ms over qutrits (6561 tuples), and a weights
-# recipe over all 20160 classes of 8 qubit observables ~0.04-0.06 s
-# (~0.09-0.12 s on the first call, which makes its plan), on a 2-vCPU Xeon
-# VM, min of 3 in each of 2-3 runs (the VM's speed varies by run, up to
-# 2x). Only unit_pseudo_projections enumerates all N!/2 = 20160 classes at
-# N = 8: ~0.23 s at d = 2 and ~0.63 s at d = 14, the largest d within
-# MAX_LATTICE_ENTRIES (at N = 7, d = 40: ~0.49 s), min of 3 on the same VM.
-# weyl_pseudo_projection at N = 8 takes ~0.26-0.27 s at its largest d, 128.
+# The most generators of one call. A Weyl average takes 2^N N products, and
+# build_scheme makes each partial product once per outcome of the
+# observables it involves, within MAX_LATTICE_ENTRIES; only
+# unit_pseudo_projections enumerates all N!/2 ordering classes. The cap is
+# the largest N at which every route's slowest accepted input was found to
+# run in about a second or less; unit_pseudo_projections of rank-1
+# projectors at N = 7-8 misses that in its duplicate search. Timings:
+# BENCH_whole_tables.json, "constants".
 MAX_GENERATORS = 8
 # The most d x d complex matrix entries one call builds, counted before
 # anything is built: build_scheme's outcome lattice (see schemes), 2^N d^2 for
 # weyl_pseudo_projection (its W(S) for every subset S, build_scheme's count for
 # single-outcome axes) and (N!/2 + N) d^2 for unit_pseudo_projections (one
 # unit per reversal class, and the stack of N generators they are made
-# from). At each N the largest accepted d then takes ~0.26-0.6 s for
-# weyl_pseudo_projection (~0.26-0.28 s at N = 2, d = 1024, ~0.36-0.38 s at
-# N = 3, d = 724, ~0.26-0.27 s at N = 8, d = 128) and ~0.5-0.8 s for
-# unit_pseudo_projections (~0.62 s at N = 2, d = 1182, the slowest ~0.8 s at
-# N = 4, d = 512), min of 3-5 on the same VM.
+# from). It is sized so that at each N the largest accepted d runs in about
+# a second or less, which unit_pseudo_projections misses as MAX_GENERATORS
+# says. Timings: BENCH_whole_tables.json, "constants".
 MAX_LATTICE_ENTRIES = 1 << 22
 
 
@@ -93,7 +88,11 @@ class Recipe:
                 ws = tuple(_scalar(w, InvalidConvexWeights, message) for w in self.weights)
             except TypeError:  # not iterable
                 raise InvalidConvexWeights(message.format(self.weights)) from None
-            _check_weights(ws, len(ws))
+            # written so that NaN fails both checks, and ±inf one of them
+            if not all(w >= 0.0 for w in ws):
+                raise InvalidConvexWeights("weights must be non-negative")
+            if not abs(sum(ws) - 1.0) <= ROUNDING_ATOL:
+                raise InvalidConvexWeights(f"weights sum to {sum(ws)!r}, not 1")
             object.__setattr__(self, "weights", ws)
         elif self.kind != "weyl":
             raise InvalidRecipe(f"unknown recipe kind {self.kind!r}")
@@ -121,19 +120,16 @@ class Recipe:
                 )
             return [(1.0, classes[self.index])]
         if self.kind == "weights":
-            _check_weights(self.weights, len(classes))
+            _check_count(self.weights, len(classes))
             return [(w, c) for w, c in zip(self.weights, classes) if w]
         raise InvalidRecipe(f"unknown recipe kind {self.kind!r}")
 
 
-def _check_weights(ws, expected_len: int) -> None:
+def _check_count(ws, expected_len: int) -> None:
+    """InvalidConvexWeights unless there are `expected_len` weights `ws`,
+    which `Recipe` has checked for the rest."""
     if len(ws) != expected_len:
         raise InvalidConvexWeights(f"expected {expected_len} weights, got {len(ws)}")
-    # written so that NaN fails both checks, and ±inf one of them
-    if not all(w >= 0.0 for w in ws):
-        raise InvalidConvexWeights("weights must be non-negative")
-    if not abs(sum(ws) - 1.0) <= ROUNDING_ATOL:
-        raise InvalidConvexWeights(f"weights sum to {sum(ws)!r}, not 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,45 +254,25 @@ def right_factors(a) -> np.ndarray:
     return (a[..., None, :] * _ONE_I).view(np.float64).reshape(*lead, 2 * d, 2 * d)
 
 
-# The most bytes one gathered step of `_weyl_level` holds. A gathered
-# product holds its left row, right factor and result, (16 + 32 + 16) d^2
-# bytes. A level whose keys (the W(S) of `weyl_matrix`, the B(s) of
-# `weighted_matrix`) sum P products in all is one step when its P products
-# fit and so does its product table: every one of the R rows of the level
-# below times the right factors of each of the G generator rows, one matmul,
-# and the P products picked from it, (G R + P) 16 d^2 bytes. A table product
-# costs about a ninth of one made in a stacked matmul of tiny ones, which
-# pays for the products not picked. Other levels are gathered in steps of
-# whole keys, each as long as this lets it be, when those of their largest
-# key fit half a step, so every step but a run's last holds two keys or
-# more; the rest are made pair by pair. Copying few, large subsets into
-# steps costs more than the calls it saves (steps sized by this budget alone
-# made qutrit Weyl at N = 6 0.7x as fast, d = 4 at N = 5 0.55x and d = 128
-# at N = 8 0.65x), and a table for a size that is cut into steps slowed the
-# sizes after it (qubit Weyl at N = 8 ~2%). Every size of qubit Weyl up to
-# N = 6 and of qutrit Weyl up to N = 4 is one step; qubit sizes 4-6 at N = 7
-# and 3-6 at N = 8 take 2-14 steps, which made qubit Weyl at N = 7 ~1.9x and
-# at N = 8 ~1.6-1.8x faster than pair by pair. `weyl_traces` makes sizes only
-# up to ceil(N/2) (qubit size 4 at N = 7 in 3 steps, sizes 3 and 4 at N = 8
-# in 2 and 5), and cuts its blocks into runs of whole subsets under the same
-# budget.
+# The most bytes one step of `_weyl_level` holds. A gathered product holds
+# its left row, right factor and result, (16 + 32 + 16) d^2 bytes. A level
+# whose keys (the W(S) of `weyl_matrix`, the B(s) of `weighted_matrix`) sum
+# P products in all is one step when its P products fit and so does its
+# product table: every one of the R rows of the level below times the right
+# factors of each of the G generator rows, one matmul, and the P products
+# picked from it, (G R + P) 16 d^2 bytes. Other levels are gathered in steps
+# of whole keys, each as long as this lets it be, when those of their
+# largest key fit half a step, so every step but a run's last holds two keys
+# or more; the rest are made pair by pair. `weyl_traces` cuts its blocks
+# into runs of whole subsets under the same budget. Why a table pays for the
+# products it does not pick, and steps for few large keys do not, with the
+# timings of each rule: BENCH_whole_tables.json, "constants".
 GATHER_BYTES = 1 << 18
-# What one matmul call costs, as bytes of table products: a table may be
-# made in blocks, each the rows of the level below that one generator
-# multiplies times that generator's rows only, when the products it saves
-# are worth more than the calls it adds. A weights recipe of few orderings
-# wastes most of a whole table: at d = 4 over outcome counts 4,3,3,2 its
-# last level picked 144 of 720 products. Half this made recipes of 2-3
-# orderings and all classes at qutrit N = 3-4 ~3-13% slower, twice this
-# all 360 classes of 6 qubit observables ~11% slower.
-CALL_BYTES = 1 << 14
 # The most bytes of index arrays that the plans of `_weyl_plan`,
 # `_weyl_split` and `_weighted_plan` hold together while cached; the oldest
-# are let go first, and a larger plan is not kept. The largest plans found
-# are the split of the d = 4 Weyl cap grid (outcome counts 4,4,4,4,4,4,3,3),
-# 9.9 MiB, and the weighted plans of the weights cap inputs, 1.6 MiB (all
-# 20160 classes of 8 qubit observables) and 1.7 MiB (11383 classes of 8
-# qutrit observables).
+# are let go first, and a larger plan is not kept. The bound holds several
+# of the largest plans found. Their sizes: BENCH_whole_tables.json,
+# "constants".
 PLAN_CACHE_BYTES = 64 << 20
 _PLANS: dict = {}  # (build, *key) -> (plan, bytes), oldest first
 _plan_bytes = 0  # of the plans in _PLANS
@@ -357,51 +333,36 @@ def _places(shapes: tuple, k: int) -> dict:
     return place
 
 
-def _level(d: int, generators: int, rows_below: int, runs: list, blocks=None) -> tuple:
-    """The plan entry (size, blocks, table, gathers, pairs) of one level, by
-    the rule of GATHER_BYTES, for `_weyl_level`.
+def _level(d: int, generators: int, rows_below: int, runs: list) -> tuple:
+    """The plan entry (size, table, gathers, pairs) of one level, by the
+    rule of GATHER_BYTES, for `_weyl_level`.
 
     The level's keys lie in `runs`, each (first, k, ends, numbers, pairs)
     for keys of k terms each: its rows first..ends[-1] - 1 and the row ends
     of its keys. numbers() gives its (k, rows) row numbers (below, factor):
     its row r is the sum over j of row below[j, r] of the level below,
     `rows_below` rows, times row factor[j, r] of the `generators` right
-    factors, j ascending. pairs() gives its pair steps. The entry has one
-    of:
+    factors, j ascending. pairs() gives its pair steps. Every index is
+    factor R + below for the R rows below, int32. The entry has one of:
     - table, one (first, end, index) per run, picking its products from a
-      table made in one step, of its (a, b, c, e) blocks in turn: rows
-      a..b-1 below times generator rows c..e-1 each. Its blocks are the one
-      of every row below times every generator, or the `blocks` given, which
-      hold every product picked, when they cost less at 16 d^2 bytes a
-      product and CALL_BYTES a block;
+      table made in one step: every row below times every generator row;
     - gathers (first, end, index), each making a stretch of whole keys of
-      one run in one step, index = factor R + below for the R rows below;
+      one run in one step;
     - pairs (first, end, shape, pairs), each making one key, its rows
       viewed as `shape`, as the sum over its terms of a (first, end, shape)
       view of its rows below times one generator's right factors.
     Gathers and pairs are chosen run by run, so a level may have both. A
     level whose G R passes int32 (only stacks far beyond the lattice cap
-    reach it) is made pair by pair. Indices are int32.
+    reach it) is made pair by pair.
     """
-    def index(numbers, blocks):  # a table's index of each product of a run
+    def index(numbers):  # factor R + below of each product of a run
         below, factor = numbers()
-        a, b, c, e = blocks.T
-        offset = np.cumsum((b - a) * (e - c)) - (b - a) * (e - c)
-        k = np.searchsorted(a, below, "right") - 1
-        return _numbers(offset[k] + (factor - c[k]) * (b - a)[k] + below - a[k])
-
-    def made(blocks):  # products of a table
-        return int(np.sum((blocks[:, 1] - blocks[:, 0]) * (blocks[:, 3] - blocks[:, 2])))
+        return _numbers(factor * rows_below + below)
 
     size = int(runs[-1][2][-1])
     products = sum(k * (int(ends[-1]) - first) for first, k, ends, _, _ in runs)
-    table = full = np.array([[0, rows_below, 0, generators]])
-    # the blocks when their products and calls cost less than the whole table's
-    if blocks is not None and 16 * d * d * (made(blocks) - made(full)) < CALL_BYTES * (1 - len(blocks)):
-        table = blocks
-    if max(16 * d * d * (made(table) + products), 64 * d * d * products) <= GATHER_BYTES:
-        return (size, tuple(map(tuple, table.tolist())),
-                tuple((first, int(ends[-1]), index(numbers, table)) for first, _, ends, numbers, _ in runs), (), ())
+    if max(16 * d * d * (generators * rows_below + products), 64 * d * d * products) <= GATHER_BYTES:
+        return size, tuple((first, int(ends[-1]), index(numbers)) for first, _, ends, numbers, _ in runs), (), ()
     gathers, pairs = [], []
     for first, k, ends, numbers, run_pairs in runs:
         row_bytes = k * 64 * d * d  # of one row's products and their operands
@@ -410,12 +371,12 @@ def _level(d: int, generators: int, rows_below: int, runs: list, blocks=None) ->
                 or generators * rows_below > np.iinfo(np.int32).max):
             pairs += run_pairs()
             continue
-        run, start = index(numbers, full), first
+        run, start = index(numbers), first
         while start < ends[-1]:
             end = int(ends[np.searchsorted(ends, start + GATHER_BYTES // row_bytes, "right") - 1])
             gathers.append((start, end, run[:, start - first:end - first]))
             start = end
-    return size, (), (), tuple(gathers), tuple(pairs)
+    return size, (), tuple(gathers), tuple(pairs)
 
 
 @_cached_plan
@@ -483,11 +444,8 @@ def _weighted_plan(orderings: tuple, shapes: tuple, d: int) -> tuple:
     insertion order adds them. Its rows lie in runs of the keys with the
     same number of terms, fewest first, in a run by the set outside s,
     then in that order. Each key below is a term of one key only, times the
-    generator at its head, so its table may be made in blocks: the keys
-    below as laid out, those of one head next to each other in one block,
-    times that head's rows, which `_level` takes when they cost less than
-    the whole table. The plan is made by a few numpy calls per run and per
-    set, not per key, but for the keys made pair by pair.
+    generator at its head. The plan is made by a few numpy calls per run
+    and per set, not per key, but for the keys made pair by pair.
     """
     n, gens = len(shapes), list(_places(shapes, 1).values())
     gen_first, gen_rows = np.array([[a, e - a] for a, e, _ in gens]).T
@@ -568,13 +526,7 @@ def _weighted_plan(orderings: tuple, shapes: tuple, d: int) -> tuple:
             first, end = run[0][0], run[-1][1]
             runs.append((int(ends[first] - rows[first]), k, ends[first:end],
                          functools.partial(run_numbers, groups), functools.partial(run_pairs, groups)))
-        # the keys below laid out, those multiplied by one generator next to
-        # each other in one block, which ends where the next one starts
-        laid = np.argsort(firsts)
-        lo = laid[np.r_[0, np.flatnonzero(np.diff(heads[laid])) + 1]]
-        a, head = firsts[lo], heads[lo]
-        blocks = np.stack([a, np.r_[a[1:], rows_below], gen_first[head], gen_first[head] + gen_rows[head]], axis=1)
-        levels.append(_level(d, gens[-1][1], rows_below, runs, blocks))
+        levels.append(_level(d, gens[-1][1], rows_below, runs))
         firsts, masks, rows_below = new_firsts, outside, int(ends[-1])
     return start, tuple(levels), (*np.broadcast_shapes(*shapes), d, 2 * d)
 
@@ -613,23 +565,15 @@ def _weyl_split(shapes: tuple) -> tuple:
     return tuple((*run, _numbers(np.stack(index))) for *run, index in runs)
 
 
-def _weyl_level(rows, factors, size, blocks, table, gathers, pairs) -> np.ndarray:
+def _weyl_level(rows, factors, size, table, gathers, pairs) -> np.ndarray:
     """One level of `weyl_matrix` or `weighted_matrix` as one array of rows,
     from `rows`, the level below, and the generators' right `factors`, by
     its `_level` entry. The views made here end with the call, so none of
     them keeps a level alive while the next one is allocated."""
     if table:
         d = rows.shape[1]
-        if len(blocks) == 1:  # one matmul, not written into a buffer: 3-6% of a small Weyl scheme
-            (a, b, c, e), = blocks
-            products = (rows[a:b].reshape(1, -1, 2 * d) @ factors[c:e]).reshape(-1, d, 2 * d)
-        else:
-            products = np.empty((sum((b - a) * (e - c) for a, b, c, e in blocks), d, 2 * d))
-            made = 0
-            for a, b, c, e in blocks:  # rows a..b-1 below times generator rows c..e-1
-                out = products[made:made + (b - a) * (e - c)].reshape(e - c, -1, 2 * d)
-                np.matmul(rows[a:b].reshape(1, -1, 2 * d), factors[c:e], out=out)
-                made += (b - a) * (e - c)
+        # every row below times every generator row, at factor R + below
+        products = (rows.reshape(1, -1, 2 * d) @ factors).reshape(-1, d, 2 * d)
         # one run is the whole level, and a run of one term a copy: each
         # saves a call, a few percent of a small recipe
         if len(table) == 1:
@@ -772,14 +716,11 @@ def weighted_matrix(mats, terms) -> np.ndarray:
     (`right_factors`), at about half the time of a complex matmul call and
     an eighth per small product, on `_weighted_plan`'s levels, each made by
     `_weyl_level` as `weyl_matrix` makes a subset size: in one step from a
-    product table, in gathered steps or pair by pair. A recipe of few
-    orderings makes its table in blocks, each the keys below of one head
-    times that generator only, so it makes no product it does not pick
-    (at d = 4 over outcome counts 4,3,3,2 a last level made 144 products,
-    not 720). Each B(s) adds its
-    terms in one fixed order, that of a recursion over dicts in insertion
-    order (see `_weighted_plan`), whatever the rows' layout and the way
-    the level is made, so its bytes do not depend on either.
+    product table of every row below times every generator, in gathered
+    steps or pair by pair. Each B(s) adds its terms in one fixed order,
+    that of a recursion over dicts in insertion order (see
+    `_weighted_plan`), whatever the rows' layout and the way the level is
+    made, so its bytes do not depend on either.
     """
     if len(terms) == 1:
         (w, c), = terms
@@ -838,7 +779,7 @@ def combine(units, weights) -> PseudoProjection:
     """
     units = list(units)
     ws = Recipe.convex(weights).weights
-    _check_weights(ws, len(units))
+    _check_count(ws, len(units))
     gens = units[0].generators
     class_weights = [0.0] * len(ordering_classes(len(gens)))
     acc = np.zeros_like(units[0].op.matrix)

@@ -60,23 +60,13 @@ MAX_PARTITION_EVENTS = 16
 # observables and every outcome of those in S: prod_i (1 + k_i) complex d x d
 # matrices for k_i outcomes each; a fused Weyl scheme (see build_scheme)
 # makes the subsets of up to ceil(N/2) observables and contracts each with
-# its complement and rho, but is counted the same. A unit/weights recipe instead makes B(s) for every distinct
-# proper suffix s of its nonzero orderings, over the outcomes of the
-# observables outside s (_suffix_matrices). Inputs above MAX_LATTICE_ENTRIES
-# entries are rejected before anything is built. On a 2-vCPU Xeon VM, min of
-# 3 in each of 2-3 runs: the slowest accepted weights inputs found take
-# ~0.13-0.15 s over 11383 classes of 8 qutrit observables and ~0.07-0.12 s
-# over all 20160 classes of 8 two-outcome observables at d = 4 (~0.18-0.23
-# s and ~0.12-0.19 s on the first call, which makes the plan), the slowest
-# Weyl ~27-28 ms (d = 4, outcome counts 4,4,4,4,4,4,3,3; 4.0M entries), and
-# the largest tracemalloc peak found is ~114.5 MiB (Weyl, d = 44, N = 2; 3.9M). From N = 3
-# on Weyl runs real, against right factors of twice the generators' bytes:
-# single-outcome observables at d = 724, N = 3 (4.19M) take ~0.29-0.38 s at
-# a peak of ~104 MiB, 48 MiB of it the factors, and a full-rank d = 20,
-# N = 3 Weyl scheme (3.7M) ~6.5-8.5 ms at ~11 MiB. Large d with few outcomes stays
-# cheap: single-outcome observables at d = 1024, N = 2 take ~0.10 s and at
-# d = 128, N = 8 ~0.15-0.17 s, and a qutrit N = 8 Weyl scheme (0.59M)
-# ~6.4-6.7 ms.
+# its complement and rho, but is counted the same. A unit/weights recipe
+# instead makes B(s) for every distinct proper suffix s of its nonzero
+# orderings, over the outcomes of the observables outside s
+# (_suffix_matrices). Inputs above MAX_LATTICE_ENTRIES entries are rejected
+# before anything is built, so the slowest accepted scheme found of each
+# recipe stays well inside the 3 s deadline of the cap tests. Timings and
+# tracemalloc peaks: BENCH_whole_tables.json, "constants".
 
 # the recipe of every build_scheme call that passes none
 _WEYL = Recipe.weyl()

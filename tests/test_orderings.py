@@ -305,9 +305,14 @@ def digest_sets():
 
 
 def test_digest_of_seeded_units():
-    # the units' bytes and class indices, pinned from the per-class chain
-    # products that the stacked prefix product replaced; up to N = 6, each
-    # kept unit is also the oracle's chain product of its class, bit for bit
+    # the class indices of every set and the units' bytes of the sets up to
+    # d = 128, pinned from the per-class chain products that the stacked
+    # prefix product replaced; up to N = 6, each kept unit is also the
+    # oracle's chain product of its class, bit for bit. At d = 512 and 1024
+    # OpenBLAS's complex matmul on one thread rounds otherwise than on
+    # several, so those units' bytes depend on the BLAS thread count and are
+    # left out of the pin; the oracle check, made in the same process,
+    # covers them
     digest = hashlib.sha256()
     for mats in digest_sets():
         units, indices = distinct_unit_matrices(mats)
@@ -316,5 +321,6 @@ def test_digest_of_seeded_units():
             expected = [oracles.hermitized_chain(mats, classes[k]) for k in indices]
             assert np.array_equal(units, expected)
         digest.update(repr(indices).encode())
-        digest.update(np.asarray(units).tobytes())
-    assert digest.hexdigest() == "1d772a77283aa0ece35584531f68514853b1768b932ddda1c4a0f9ad359590e8"
+        if len(mats[0]) <= 128:
+            digest.update(np.asarray(units).tobytes())
+    assert digest.hexdigest() == "388ab8de11aae84a79892ddf320ff794edeaced24f67cbd7ab63a78f34ccd718"

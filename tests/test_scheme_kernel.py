@@ -29,7 +29,7 @@ from pseudoprob import (
 )
 from pseudoprob import pseudoprojection
 from pseudoprob.pseudoprojection import (
-    CALL_BYTES, GATHER_BYTES, _level, _weighted_plan, _weyl_level, _weyl_plan, _weyl_split,
+    GATHER_BYTES, _level, _weighted_plan, _weyl_level, _weyl_plan, _weyl_split,
     ordering_classes, right_factors, weighted_matrix, weyl_matrix, weyl_traces,
 )
 
@@ -244,7 +244,7 @@ def gathered_sizes(mats):
     if len(mats) < 3:
         return []
     levels, _ = _weyl_plan(tuple(m.shape[:-2] for m in mats), mats[0].shape[-1], len(mats))
-    return [k for k, (_, _, table, gathers, _) in enumerate(levels, 2) if table or gathers]
+    return [k for k, (_, table, gathers, _) in enumerate(levels, 2) if table or gathers]
 
 
 # grids whose products are made in the same arithmetic as before sizes were
@@ -335,15 +335,13 @@ class TestGatheredSizes:
         assert same_plan(_weyl_plan(shapes, d, (n + 1) // 2)[0], levels[:(n + 1) // 2 - 1])
         generators = sum(math.prod(s) for s in shapes)
         rows_below = generators
-        for k, (size, blocks, table, gathers, pairs) in enumerate(levels, 2):
+        for k, (size, table, gathers, pairs) in enumerate(levels, 2):
             rows = [math.prod(np.broadcast_shapes(*(shapes[i] for i in s)))
                     for s in itertools.combinations(range(n), k)]
             ends = list(itertools.accumulate(rows))
             row_bytes = k * 64 * d * d  # of one row's products and their operands
             table_bytes = 16 * d * d * (generators * rows_below + k * size)
             assert size == ends[-1] and bool(table) + bool(gathers) + bool(pairs) == 1
-            # Weyl's table is every row below times every generator
-            assert blocks == (((0, rows_below, 0, generators),) if table else ())
             rows_below = size
             one_step = table_bytes <= GATHER_BYTES and size * row_bytes <= GATHER_BYTES
             assert bool(table) == one_step
@@ -539,7 +537,7 @@ class TestWeightedPlan:
         kinds = set()
         for d, counts in WEIGHTED_MODE_GRIDS:
             _, levels, _ = _weighted_plan(ordering_classes(len(counts)), grid_shapes(counts), d)
-            for _, _, table, gathers, pairs in levels:
+            for _, table, gathers, pairs in levels:
                 kinds.add("one step" if table else "steps and pairs" if gathers and pairs
                           else "steps" if gathers else "pairs")
         assert kinds == {"one step", "steps", "pairs", "steps and pairs"}
@@ -553,9 +551,9 @@ class TestWeightedPlan:
         def run(rows_below):
             return _level(2, 1 << 16, rows_below, [(0, 2, [1, 2], numbers, lambda: ["pairs"])])
 
-        (first, end, index), = run((1 << 15) - 1)[3]
+        (first, end, index), = run((1 << 15) - 1)[2]
         assert (first, end, index.shape, index.dtype) == (0, 2, (2, 2), np.int32)
-        assert run(1 << 15)[3:] == ((), ("pairs",))
+        assert run(1 << 15)[2:] == ((), ("pairs",))
 
     @pytest.mark.parametrize("orderings, d, shapes", WEIGHTED_PLAN_CASES,
                              ids=[f"d{d}-{len(o)}of{len(shapes)}-" + "x".join(str(math.prod(s)) for s in shapes)
@@ -564,11 +562,9 @@ class TestWeightedPlan:
         # level j holds B(s) for the distinct suffixes s of length N - j,
         # laid out as `suffix_layouts` says, in runs of the keys with the
         # same number of terms k. A level is one table step when both its
-        # product table and its products fit GATHER_BYTES, as in
-        # `_weyl_plan`; its table is every row below times every generator,
-        # or, when that costs more at CALL_BYTES a matmul, blocks of the keys
-        # below laid out, those of one head next to each other in one block,
-        # times that head's rows. Else each run is gathered in steps of whole
+        # product table, every row below times every generator, and its
+        # products fit GATHER_BYTES, as in `_weyl_plan`, each product at
+        # factor R + below. Else each run is gathered in steps of whole
         # keys when its largest key fits half a step, each as long as
         # GATHER_BYTES lets it be, or made pair by pair. Every product picked
         # is of a row of the j-th term of its key with a row of that term's
@@ -586,7 +582,7 @@ class TestWeightedPlan:
         assert np.array_equal(term.reshape(-1), np.repeat(np.arange(len(orderings)), [gen_rows[c[0]] for c in orderings]))
         layouts = suffix_layouts(orderings, shapes)
         assert len(levels) == len(layouts) - 1 == n - 1
-        for (size, blocks, table, gathers, pairs), below, keys in zip(levels, layouts, layouts[1:]):
+        for (size, table, gathers, pairs), below, keys in zip(levels, layouts, layouts[1:]):
             rows_below = max(e for _, e, _ in below.values())
             number = {s: j for j, s in enumerate(below)}  # of each key below
             key_of_row = np.empty(rows_below, dtype=np.int64)
@@ -601,23 +597,8 @@ class TestWeightedPlan:
             assert list(spans) == sorted(spans)
             key_at = {a: s for s, (a, _, _) in laid}
             products = sum(len(ts) * (e - a) for a, e, ts in keys.values())
-            # the blocks of the keys below laid out, one head a block
-            head_blocks = []
-            for s, (a, e, _) in sorted(below.items(), key=lambda key: key[1][0]):
-                if head_blocks and head_blocks[-1][2] == gen_first[s[0]]:
-                    head_blocks[-1][1] = e
-                else:
-                    head_blocks.append([a, e, gen_first[s[0]], gen_first[s[0]] + gen_rows[s[0]]])
-            full_table = ((0, rows_below, 0, sum(gen_rows)),)
-
-            def cost(blocks):
-                return sum(16 * d * d * (b - a) * (e - c) + CALL_BYTES for a, b, c, e in blocks)
-
-            chosen = min(full_table, tuple(map(tuple, head_blocks)), key=cost)
-            one_step = max(cost(chosen) - CALL_BYTES * len(chosen) + 16 * d * d * products,
-                           64 * d * d * products) <= GATHER_BYTES
+            one_step = max(16 * d * d * (sum(gen_rows) * rows_below + products), 64 * d * d * products) <= GATHER_BYTES
             assert bool(table) == one_step and not (table and (gathers or pairs))
-            assert blocks == (chosen if table else ())
 
             def check(first, end, k, generator_rows, below_rows):
                 # the j-th term of each key of rows first..end - 1, k terms each
@@ -629,14 +610,10 @@ class TestWeightedPlan:
 
             if table:
                 assert [(first, end) for first, end, _ in table] == list(spans.values())
-                a, b, c, e = np.array(blocks).T
-                block_ends = np.cumsum((b - a) * (e - c))
                 for (first, end, index), k in zip(table, spans):
                     assert index.dtype == np.int32 and not index.flags.writeable
-                    assert 0 <= index.min() and index.max() < block_ends[-1]
-                    i = np.searchsorted(block_ends, index, "right")
-                    g, r = np.divmod(index - (block_ends - (b - a) * (e - c))[i], (b - a)[i])
-                    check(first, end, k, c[i] + g, a[i] + r)
+                    assert 0 <= index.min() and index.max() < sum(gen_rows) * rows_below
+                    check(first, end, k, *np.divmod(index, rows_below))
                 continue
             made = sorted([(first, end) for first, end, *_ in gathers + pairs])
             assert [first for first, _ in made] == [0, *(end for _, end in made[:-1])] and made[-1][1] == size
@@ -762,7 +739,7 @@ class TestFusedTraces:
         kinds = set()
         for d, counts in FUSED_GRIDS:
             levels, _ = _weyl_plan(grid_shapes(counts), d, (len(counts) + 1) // 2)
-            for _, _, table, gathers, pairs in levels:
+            for _, table, gathers, pairs in levels:
                 kinds.add("one step" if table else "steps" if gathers else "pairs")
         assert kinds == {"one step", "steps", "pairs"}
 
