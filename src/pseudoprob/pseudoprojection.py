@@ -44,9 +44,8 @@ from .tolerances import RESIDUAL_ATOL, ROUNDING_ATOL
 # observables it involves, within MAX_LATTICE_ENTRIES; only
 # unit_pseudo_projections enumerates all N!/2 ordering classes. The cap is
 # the largest N at which every route's slowest accepted input was found to
-# run in about a second or less; unit_pseudo_projections of rank-1
-# projectors at N = 7-8 misses that in its duplicate search. Timings:
-# BENCH_whole_tables.json, "constants".
+# run in about a second or less. Timings: BENCH_whole_tables.json,
+# "constants", and for unit_pseudo_projections BENCH_unit_dedup.json.
 MAX_GENERATORS = 8
 # The most d x d complex matrix entries one call builds, counted before
 # anything is built: build_scheme's outcome lattice (see schemes), 2^N d^2 for
@@ -54,8 +53,8 @@ MAX_GENERATORS = 8
 # single-outcome axes) and (N!/2 + N) d^2 for unit_pseudo_projections (one
 # unit per reversal class, and the stack of N generators they are made
 # from). It is sized so that at each N the largest accepted d runs in about
-# a second or less, which unit_pseudo_projections misses as MAX_GENERATORS
-# says. Timings: BENCH_whole_tables.json, "constants".
+# a second or less. Timings: BENCH_whole_tables.json, "constants", and for
+# unit_pseudo_projections BENCH_unit_dedup.json.
 MAX_LATTICE_ENTRIES = 1 << 22
 
 
@@ -112,7 +111,8 @@ class Recipe:
         return cls(kind="weights", weights=weights)
 
     def terms(self, classes) -> list:
-        """(weight, ordering) pairs of the recipe over `classes`, zero weights dropped."""
+        """(weight, ordering) pairs of the recipe over `classes`, zero weights
+        dropped; the Weyl average is the equal-weight mean of the classes."""
         if self.kind == "unit":
             if not 0 <= self.index < len(classes):
                 raise InvalidRecipe(
@@ -122,7 +122,7 @@ class Recipe:
         if self.kind == "weights":
             _check_count(self.weights, len(classes))
             return [(w, c) for w, c in zip(self.weights, classes) if w]
-        raise InvalidRecipe(f"unknown recipe kind {self.kind!r}")
+        return [(1 / len(classes), c) for c in classes]
 
 
 def _check_count(ws, expected_len: int) -> None:
@@ -203,13 +203,13 @@ def distinct_unit_matrices(mats):
     thus the left to right chain product of its class, as in
     `weighted_matrix`, and the whole stack is hermitized once, in place.
 
-    A unit is compared only with the kept units whose key, a fixed weighted
-    sum of the real entries with absolute weights summing to 1, lies within
-    2 RESIDUAL_ATOL of its own: a unit within RESIDUAL_ATOL in max-norm
-    moves the key by at most that (plus rounding), so no duplicate is
-    missed.
+    A unit is compared only with the kept units whose key lies within
+    2 RESIDUAL_ATOL of its own. The key is one float64 coordinate, the real
+    or imaginary part of one entry: the one whose values spread widest over
+    the units. |Re z| and |Im z| are at most |z|, so a unit within
+    RESIDUAL_ATOL in max-norm moves the key by at most that, and no
+    duplicate is missed.
     """
-    d = mats[0].shape[0]
     classes = np.array(ordering_classes(len(mats)))
     units = gens = np.stack(mats)
     parents = classes[:, 0]  # each class's row of `units`
@@ -220,9 +220,8 @@ def distinct_unit_matrices(mats):
         parents = np.cumsum(first) - 1
     units += units.conj().swapaxes(-1, -2)
     units *= 0.5
-    weights = np.cos(np.arange(d * d)).reshape(d, d)
-    weights /= np.abs(weights).sum()
-    keys = (weights * units.real).sum(axis=(1, 2)).tolist()
+    floats = units.reshape(len(units), -1).view(np.float64)
+    keys = floats[:, np.ptp(floats, axis=0).argmax()].tolist()
     kept: list[int] = []
     window: list[tuple] = []  # (key, class index), sorted
     for k, key in enumerate(keys):

@@ -37,24 +37,15 @@ ENTRY_MIN, ENTRY_MAX = -1.0, 2.0
 # Coarse-graining lists its candidate blocks (sets of negative and positive
 # entries that reach -eps only with their highest positive entry; with the
 # non-negative singletons at most 2^16) in one vectorised pass over all 2^n
-# event masks, 1.5-6 ms at n = 16. Past that its cost grows with the blocks
-# and the sets of unplaced events the search visits, not with the Bell number
-# of the events; more than MAX_PARTITION_EVENTS events raise
-# PartitionSearchTooLarge. A visited set of k events tests at most max(16,
-# 2^k + 16 (k - 1)) listed blocks, or walks its 2^(k - 1) subsets that hold
-# its lowest event, two steps each, and looks up one child per block it
-# keeps, so no search takes more than 3^16 + 16^2 * 2^15 ~ 5.1e7 tests or
-# walk steps. No table found takes more than 1.1e7, and how long one near the
-# bound would take is not known. On a 2-vCPU Xeon VM (Python 3.11.7, numpy
-# 2.4.6, min of 3) the slowest found take 0.5-0.8 s: 14 random negatives and
-# 2 positives, the most steps (24,576 states; of 60 tables of 10-15 random
-# negatives); 13 equal negative and 3 equal positive entries, any positive
-# covering all the negatives (19,456 states; the slowest of 170 equal-value
-# tables of n negatives and 16 - n positives whose negatives together need 1
-# to (16 - n)/2 positives); 8 random negatives and 8 positives (20,747
-# states; of 292 tables of 4-9 random negatives, then a climb towards more
-# steps). 400 seeded random 16-event Weyl schemes (4 qubit observables, up to
-# 10 negative entries) take at most 0.6 s.
+# event masks. Past that its cost grows with the blocks and the sets of
+# unplaced events the search visits, not with the Bell number of the events;
+# more than MAX_PARTITION_EVENTS events raise PartitionSearchTooLarge. A
+# visited set of k events tests at most max(16, 2^k + 16 (k - 1)) listed
+# blocks, or walks its 2^(k - 1) subsets that hold its lowest event, two
+# steps each, and looks up one child per block it keeps, so no search takes
+# more than 3^16 + 16^2 * 2^15 ~ 5.1e7 tests or walk steps. No table found
+# takes more than 1.1e7. The slowest tables found and their timings:
+# BENCH_unit_dedup.json, "constants".
 MAX_PARTITION_EVENTS = 16
 # build_scheme's outcome lattice holds W(S) for every subset S of the
 # observables and every outcome of those in S: prod_i (1 + k_i) complex d x d

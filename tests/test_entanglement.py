@@ -54,6 +54,12 @@ class TestStateConstruction:
         s = 1 / math.sqrt(2)
         assert np.allclose(psi.amplitudes, [s, 0, 0, s], atol=1e-12)
 
+    def test_is_immutable_and_shows_its_amplitudes(self):
+        psi = TwoQubitPureState([0.0, 1.0, 0.0, 0.0])
+        with pytest.raises(AttributeError, match="^TwoQubitPureState is immutable$"):
+            psi.amplitudes = None
+        assert repr(psi) == "TwoQubitPureState([0j, (1+0j), 0j, 0j])"
+
 
 class TestReducedDensity:
     def test_product_state(self):

@@ -268,16 +268,35 @@ def pairwise_distinct_units(mats, atol=1e-10):
     return kept, indices
 
 
-@pytest.mark.parametrize("case", range(5))
-def test_distinct_units_match_pairwise_rule(case):
+def rank_one_set(d):
+    """Four rank-1 projectors at dimension d and a fifth 1e-12 off the
+    second: every unit's entries are small, so the keys crowd together, and
+    the classes that swap the near-equal pair give units within
+    RESIDUAL_ATOL of each other."""
+    rng = np.random.default_rng(d)
+    vs = rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d))
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    p = [np.outer(v, v.conj()) for v in vs]
+    return p + [p[1] + 1e-12]
+
+
+def generator_sets(case):
+    """The generator sets of a dedup case: every outcome tuple of an
+    observable set, or one rank-1 set (cases 5 and 6, d = 14 and 40)."""
+    if case > 4:
+        return [rank_one_set((14, 40)[case - 5])]
     if case < 4:
         obs = _reproduction_cases()[case][1]
     else:
         # five generators, one repeated and one 1e-12 off another: 60
         # classes, units equal in fp and units within DEDUP_ATOL but not equal
         obs = qubit_observables(Z, X, (1e-12, 0.0, 1.0), (0.6, 0.0, 0.8), X)
-    for t in itertools.product(*(o.outcomes for o in obs)):
-        mats = projector_mats(obs, t)
+    return [projector_mats(obs, t) for t in itertools.product(*(o.outcomes for o in obs))]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_distinct_units_match_pairwise_rule(case):
+    for mats in generator_sets(case):
         units, indices = distinct_unit_matrices(mats)
         ref_units, ref_indices = pairwise_distinct_units(mats)
         assert indices == ref_indices

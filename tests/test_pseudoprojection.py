@@ -65,6 +65,10 @@ class TestUnitPseudoProjections:
                 diff = np.abs(units[i].op.matrix - units[j].op.matrix).max()
                 assert diff > 1e-3
 
+    def test_dim_is_the_generators_dimension(self):
+        assert unit_pseudo_projections(coplanar_projectors())[0].dim == 2
+        assert weyl_pseudo_projection([PI_QUTRIT, PI_QUTRIT]).dim == 3
+
     def test_commuting_collapse(self):
         units = unit_pseudo_projections([PI_Z, PI_Z, PI_Z])
         assert len(units) == 1

@@ -207,6 +207,14 @@ class TestWeightedKernel:
             digest.update(weighted_matrix(mats, list(zip(weights.tolist(), classes))).tobytes())
         assert digest.hexdigest() == "ba186eb6065e526b8bc3f5d354c5f0f7d586e54da9b6a2a6aeaaf4cdae03ab71"
 
+    @pytest.mark.parametrize("d, counts", [(2, (2, 2, 2)), (3, (3, 2, 3, 2))])
+    def test_weyl_terms_are_the_equal_weight_mean(self, d, counts):
+        classes = ordering_classes(len(counts))
+        terms = Recipe.weyl().terms(classes)
+        assert terms == Recipe.convex([1 / len(classes)] * len(classes)).terms(classes)
+        mats = grouped_grid(1814, d, counts)
+        assert np.abs(weighted_matrix(mats, terms) - weyl_matrix(mats)).max() <= 1e-14
+
     def test_weighted_matrix_leaves_a_single_generator_alone(self):
         _, (obs,) = random_case(9, 3, 1)
         got = weighted_matrix([obs.projectors], [(1.0, (0,))])

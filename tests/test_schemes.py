@@ -53,6 +53,12 @@ class TestBuildScheme:
         assert scheme.outcome_tuples == ((1,), (-1,))
         assert np.allclose(scheme.values, [0.5, 0.5], atol=1e-15)
 
+    def test_is_immutable_and_named_by_its_size(self):
+        scheme = build_scheme(mixed_state(), coplanar_observables())
+        with pytest.raises(AttributeError, match="^Scheme is immutable$"):
+            scheme.values = None
+        assert repr(scheme) == "Scheme(n_observables=3, entries=8)"
+
     def test_rejects_observable_of_another_dimension(self):
         qutrit = Observable(op=HermitianOperator(np.diag([1.0, 0.0, -1.0])), resolution=tuple(
             (a, HermitianOperator(np.diag(np.eye(3)[i]))) for i, a in enumerate((1, 0, -1))

@@ -184,6 +184,12 @@ class TestDensityValidation:
         assert rho.dim == 4
         assert abs(rho.op.trace - 1.0) <= 1e-15
 
+    def test_is_immutable_and_named_by_its_dimension(self):
+        rho = DensityMatrix.maximally_mixed(3)
+        with pytest.raises(AttributeError, match="^DensityMatrix is immutable$"):
+            rho.op = None
+        assert repr(rho) == "DensityMatrix(dim=3)"
+
 
 class TestObservable:
     def test_from_direction_recomposes(self):
